@@ -22,9 +22,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wglab.arcs import ArcParams
 from wglab.arith import ProblemContext
-from wglab.cli import _csv_lines, _per_n_table, arc_profile, emit_plot_data
+from wglab.cli import csv_lines, emit_plot_data, per_n_table
 from wglab.config import canonical_json
 from wglab.experiment import exceptional_scan
+from wglab.expsums import arc_profile
 from wglab.singular_series import truncated_sigma
 
 
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
     (out / "report.json").write_text(
         canonical_json({"kind": "exceptional_scan", "q0": args.q0, "report": rep})
     )
-    (out / "per_n.csv").write_text(_csv_lines(*_per_n_table(rep)))
+    (out / "per_n.csv").write_text(csv_lines(*per_n_table(rep)))
     emit_plot_data(rep, "ratio_histogram", str(out / "ratio_histogram.csv"))
 
     params = ArcParams.from_context(ctx)

@@ -149,8 +149,6 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             out.append((p, e))
     if rem > 1:
-        if rem <= _TRIAL_LIMIT * _TRIAL_LIMIT and rem > _TRIAL_LIMIT and not _is_prime(rem):
-            raise ParameterDomain(f"composite cofactor {rem} beyond trial bound")
         if not _is_prime(rem):
             raise ParameterDomain(f"composite cofactor {rem} beyond trial bound")
         out.append((rem, 1))
@@ -195,19 +193,22 @@ def modulus_R(k: int) -> int:
     return out
 
 
-def admissible(n: int, k: int, s: int) -> bool:
-    """n lies in the residue classes reachable by s k-th powers of primes.
+def admissible_rule(n, k: int, s: int):
+    """n == s (mod R(k)), and 9 does not divide n when (k, s) = (3, 7);
+    elementwise on an int or an int64 array."""
+    R = modulus_R(k)
+    ok = n % R == s % R
+    if k == 3 and s == 7:
+        ok = ok & (n % 9 != 0)
+    return ok
 
-    The test is n == s (mod R(k)), with the extra exclusion 9 | n ruled out
-    in the single case (k, s) = (3, 7).
-    """
+
+def admissible(n: int, k: int, s: int) -> bool:
+    """n >= 1 lies in the residue classes reachable by s k-th powers of
+    primes (see `admissible_rule`)."""
     if n < 1:
         raise ParameterDomain(f"need n >= 1, got {n}")
-    if n % modulus_R(k) != s % modulus_R(k):
-        return False
-    if k == 3 and s == 7 and n % 9 == 0:
-        return False
-    return True
+    return bool(admissible_rule(n, k, s))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -98,7 +99,8 @@ def load(cache_dir: str | Path, kind: str, key: dict) -> dict[str, np.ndarray]:
 
     Raises cache-miss when absent (or when the stored key disagrees,
     which only happens on a hash collision) and cache-version when the
-    file comes from a different format version.
+    file comes from a different format version or is truncated or
+    garbled.
     """
     path = cache_path(cache_dir, kind, key)
     try:
@@ -113,16 +115,54 @@ def load(cache_dir: str | Path, kind: str, key: dict) -> dict[str, np.ndarray]:
             f"{path.name}: format version {version}, expected {VERSION}"
         )
     hlen = int.from_bytes(raw[7:11], "little")
-    header = json.loads(raw[11 : 11 + hlen].decode())
+    try:
+        header, layout = _parse_header(raw, hlen)
+    except ValueError as exc:
+        raise CacheVersionMismatch(f"{path.name}: {exc}") from None
     if json.dumps(header["key"], sort_keys=True, separators=(",", ":")) != _canonical_key(key):
         raise CacheMiss(f"{path.name}: key mismatch (hash collision)")
     out: dict[str, np.ndarray] = {}
     offset = 11 + hlen
-    for entry in header["arrays"]:
-        dt = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = dt.itemsize * count
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(entry["shape"])
-        out[entry["name"]] = arr.copy()
-        offset += nbytes
+    for name, dt, shape, count in layout:
+        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(shape)
+        out[name] = arr.copy()
+        offset += dt.itemsize * count
     return out
+
+
+def _parse_header(raw: bytes, hlen: int) -> tuple[dict, list[tuple[str, np.dtype, list, int]]]:
+    """The header object and its array layout (name, dtype, shape, count).
+
+    Raises ValueError unless the header fits the file, is the expected JSON
+    object, names only allowed dtypes, and its payloads fill the rest of
+    the file exactly.
+    """
+    if 11 + hlen > len(raw):
+        raise ValueError(f"header length {hlen} exceeds the file")
+    header = json.loads(raw[11 : 11 + hlen].decode())
+    if not (
+        isinstance(header, dict)
+        and set(header) == {"arrays", "key", "kind"}
+        and isinstance(header["arrays"], list)
+    ):
+        raise ValueError("header is not a cache manifest")
+    layout = []
+    for entry in header["arrays"]:
+        if not isinstance(entry, dict) or set(entry) != {"dtype", "name", "shape"}:
+            raise ValueError("malformed array entry")
+        dtype, name, shape = entry["dtype"], entry["name"], entry["shape"]
+        if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
+            raise ValueError(f"dtype {dtype!r} not allowed")
+        if not (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise ValueError(f"malformed array entry {name!r}")
+        layout.append((name, np.dtype(dtype), shape, math.prod(shape)))
+    payload = sum(dt.itemsize * count for _, dt, _, count in layout)
+    if 11 + hlen + payload != len(raw):
+        raise ValueError(
+            f"payload is {len(raw) - 11 - hlen} bytes, manifest needs {payload}"
+        )
+    return header, layout

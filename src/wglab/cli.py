@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +28,7 @@ from .arith import ProblemContext, admissible, modulus_R, sieve_interval
 from .config import RunConfig, canonical_json, format_float, parse_config
 from .errors import ParameterDomain, UnsupportedKind, WglabError
 from .experiment import ExceptionalReport, exceptional_scan, minor_arc_moment
-from .expsums import build_sequence, classify, dichotomy_report, sup_scan
+from .expsums import ArcProfile, arc_profile, build_sequence, dichotomy_report, sup_scan
 from .representations import moment, rho_mitm
 from .singular_integral import j_integral
 from .singular_series import SeriesTruncation, gauss_sum, truncated_sigma
@@ -113,7 +112,8 @@ def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> Ar
     return ArcParams.from_context(ctx, A=cfg.A)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
+def csv_lines(header: list[str], rows: list[list]) -> str:
+    """CSV text with floats at 12 significant digits and lowercase bools."""
     def cell(v) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -145,9 +145,9 @@ def _emit(cfg: RunConfig, payload: dict, table: Optional[tuple[list[str], list[l
     """Render a command result: JSON payload or the CSV view of it."""
     if cfg.output == "csv":
         if table is not None:
-            return _csv_lines(*table)
+            return csv_lines(*table)
         flat = _flatten(payload)
-        return _csv_lines([k for k, _ in flat], [[v for _, v in flat]])
+        return csv_lines([k for k, _ in flat], [[v for _, v in flat]])
     return canonical_json(payload)
 
 
@@ -283,7 +283,8 @@ def _report_summary(rep: ExceptionalReport) -> dict:
     }
 
 
-def _per_n_table(rep: ExceptionalReport) -> tuple[list[str], list[list]]:
+def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list[list]]:
+    """(header, rows) of the per-n detail stream of a scan."""
     header = ["n", "rho", "tuple_count", "sigma", "jay", "ratio", "flagged"]
     rows: list[list] = []
     if rep.per_n is not None:
@@ -304,7 +305,7 @@ def _cmd_exceptional(cfg, args, y):
         cache_dir=cfg.cache_dir,
     )
     payload = {"context": _ctx_dict(ctx), "summary": _report_summary(rep)}
-    return _emit(cfg, payload, _per_n_table(rep))
+    return _emit(cfg, payload, per_n_table(rep))
 
 
 def _cmd_minor_moment(cfg, args, y):
@@ -336,7 +337,7 @@ def _cmd_report(cfg, args, y):
         base = args.out[:-5] if args.out.endswith(".json") else args.out
         stream_path = base + ".per-n.csv"
         with open(stream_path, "w", encoding="utf-8") as fh:
-            fh.write(_csv_lines(*_per_n_table(rep)))
+            fh.write(csv_lines(*per_n_table(rep)))
         stream_name = os.path.basename(stream_path)
     payload = {
         "schema_version": 1,
@@ -371,31 +372,6 @@ def _plot_source(rep: ExceptionalReport, ctx, cfg, args):
 
 
 # -------------------------------------------------------------- plot data
-
-
-@dataclass(eq=False)
-class ArcProfile:
-    """|f| sampled on the circle grid, each point labeled major/minor."""
-
-    alphas: np.ndarray
-    magnitudes: np.ndarray
-    labels: tuple[str, ...]
-
-
-def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
-    if grid_size < 2:
-        raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
-    seq = build_sequence(ctx, "prime_log")
-    pw = seq.powers(ctx.k)
-    w = seq.weights
-    alphas = np.arange(grid_size, dtype=np.float64) / grid_size
-    mags = np.empty(grid_size)
-    labels = []
-    for j in range(grid_size):
-        alpha = alphas[j]
-        mags[j] = abs(np.dot(w, pw.phases(float(alpha))))
-        labels.append(classify(float(alpha), params)[0])
-    return ArcProfile(alphas=alphas, magnitudes=mags, labels=tuple(labels))
 
 
 def emit_plot_data(report, kind: str, path: str) -> None:
@@ -433,7 +409,7 @@ def emit_plot_data(report, kind: str, path: str) -> None:
             for (q, a), (_, acc) in zip(report.partials, report.trajectory())
         ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_lines(header, rows))
+        fh.write(csv_lines(header, rows))
 
 
 # ---------------------------------------------------------------- parser

@@ -24,14 +24,12 @@ import numpy as np
 
 from . import cache
 from .arcs import ArcDecomposition, ArcParams, major_measure
-from .arith import PrimeWindow, ProblemContext, modulus_R, prime_window
+from .arith import PrimeWindow, ProblemContext, admissible_rule, is_admissible, prime_window
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, UnsupportedKind
-from .expsums import build_sequence, classify
+from .expsums import build_sequence, eval_sums, exact_phase, grid_points
 from .representations import rho_mitm
-from .singular_integral import j_array, j_integral
+from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import SeriesTruncation, sigma_batch, truncated_sigma
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,6 @@ class MajorArcPrediction:
 
 def predict(n: int, ctx: ProblemContext, q0: int) -> MajorArcPrediction:
     """sigma(n, q0) * j(n); computed whether or not n is admissible."""
-    from .arith import is_admissible
-
     sigma = truncated_sigma(n, ctx, q0).value
     jay = j_integral(n, ctx)
     return MajorArcPrediction(
@@ -58,13 +54,6 @@ def predict(n: int, ctx: ProblemContext, q0: int) -> MajorArcPrediction:
         main_term=sigma * jay,
         admissible=is_admissible(int(n), ctx),
     )
-
-
-def _phase_minus_n_alpha(n: int, alpha: float) -> complex:
-    # e(-n alpha) with the phase reduced exactly (n alpha can exceed 2^52)
-    num, den = float(alpha).as_integer_ratio()
-    frac = ((num * n) % den) / den
-    return complex(math.cos(2 * math.pi * frac), -math.sin(2 * math.pi * frac))
 
 
 def major_arc_rho_numeric(
@@ -89,8 +78,6 @@ def major_arc_rho_numeric(
         raise ParameterDomain(f"need nodes_per_arc >= 8, got {nodes_per_arc}")
     n = int(n)
     seq = build_sequence(ctx, "prime_log")
-    pw = seq.powers(ctx.k)
-    w = seq.weights
 
     if region == "major":
         decomp = ArcDecomposition.build(params)
@@ -109,20 +96,15 @@ def major_arc_rho_numeric(
     total = 0.0 + 0.0j
     worst_jump = 0.0
     for lo, hi in intervals:
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-        fs = np.empty(pts.size, dtype=np.complex128)
-        vals = np.empty(pts.size, dtype=np.complex128)
-        for i, alpha in enumerate(pts.tolist()):
-            f = complex(np.dot(w, pw.phases(alpha)))
-            fs[i] = f ** ctx.s
-            vals[i] = fs[i] * _phase_minus_n_alpha(n, alpha)
+        half, pts, weights = gauss_legendre_panels(lo, hi, panels)
+        alphas = pts.tolist()
+        fs = np.array([complex(f) ** ctx.s for f in eval_sums(seq, ctx.k, alphas)])
+        # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
+        vals = np.array([f * exact_phase(a, n).conjugate() for f, a in zip(fs, alphas)])
         if pts.size > 1:
             jumps = np.abs(np.angle(fs[1:] * np.conj(fs[:-1])))
             worst_jump = max(worst_jump, float(np.max(jumps)))
-        total += half * np.dot(vals, np.tile(_GL_WEIGHTS, panels))
+        total += half * np.dot(vals, weights)
     if worst_jump > math.pi / 4:
         warnings.warn(
             f"arc quadrature under-resolved: adjacent-node phase jump "
@@ -173,11 +155,7 @@ class ExceptionalReport:
 
 def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray:
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    R = modulus_R(ctx.k)
-    mask = ns % R == ctx.s % R
-    if ctx.k == 3 and ctx.s == 7:
-        mask &= ns % 9 != 0
-    return ns[mask]
+    return ns[admissible_rule(ns, ctx.k, ctx.s)]
 
 
 def exceptional_scan(
@@ -307,19 +285,12 @@ def minor_arc_moment(
     if region not in ("minor", "full"):
         raise ParameterDomain(f"unknown region {region!r}")
     seq = build_sequence(ctx, "prime_log")
-    pw = seq.powers(ctx.k)
-    w = seq.weights
+    alphas = grid_points(params, region, grid_size)
+    # scalar abs and ** summed left to right; array forms differ in the last bit
     acc = 0.0
-    hits = 0
-    for j in range(grid_size):
-        alpha = j / grid_size
-        if region == "minor":
-            label, _ = classify(alpha, params)
-            if label != "minor":
-                continue
-        hits += 1
-        acc += abs(np.dot(w, pw.phases(alpha))) ** t
-    if hits == 0:
+    for f in eval_sums(seq, ctx.k, alphas):
+        acc += abs(f) ** t
+    if not alphas:
         try:
             covered = major_measure(params) >= 0.999
         except OverlapDetected:

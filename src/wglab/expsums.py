@@ -17,11 +17,19 @@ alpha is taken apart into its dyadic ratio num/2^t, n^k is carried in
 base-2^26 limbs, and frac(alpha * n^k) is assembled limb by limb with
 integer arithmetic modulo 2^53 plus a float tail.  The result is the true
 fractional part up to ~2^-53 regardless of the size of alpha * n^k, and
-every evaluation is bit-reproducible.
+every evaluation is bit-reproducible.  `exact_phase` gives the scalar
+e(alpha * m) from the big-integer oracle `phase_fraction_exact`.
 
 The per-limb step: write frac(num * 2^(26 j) / 2^t) = (a_j + tail_j)/2^53
 with a_j integer.  Multiplying by limb L_j < 2^26 and summing modulo 2^53
 needs only int64 operations once a_j is split into high and low halves.
+
+Circle points
+-------------
+`grid_points` lists the grid points j/G of a region and `eval_sums`
+returns f at a sequence of alphas.  Every caller that needs f at many
+points (`sup_scan`, `arc_profile`, `minor_arc_moment`, the arc
+quadrature) goes through these two.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .arcs import ArcDecomposition, RationalPoint, classify, dirichlet_approx, w_k
+from .arcs import ArcDecomposition, ArcParams, RationalPoint, classify, dirichlet_approx, w_k
 from .arith import ProblemContext
 from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge
 
@@ -134,6 +142,12 @@ def phase_fraction_exact(alpha: float, n: int, k: int) -> float:
     return r / den
 
 
+def exact_phase(alpha: float, m: int) -> complex:
+    """e(alpha * m) for one integer m; alpha * m may exceed 2^52."""
+    frac = phase_fraction_exact(alpha, m, 1)
+    return complex(math.cos(2 * math.pi * frac), math.sin(2 * math.pi * frac))
+
+
 @dataclass(eq=False)
 class WeightedSequence:
     """Support points with positive weights and a kind tag."""
@@ -198,12 +212,31 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
     return WeightedSequence(support=support, weights=weights, kind=kind)
 
 
+def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
+    """f(alpha) for each alpha in order, as complex128; the limb powers
+    and weights are looked up once per call, not once per point."""
+    out = np.zeros(len(alphas), dtype=np.complex128)
+    pw = seq.powers(k)
+    w = seq.weights
+    for i, alpha in enumerate(alphas):
+        out[i] = np.dot(w, pw.phases(alpha))
+    return out
+
+
 def eval_sum(seq: WeightedSequence, k: int, alpha: float) -> complex:
     """f(alpha) = sum w(n) e(alpha n^k) with exactly reduced phases."""
-    if len(seq) == 0:
-        return 0.0 + 0.0j
-    ph = seq.powers(k).phases(alpha)
-    return complex(np.dot(seq.weights, ph))
+    return complex(eval_sums(seq, k, [alpha])[0])
+
+
+def grid_points(params: ArcParams, region: str, grid_size: int) -> list[float]:
+    """The grid points j/grid_size in a region, ascending; membership is
+    decided by `classify`, except that "full" keeps every point."""
+    if region not in ("major", "minor", "full"):
+        raise ParameterDomain(f"unknown region {region!r}")
+    alphas = [j / grid_size for j in range(grid_size)]
+    if region == "full":
+        return alphas
+    return [alpha for alpha in alphas if classify(alpha, params)[0] == region]
 
 
 @dataclass(frozen=True)
@@ -234,37 +267,42 @@ def sup_scan(
 
     Raises empty-region when no grid point falls in the region.
     """
-    if region not in ("major", "minor", "full"):
-        raise ParameterDomain(f"unknown region {region!r}")
     if grid_size < 2:
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
-    params = arcs.params
-    pw = seq.powers(k)
-    w = seq.weights
-    best_val = -1.0
-    best_alpha = 0.0
-    count = 0
-    for j in range(grid_size):
-        alpha = j / grid_size
-        if region != "full":
-            label, _ = classify(alpha, params)
-            if label != region:
-                continue
-        count += 1
-        val = abs(np.dot(w, pw.phases(alpha)))
-        if val > best_val:
-            best_val = val
-            best_alpha = alpha
-    if count == 0:
+    alphas = grid_points(arcs.params, region, grid_size)
+    if not alphas:
         raise EmptyRegion(f"no grid points in region {region!r}")
+    # abs per element: array np.abs can differ from scalar abs in the last bit
+    mags = [abs(f) for f in eval_sums(seq, k, alphas)]
+    best = mags.index(max(mags))  # first maximum
     return SupScanReport(
         region=region,
         grid_size=grid_size,
-        points_in_region=count,
-        sup_abs=float(best_val),
-        argmax_alpha=best_alpha,
-        nearest_rational=dirichlet_approx(best_alpha, params.Q),
+        points_in_region=len(alphas),
+        sup_abs=float(mags[best]),
+        argmax_alpha=alphas[best],
+        nearest_rational=dirichlet_approx(alphas[best], arcs.params.Q),
     )
+
+
+@dataclass(eq=False)
+class ArcProfile:
+    """|f| sampled on the circle grid, each point labeled major/minor."""
+
+    alphas: np.ndarray
+    magnitudes: np.ndarray
+    labels: tuple[str, ...]
+
+
+def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
+    """|f| at every grid point j/grid_size with its `classify` label."""
+    if grid_size < 2:
+        raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
+    seq = build_sequence(ctx, "prime_log")
+    alphas = grid_points(params, "full", grid_size)
+    mags = np.array([abs(f) for f in eval_sums(seq, ctx.k, alphas)])
+    labels = tuple(classify(alpha, params)[0] for alpha in alphas)
+    return ArcProfile(alphas=np.array(alphas), magnitudes=mags, labels=labels)
 
 
 def _t_exponent(k: int) -> int:

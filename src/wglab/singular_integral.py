@@ -34,6 +34,7 @@ from .errors import (
     ParameterDomain,
     PrecisionOverflow,
 )
+from .expsums import exact_phase
 
 _CONV_CEILING = 10 ** 8
 _DIRECT_CONV_LIMIT = 10 ** 4
@@ -80,11 +81,6 @@ class WeightSeq:
         return float(np.sum(self.weights))
 
 
-def _exact_phase(num: int, den: int, m: int) -> complex:
-    frac = ((num * m) % den) / den
-    return complex(math.cos(2 * math.pi * frac), math.sin(2 * math.pi * frac))
-
-
 def v_eval(ws: WeightSeq, beta: float) -> complex:
     """v(beta) = sum of c_m e(beta m), phases by blockwise recurrence.
 
@@ -100,7 +96,7 @@ def v_eval(ws: WeightSeq, beta: float) -> complex:
     total = 0.0 + 0.0j
     for start in range(0, R, _REFRESH):
         stop = min(start + _REFRESH, R)
-        anchor = _exact_phase(num, den, ws.lo + start)
+        anchor = exact_phase(beta, ws.lo + start)
         block = ws.weights[start:stop]
         total += anchor * np.dot(block, ladder[: stop - start])
     return complex(total)
@@ -158,6 +154,16 @@ def j_integral(n: int, ctx: ProblemContext) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def gauss_legendre_panels(lo: float, hi: float, panels: int):
+    """(half, nodes, weights) of composite 16-point Gauss-Legendre on
+    [lo, hi]; the integral of g is half * np.dot(g(nodes), weights)."""
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    return half, nodes, np.tile(_GL_WEIGHTS, panels)
+
+
 def oscillatory_I(beta: float, ctx: ProblemContext) -> complex:
     """I(beta) = integral of e(beta * g^k) dg over (x - y, x + y).
 
@@ -177,12 +183,9 @@ def oscillatory_I(beta: float, ctx: ProblemContext) -> complex:
     tol = _OSC_TOL_FACTOR * ctx.y
     prev: complex | None = None
     for _ in range(_MAX_DOUBLINGS):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+        half, pts, weights = gauss_legendre_panels(a, b, panels)
         vals = np.exp((2j * np.pi * beta) * pts ** ctx.k)
-        cur = complex(half * np.dot(vals, np.tile(_GL_WEIGHTS, panels)))
+        cur = complex(half * np.dot(vals, weights))
         if prev is not None and abs(cur - prev) <= tol:
             return cur
         prev = cur

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from wglab.arith import (
     ProblemContext,
     admissible,
+    admissible_rule,
     euler_phi,
     factorize,
     is_admissible,
@@ -157,6 +159,12 @@ class TestCongruenceLayer:
         # the 9-divisibility exclusion applies at (k, s) = (3, 7) only
         assert admissible(27, 3, 5) is True  # 27 and 5 agree mod R(3) = 2
         assert admissible(61, 3, 7) is True  # odd, not divisible by 9
+
+    def test_rule_is_elementwise(self):
+        ns = np.arange(1, 500, dtype=np.int64)
+        for k, s in ((2, 5), (3, 7), (3, 5)):
+            mask = admissible_rule(ns, k, s)
+            assert mask.tolist() == [admissible(int(n), k, s) for n in ns]
 
     def test_is_admissible_context_form(self):
         ctx = ProblemContext.from_parts(2, 5, 400.0, 120.0)

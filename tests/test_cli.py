@@ -95,6 +95,19 @@ class TestConfigMerge:
         assert glob.glob(str(flag_dir / "sigbatch-*"))
         assert not glob.glob(str(env_dir / "sigbatch-*"))
 
+    def test_report_over_truncated_cache(self, tmp_path, capsys):
+        argv = ["report", "--q0", "50", *W]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (path,) = tmp_path.glob("sigbatch-*.wgc")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-5])
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == cold
+        assert path.read_bytes() == raw
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):

@@ -2,6 +2,7 @@ import glob
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,39 @@ class TestArtifactCache:
         second = window_cached(200.0, 50.0, str(tmp_path))
         assert second == first
         assert window_cached(200.0, 50.0, None) == first
+
+    @staticmethod
+    def _overlong_header(raw):
+        return raw[:7] + len(raw).to_bytes(4, "little") + raw[11:]
+
+    @staticmethod
+    def _non_object_header(raw):
+        hlen = int.from_bytes(raw[7:11], "little")
+        return raw[:11] + b"[" + b" " * (hlen - 2) + b"]" + raw[11 + hlen:]
+
+    @staticmethod
+    def _foreign_dtype(raw):
+        # same item size, so only the dtype check can catch it
+        return raw.replace(b'"<f8"', b'">f8"', 1)
+
+    @staticmethod
+    def _short_payload(raw):
+        return raw[:-5]
+
+    @pytest.mark.parametrize(
+        "corrupt", ["_overlong_header", "_non_object_header", "_foreign_dtype", "_short_payload"]
+    )
+    def test_garbled_file_is_rejected_then_rewritten(self, tmp_path, corrupt):
+        win = prime_window(50.0, 10.0)
+        path = Path(cache_store(win, str(tmp_path)))
+        raw = path.read_bytes()
+        path.write_bytes(getattr(self, corrupt)(raw))
+        with pytest.raises(CacheVersionMismatch) as err:
+            cache_load({"kind": "window", "x": 50.0, "y": 10.0}, str(tmp_path))
+        assert err.value.code == "cache-version"
+        assert path.name in err.value.message
+        assert window_cached(50.0, 10.0, str(tmp_path)) == win
+        assert path.read_bytes() == raw
 
     def test_concurrent_writers_single_winner(self, tmp_path):
         # eight writers race on one key with different payloads; the

@@ -11,9 +11,13 @@ from wglab.errors import EmptyRegion, EmptyWindow, ParameterDomain
 from wglab.expsums import (
     PhasePowers,
     WeightedSequence,
+    arc_profile,
     build_sequence,
     dichotomy_report,
     eval_sum,
+    eval_sums,
+    exact_phase,
+    grid_points,
     phase_fraction_exact,
     sup_scan,
 )
@@ -100,7 +104,7 @@ class TestEvalSum:
 
     @given(
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=6),
         st.integers(min_value=2, max_value=10 ** 7),
     )
     @settings(max_examples=200, deadline=None)
@@ -110,6 +114,15 @@ class TestEvalSum:
         want = phase_fraction_exact(alpha, n, k)
         dist = abs(got - want)
         assert min(dist, 1.0 - dist) < 1e-12
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(min_value=0, max_value=2 ** 48),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_phase_matches_limb_route(self, alpha, m):
+        want = complex(PhasePowers(np.array([m], dtype=np.int64), 1).phases(alpha)[0])
+        assert abs(exact_phase(alpha, m) - want) <= 1e-12
 
     def test_subnormal_alpha(self):
         # subnormal alphas have denominators up to 2^1074, past float range;
@@ -162,6 +175,40 @@ class TestSupScan:
             sup_scan(seq, 2, arcs, "everything", 100)
         with pytest.raises(ParameterDomain):
             sup_scan(seq, 2, arcs, "full", 1)
+
+
+class TestCircleGrid:
+    def _setup(self):
+        ctx = ProblemContext.from_parts(2, 5, 1e4, 1e3)
+        params = ArcParams.from_context(ctx)
+        return ctx, build_sequence(ctx, "prime_log"), params
+
+    def test_grid_points_split_the_full_grid(self):
+        _, _, params = self._setup()
+        full = grid_points(params, "full", 1000)
+        assert full == [j / 1000 for j in range(1000)]
+        major = grid_points(params, "major", 1000)
+        minor = grid_points(params, "minor", 1000)
+        assert sorted(major + minor) == full
+        assert major == sorted(major) and minor == sorted(minor)
+        with pytest.raises(ParameterDomain):
+            grid_points(params, "everything", 1000)
+
+    def test_eval_sums_matches_pointwise(self):
+        _, seq, _ = self._setup()
+        alphas = [0.0, 0.125, 1 / 3, 0.7071067811865476]
+        got = eval_sums(seq, 2, alphas)
+        assert got.dtype == np.complex128
+        assert got.tolist() == [eval_sum(seq, 2, a) for a in alphas]
+
+    def test_callers_share_the_grid(self):
+        ctx, seq, params = self._setup()
+        arcs = ArcDecomposition.build(params)
+        prof = arc_profile(ctx, params, 1000)
+        for region in ("major", "minor"):
+            rep = sup_scan(seq, 2, arcs, region, 1000)
+            assert prof.labels.count(region) == rep.points_in_region
+        assert max(prof.magnitudes) == sup_scan(seq, 2, arcs, "full", 1000).sup_abs
 
 
 class TestDichotomy:
