@@ -36,7 +36,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--theta", type=float, default=0.8)
     ap.add_argument("--N", type=int, default=800_000)
     ap.add_argument("--q0", type=int, default=400, help="singular-series truncation")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--grid-size", type=int, default=2000, help="arc-profile resolution")
     ap.add_argument("--cache-dir", default=None, help="reuse sieve/series caches")
     ap.add_argument("--out-dir", default="results/desk")
@@ -91,9 +90,7 @@ def main(argv=None) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rep = exceptional_scan(
-        ctx, q0=args.q0, threads=args.threads, cache_dir=args.cache_dir
-    )
+    rep = exceptional_scan(ctx, q0=args.q0, cache_dir=args.cache_dir)
 
     (out / "report.json").write_text(
         canonical_json({"kind": "exceptional_scan", "q0": args.q0, "report": rep})

@@ -202,7 +202,7 @@ def _cmd_jay(cfg, args, y):
 
 def _cmd_rho(cfg, args, y):
     ctx = _context(cfg, y)
-    rec = rho_mitm([args.n], ctx, batch_size=cfg.batch_size, threads=cfg.threads)[0]
+    rec = rho_mitm([args.n], ctx)[0]
     payload = {"n": rec.n, "rho": rec.value, "tuple_count": rec.tuple_count}
     return _emit(cfg, payload, None)
 

@@ -4,7 +4,7 @@ persistence.
 
 The headline object is the exceptional-set report for a window
 (N, N + x^(k-1) y]: every admissible n in the window gets its exact
-weighted representation count rho(n) (meet-in-the-middle, batched), its
+weighted representation count rho(n) (one meet-in-the-middle join), its
 main-term prediction sigma(n, Q0) * j(n), and a two-sided deviation flag
 at threshold y^(s-1) x^(1-k) / log x.
 
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cache
+from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import PrimeWindow, ProblemContext, admissible_rule, is_admissible, prime_window
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, UnsupportedKind
@@ -168,14 +168,20 @@ def exceptional_scan(
 ) -> ExceptionalReport:
     """Scan every admissible n in (N, N + x^(k-1) y] for main-term failure.
 
-    rho comes from the batched meet-in-the-middle counter, sigma from the
-    vectorized singular-series batch (optionally cached), jay from the
-    shared convolution table.  Flags use the two-sided threshold; the
-    one-sided count (excess only) is recorded alongside.
+    rho comes from one meet-in-the-middle join over the whole window,
+    sigma from the vectorized singular-series batch (optionally cached),
+    jay from the shared convolution table.  Flags use the two-sided
+    threshold; the one-sided count (excess only) is recorded alongside.
+    batch_size and threads must be >= 1 but select nothing: the join
+    runs once, in the calling thread.
 
     Raises empty-window when the window contains no integers at all; a
     window with integers but no admissible ones yields scanned=0.
     """
+    if batch_size < 1:
+        raise ParameterDomain(f"need batch_size >= 1, got {batch_size}")
+    if threads < 1:
+        raise ParameterDomain(f"need threads >= 1, got {threads}")
     N = ctx.N
     n_lo = math.floor(N) + 1
     n_hi = math.floor(N + ctx.window_width)
@@ -189,7 +195,7 @@ def exceptional_scan(
             exceptional_one_sided=0, threshold=threshold, ratios=None, per_n=None,
         )
 
-    records = rho_mitm(ns, ctx, batch_size=batch_size, threads=threads)
+    records = rho_mitm(ns, ctx)
     rho = np.array([r.value for r in records])
     tuples = np.array([r.tuple_count for r in records], dtype=np.int64)
 
@@ -252,6 +258,7 @@ def _sigma_batch_cached(
         "n_lo": int(ns[0]),
         "n_hi": int(ns[-1]),
         "count": int(ns.size),
+        "floor": singular_series._PARTIAL_FLOOR,
     }
     try:
         hit = cache.load(cache_dir, "sigbatch", key)

@@ -7,8 +7,10 @@ powers sum to n.  Two routes are provided:
 * `rho_naive` - direct nested enumeration with range pruning; the
   reference implementation, exponential in s.
 * `rho_mitm`  - meet-in-the-middle: aggregate all ceil(s/2)-fold and
-  floor(s/2)-fold sums into sorted unique tables, then join.  Handles
-  whole batches of targets against one pair of tables.
+  floor(s/2)-fold sums into sorted unique tables, then join them once
+  over the whole target set, whether one target or a scan window.
+  Table values are int64, or Python ints in an object array once the
+  sums can reach 2^62; the same code serves both.
 
 Both count ordered tuples; they must agree exactly up to float
 associativity, and the tests pin that.
@@ -21,8 +23,6 @@ computed here without touching any alpha grid.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,19 +106,23 @@ def _bisect(sorted_list: list[int], target: int) -> int:
 class HalfSumTable:
     """Aggregated fold-sums: unique values, total weights, tuple counts."""
 
-    fold: int
-    values: np.ndarray  # int64, ascending unique
+    values: np.ndarray  # ascending unique; int64, or Python ints past 2^62
     weights: np.ndarray  # float64, summed products of logs
     counts: np.ndarray  # int64, ordered tuple counts
 
 
-def _fold_table_int64(pk: list[int], logs: list[float], fold: int) -> HalfSumTable:
+def _fold_table(pk: list[int], logs: list[float], fold: int, top: int) -> HalfSumTable:
+    """All ordered fold-sums of pk, aggregated by value.
+
+    top is the largest sum in play; from 2^62 on the values are held as
+    Python ints in an object array, so no sum can wrap.
+    """
     m = len(pk)
     if m ** fold > _TABLE_CEILING:
         raise MemoryBudgetExceeded(
             f"{m}^{fold} half-sums exceed the 2^31 table budget"
         )
-    base_v = np.asarray(pk, dtype=np.int64)
+    base_v = np.array(pk, dtype=np.int64 if top < 2 ** 62 else object)
     base_w = np.asarray(logs, dtype=np.float64)
     vals, wts, cnt = base_v, base_w, np.ones(m, dtype=np.int64)
     for _ in range(fold - 1):
@@ -128,103 +132,47 @@ def _fold_table_int64(pk: list[int], logs: list[float], fold: int) -> HalfSumTab
         vals, inv = np.unique(raw, return_inverse=True)
         wts = np.bincount(inv, weights=rw)
         cnt = np.bincount(inv, weights=rc).astype(np.int64)
-    return HalfSumTable(fold=fold, values=vals, weights=wts, counts=cnt)
+    return HalfSumTable(values=vals, weights=wts, counts=cnt)
 
 
-def _fold_table_dict(pk: list[int], logs: list[float], fold: int) -> dict:
-    # big-integer route: k-th powers beyond int64; Python-int keyed sums
-    if len(pk) ** fold > _TABLE_CEILING:
-        raise MemoryBudgetExceeded(
-            f"{len(pk)}^{fold} half-sums exceed the 2^31 table budget"
-        )
-    table: dict[int, tuple[float, int]] = {v: (w, 1) for v, w in zip(pk, logs)}
-    for _ in range(fold - 1):
-        nxt: dict[int, tuple[float, int]] = {}
-        for v in sorted(table):
-            w, c = table[v]
-            for p_k, lg in zip(pk, logs):
-                key = v + p_k
-                ow, oc = nxt.get(key, (0.0, 0))
-                nxt[key] = (ow + w * lg, oc + c)
-        table = nxt
-    return table
+def rho_mitm(n_values, ctx: ProblemContext) -> list[RepresentationRecord]:
+    """rho over any set of targets by one meet-in-the-middle join.
 
-
-def _build_tables(ctx: ProblemContext):
+    T1 holds the ceil(s/2)-fold sums and T2 the floor(s/2)-fold sums.
+    For each row v of T2, the slice of T1 that lands in [min target,
+    max target] is matched against the sorted unique targets and its
+    hits are added, rows taken in ascending order.  Records come back in
+    input order, duplicates repeated; targets outside [s p_min^k,
+    s p_max^k] count zero.
+    """
+    ns = [int(v) for v in np.atleast_1d(np.asarray(n_values)).tolist()]
     pk, logs = _window_powers(ctx)
     s1 = (ctx.s + 1) // 2
     s2 = ctx.s - s1  # >= 1 since s >= 2
-    if ctx.s * pk[-1] >= 2 ** 62:
-        d1 = _fold_table_dict(pk, logs, s1)
-        d2 = d1 if s2 == s1 else _fold_table_dict(pk, logs, s2)
-        return "dict", d1, d2, pk
-    t1 = _fold_table_int64(pk, logs, s1)
-    t2 = t1 if s2 == s1 else _fold_table_int64(pk, logs, s2)
-    return "int64", t1, t2, pk
+    top = ctx.s * pk[-1]
+    t1 = _fold_table(pk, logs, s1, top)
+    t2 = t1 if s2 == s1 else _fold_table(pk, logs, s2, top)
 
-
-def _join_int64(n: int, t1: HalfSumTable, t2: HalfSumTable) -> tuple[float, int]:
-    need = n - t2.values
-    idx = np.searchsorted(t1.values, need)
-    ok = (idx < t1.values.size) & (need >= t1.values[0])
-    idx_c = np.minimum(idx, t1.values.size - 1)
-    ok &= t1.values[idx_c] == need
-    if not np.any(ok):
-        return 0.0, 0
-    w = float(np.dot(t2.weights[ok], t1.weights[idx_c[ok]]))
-    c = int(np.dot(t2.counts[ok], t1.counts[idx_c[ok]]))
-    return w, c
-
-
-def _join_dict(n: int, d1: dict, d2: dict) -> tuple[float, int]:
-    total, cnt = 0.0, 0
-    for v in sorted(d2):
-        w2, c2 = d2[v]
-        hit = d1.get(n - v)
-        if hit is not None:
-            total += w2 * hit[0]
-            cnt += c2 * hit[1]
-    return total, cnt
-
-
-def rho_mitm(
-    n_values,
-    ctx: ProblemContext,
-    batch_size: int = 4096,
-    threads: int = 1,
-) -> list[RepresentationRecord]:
-    """rho over a batch of targets by meet-in-the-middle join.
-
-    One pair of half-sum tables serves all targets.  Batches may be
-    joined in worker threads; records come back in input order either
-    way, and every float is produced by the same per-target dot product,
-    so the thread count cannot change any value.
-    """
-    if batch_size < 1:
-        raise ParameterDomain(f"need batch_size >= 1, got {batch_size}")
-    if threads < 1:
-        raise ParameterDomain(f"need threads >= 1, got {threads}")
-    ns = [int(v) for v in np.atleast_1d(np.asarray(n_values)).tolist()]
-    mode, t1, t2, pk = _build_tables(ctx)
-
-    span_lo = ctx.s * pk[0]
-    span_hi = ctx.s * pk[-1]
-
-    def one(n: int) -> RepresentationRecord:
-        if n < span_lo or n > span_hi:
-            return RepresentationRecord(n=n, value=0.0, tuple_count=0)
-        if mode == "int64":
-            w, c = _join_int64(n, t1, t2)
-        else:
-            w, c = _join_dict(n, t1, t2)
-        return RepresentationRecord(n=n, value=w, tuple_count=c)
-
-    if threads == 1:
-        return [one(n) for n in ns]
-    batches = [ns[i : i + batch_size] for i in range(0, len(ns), batch_size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(lambda b: [one(n) for n in b], batches))
-    return [rec for chunk in chunks for rec in chunk]
+    inside = sorted({n for n in ns if ctx.s * pk[0] <= n <= top})
+    found: dict[int, tuple[float, int]] = {}
+    if inside:
+        targets = np.array(inside, dtype=t1.values.dtype)
+        wsum = np.zeros(targets.size)
+        csum = np.zeros(targets.size, dtype=np.int64)
+        last = targets.size - 1
+        for v, w2, c2 in zip(t2.values.tolist(), t2.weights.tolist(), t2.counts.tolist()):
+            i = int(np.searchsorted(t1.values, inside[0] - v))
+            j = int(np.searchsorted(t1.values, inside[-1] - v, side="right"))
+            if i == j:
+                continue
+            need = t1.values[i:j] + v
+            pos = np.minimum(np.searchsorted(targets, need), last)
+            ok = targets[pos] == need
+            # T1 values are unique, so no target repeats within one row
+            wsum[pos[ok]] += w2 * t1.weights[i:j][ok]
+            csum[pos[ok]] += c2 * t1.counts[i:j][ok]
+        found = dict(zip(inside, zip(wsum.tolist(), csum.tolist())))
+    return [RepresentationRecord(n, *found.get(n, (0.0, 0))) for n in ns]
 
 
 def moment(t: int, ctx: ProblemContext) -> MomentValue:
@@ -238,9 +186,5 @@ def moment(t: int, ctx: ProblemContext) -> MomentValue:
     pk, logs = _window_powers(ctx)
     if len(pk) ** t > _ENUM_CEILING:
         raise EnumerationTooLarge(f"{len(pk)}^{t} tuples exceed {_ENUM_CEILING}")
-    if t * pk[-1] >= 2 ** 62:
-        table = _fold_table_dict(pk, logs, t)
-        val = math.fsum(w * w for w, _ in table.values())
-        return MomentValue(t=t, value=val)
-    tbl = _fold_table_int64(pk, logs, t)
+    tbl = _fold_table(pk, logs, t, t * pk[-1])
     return MomentValue(t=t, value=float(np.dot(tbl.weights, tbl.weights)))

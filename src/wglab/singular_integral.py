@@ -12,10 +12,11 @@ density weight c_m = (1/k) m^(1/k - 1).  Two derived quantities matter:
 
 j is computed exactly as a convolution (direct for small windows, real
 FFT power for large ones; the crossover is regression-tested), cached per
-(k, s, window).  The oscillatory integral I(beta) over the original
-window uses composite Gauss-Legendre panels with doubling until the
-change falls below 1e-8 * y, with the panel count seeded above the
-oscillation count so every period sees at least 16 nodes.
+(k, s, window) for the few most recent windows.  The oscillatory
+integral I(beta) over the original window uses composite Gauss-Legendre
+panels with doubling until the change falls below 1e-8 * y, with the
+panel count seeded above the oscillation count so every period sees at
+least 16 nodes.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def v_eval(ws: WeightSeq, beta: float) -> complex:
     return complex(total)
 
 
+# the most recent windows' tables; the oldest is dropped first
+_CONV_CACHE_CAP = 4
 _conv_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
 _conv_lock = threading.Lock()
 
@@ -131,8 +134,10 @@ def _convolution(ctx: ProblemContext, ws: WeightSeq) -> np.ndarray:
         acc = np.fft.irfft(spec ** ctx.s, nfft)[:out_len]
         np.maximum(acc, 0.0, out=acc)  # clip FFT noise below true zero
     with _conv_lock:
-        _conv_cache.setdefault(key, acc)
-        return _conv_cache[key]
+        acc = _conv_cache.setdefault(key, acc)
+        while len(_conv_cache) > _CONV_CACHE_CAP:
+            del _conv_cache[next(iter(_conv_cache))]
+        return acc
 
 
 def j_array(ctx: ProblemContext) -> tuple[int, np.ndarray]:

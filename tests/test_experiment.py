@@ -162,6 +162,24 @@ class TestExceptionalScan:
         assert solo.per_n.sigma.tolist() == multi.per_n.sigma.tolist()
         assert solo.exceptional == multi.exceptional
 
+    def test_knob_domain(self):
+        ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
+        with pytest.raises(ParameterDomain):
+            exceptional_scan(ctx, q0=40, batch_size=0)
+        with pytest.raises(ParameterDomain):
+            exceptional_scan(ctx, q0=40, threads=0)
+
+    def test_sigma_cache_key_carries_floor(self, tmp_path, monkeypatch):
+        # a changed partial-sum floor must miss the cache and recompute
+        import wglab.singular_series as ss
+
+        ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
+        exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
+        assert len(glob.glob(str(tmp_path / "sigbatch-*.wgc"))) == 1
+        monkeypatch.setattr(ss, "_PARTIAL_FLOOR", 1e-6)
+        exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
+        assert len(glob.glob(str(tmp_path / "sigbatch-*.wgc"))) == 2
+
     def test_sigma_cache_round_trip(self, tmp_path):
         ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
         cold = exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from wglab.arith import ProblemContext, prime_window
+from wglab.arith import ProblemContext, admissible, prime_window
 from wglab.errors import (
     EmptyWindow,
     EnumerationTooLarge,
     MemoryBudgetExceeded,
     ParameterDomain,
 )
-from wglab.representations import moment, rho_mitm, rho_naive
+from wglab.representations import _fold_table, moment, rho_mitm, rho_naive
 
 L7, L11, L13 = math.log(7), math.log(11), math.log(13)
 
@@ -60,6 +60,19 @@ class TestRhoNaive:
             rho_naive(10 ** 5, ctx)
 
 
+def _join_per_target(n, t1, t2):
+    # independent oracle: look each n - v (v in T2) up in T1, one target
+    # at a time, and sum the hits with dot products
+    need = n - t2.values
+    idx = np.searchsorted(t1.values, need)
+    ok = (idx < t1.values.size) & (need >= t1.values[0])
+    idx_c = np.minimum(idx, t1.values.size - 1)
+    ok &= t1.values[idx_c] == need
+    w = float(np.dot(t2.weights[ok], t1.weights[idx_c[ok]]))
+    c = int(np.dot(t2.counts[ok], t1.counts[idx_c[ok]]))
+    return w, c
+
+
 class TestRhoMitm:
     def test_matches_naive_on_full_span(self):
         for s in (2, 3):
@@ -74,15 +87,18 @@ class TestRhoMitm:
     def test_matches_naive_sampled_wide(self):
         ctx = ProblemContext.from_parts(2, 4, 50.0, 20.0)
         rng = np.random.default_rng(5)
-        targets = rng.integers(4 * 31 ** 2, 4 * 67 ** 2 + 1, size=25)
+        drawn = rng.integers(4 * 31 ** 2, 4 * 67 ** 2 + 1, size=25)
+        # unsorted, with two repeats: records follow the input order
+        targets = np.concatenate([drawn, drawn[[3, 17]]])
         recs = rho_mitm(targets, ctx)
+        assert [rec.n for rec in recs] == targets.tolist()
         for n, rec in zip(targets.tolist(), recs):
             ref = rho_naive(n, ctx)
             assert rec.tuple_count == ref.tuple_count
             assert rec.value == pytest.approx(ref.value, rel=1e-11, abs=1e-11)
 
     def test_out_of_span_is_zero(self):
-        recs = rho_mitm([10, 10 ** 9], _tiny_ctx())
+        recs = rho_mitm([10, 10 ** 9, 2 ** 70], _tiny_ctx())
         for rec in recs:
             assert (rec.value, rec.tuple_count) == (0.0, 0)
 
@@ -94,15 +110,22 @@ class TestRhoMitm:
         mass = (L7 + L11 + L13) ** 3
         assert total == pytest.approx(mass, rel=1e-12)
 
-    def test_threading_is_bitwise_stable(self):
-        ctx = ProblemContext.from_parts(2, 4, 50.0, 20.0)
-        targets = list(range(4 * 31 ** 2, 4 * 31 ** 2 + 500))
-        solo = rho_mitm(targets, ctx, threads=1)
-        multi = rho_mitm(targets, ctx, batch_size=37, threads=4)
-        assert [r.n for r in solo] == [r.n for r in multi]
-        for a, b in zip(solo, multi):
-            assert a.value == b.value
-            assert a.tuple_count == b.tuple_count
+    def test_matches_per_target_join_on_window(self):
+        # every admissible target of the N = 800,000 scan window; m^5 is
+        # past the naive ceiling, so the per-target join is the oracle
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        hi = math.floor(ctx.N + ctx.window_width)
+        ns = [n for n in range(ctx.N + 1, hi + 1) if admissible(n, ctx.k, ctx.s)]
+        assert len(ns) == 2011
+        win = prime_window(ctx.x, ctx.y)
+        pk = [p ** 2 for p in win.primes]
+        top = 5 * pk[-1]
+        t1 = _fold_table(pk, list(win.weights), 3, top)
+        t2 = _fold_table(pk, list(win.weights), 2, top)
+        for rec in rho_mitm(ns, ctx):
+            w, c = _join_per_target(rec.n, t1, t2)
+            assert rec.tuple_count == c
+            assert rec.value == pytest.approx(w, rel=1e-12)
 
     def test_big_power_dict_route(self):
         # cube sums near 2^63 leave int64; the join falls back to
@@ -121,17 +144,22 @@ class TestRhoMitm:
         ref = rho_naive(hit, ctx)
         assert recs[0].tuple_count == ref.tuple_count
         assert recs[0].value == pytest.approx(ref.value, rel=1e-12)
+        # s = 5: folds 3 and 2 both go through object tables
+        ctx5 = ProblemContext.from_parts(3, 5, float(2 ** 21), 60.0)
+        c1, c2 = p1 ** 3, p2 ** 3
+        p3 = win.primes[-1] ** 3
+        hits = [5 * c1, 3 * c1 + 2 * c2, c1 + c2 + 3 * p3, 5 * p3]
+        recs = rho_mitm([*hits, hits[1] + 1], ctx5)
+        for rec in recs:
+            ref = rho_naive(rec.n, ctx5)
+            assert rec.tuple_count == ref.tuple_count
+            assert rec.value == pytest.approx(ref.value, rel=1e-12)
+        assert [rec.tuple_count for rec in recs] == [1, 10, 20, 1, 0]
 
     def test_table_budget(self):
         ctx = ProblemContext.from_parts(2, 7, 1e4, 1e3)
         with pytest.raises(MemoryBudgetExceeded):
             rho_mitm([10 ** 8], ctx)
-
-    def test_domain(self):
-        with pytest.raises(ParameterDomain):
-            rho_mitm([100], _tiny_ctx(), batch_size=0)
-        with pytest.raises(ParameterDomain):
-            rho_mitm([100], _tiny_ctx(), threads=0)
 
 
 class TestMoment:
@@ -171,6 +199,19 @@ class TestMoment:
         win = prime_window(ctx.x, ctx.y)
         expect = math.fsum(w * w for w in win.weights)
         assert moment(1, ctx).value == pytest.approx(expect, rel=1e-13)
+
+    def test_big_power_second_moment_against_pair_table(self):
+        # pair sums of cubes near 2^64 go through object tables
+        ctx = ProblemContext.from_parts(3, 2, float(2 ** 21), 60.0)
+        win = prime_window(ctx.x, ctx.y)
+        agg = {}
+        for p, wp in win.entries:
+            for q, wq in win.entries:
+                key = p ** 3 + q ** 3
+                agg[key] = agg.get(key, 0.0) + wp * wq
+        assert max(agg) >= 2 ** 62
+        expect = math.fsum(w * w for w in agg.values())
+        assert moment(2, ctx).value == pytest.approx(expect, rel=1e-13)
 
     def test_moment_ceiling_and_domain(self):
         with pytest.raises(EnumerationTooLarge):

@@ -148,6 +148,20 @@ class TestJIntegral:
         oracle = np.convolve(np.convolve(ws.weights, ws.weights), ws.weights)
         assert np.array_equal(tab, oracle)
 
+    def test_convolution_cache_is_bounded(self):
+        # cap + 1 distinct windows: the oldest is dropped, the newest is
+        # served from the cache
+        import wglab.singular_integral as si
+
+        with si._conv_lock:
+            si._conv_cache.clear()
+        cap = si._CONV_CACHE_CAP
+        ctxs = [ProblemContext.from_parts(2, 2, 30.0 + i, 3.0) for i in range(cap + 1)]
+        tabs = [j_array(ctx)[1] for ctx in ctxs]
+        assert len(si._conv_cache) == cap
+        assert j_array(ctxs[-1])[1] is tabs[-1]
+        assert j_array(ctxs[0])[1] is not tabs[0]
+
     def test_convolution_ceiling(self):
         ctx = ProblemContext.from_parts(2, 100_000, 100.0, 10.0)
         with pytest.raises(ConvolutionTooLarge):
