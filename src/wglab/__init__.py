@@ -9,7 +9,8 @@ Subpackage map:
 - singular_series: Gauss sums and the truncated singular series
 - singular_integral: the continuous main-term factor and its oscillatory kin
 - representations: exact weighted representation counts (naive and meet-in-the-middle)
-- experiment: prediction vs count scans, arc quadrature, moments, caching
+- experiment: prediction vs count scans, arc quadrature, moments
+- cache: on-disk numpy archives of the scan's sigma batch
 - cli: command-line front end
 """
 

@@ -304,8 +304,3 @@ def prime_window(x: float, y: float) -> PrimeWindow:
         primes=tuple(ps),
         weights=tuple(math.log(p) for p in ps),
     )
-
-
-def is_admissible(n: int, ctx: ProblemContext) -> bool:
-    """Admissibility of n under the context's (k, s)."""
-    return admissible(n, ctx.k, ctx.s)

@@ -22,9 +22,8 @@ import numpy as np
 from .arith import ProblemContext
 from .errors import ParameterDomain
 
-_INT_FIELDS = {"k", "s", "Q0", "grid_size", "batch_size", "threads"}
+_INT_FIELDS = ("k", "s", "Q0", "grid_size", "batch_size", "threads")
 _FLOAT_FIELDS = {"theta", "N", "x", "A"}
-_STR_FIELDS = {"cache_dir", "output"}
 
 
 @dataclass
@@ -47,7 +46,7 @@ class RunConfig:
     def __post_init__(self):
         if self.output not in ("json", "csv"):
             raise ParameterDomain(f"output must be json or csv, got {self.output!r}")
-        for name in ("k", "s", "Q0", "grid_size", "batch_size", "threads"):
+        for name in _INT_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ParameterDomain(f"{name} must be a positive integer, got {v!r}")

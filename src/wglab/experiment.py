@@ -1,6 +1,6 @@
 """Desk-scale experiment pipeline: main-term prediction, arc quadrature,
-the exceptional-set scan, minor-arc moment diagnostics, and artifact
-persistence.
+the exceptional-set scan (its sigma batch optionally cached on disk
+through `wglab.cache`), and minor-arc moment diagnostics.
 
 The headline object is the exceptional-set report for a window
 (N, N + x^(k-1) y]: every admissible n in the window gets its exact
@@ -24,12 +24,12 @@ import numpy as np
 
 from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
-from .arith import PrimeWindow, ProblemContext, admissible_rule, is_admissible, prime_window
-from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, UnsupportedKind
+from .arith import ProblemContext, admissible, admissible_rule
+from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
 from .expsums import build_sequence, eval_sums, exact_phase, grid_points
 from .representations import rho_mitm
 from .singular_integral import gauss_legendre_panels, j_array, j_integral
-from .singular_series import SeriesTruncation, sigma_batch, truncated_sigma
+from .singular_series import sigma_batch, truncated_sigma
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def predict(n: int, ctx: ProblemContext, q0: int) -> MajorArcPrediction:
         sigma=sigma,
         jay=jay,
         main_term=sigma * jay,
-        admissible=is_admissible(int(n), ctx),
+        admissible=admissible(int(n), ctx.k, ctx.s),
     )
 
 
@@ -163,7 +163,6 @@ def exceptional_scan(
     q0: int,
     batch_size: int = 4096,
     threads: int = 1,
-    keep_per_n: bool = True,
     cache_dir: Optional[str] = None,
 ) -> ExceptionalReport:
     """Scan every admissible n in (N, N + x^(k-1) y] for main-term failure.
@@ -223,14 +222,6 @@ def exceptional_scan(
         if finite.size
         else None
     )
-    per_n = (
-        PerNDetail(
-            n=ns, rho=rho, tuple_count=tuples, sigma=sigma, jay=jay,
-            ratio=ratio, flagged=flagged,
-        )
-        if keep_per_n
-        else None
-    )
     return ExceptionalReport(
         ctx=ctx,
         q0=q0,
@@ -240,7 +231,10 @@ def exceptional_scan(
         exceptional_one_sided=int(np.count_nonzero(one_sided)),
         threshold=threshold,
         ratios=ratios,
-        per_n=per_n,
+        per_n=PerNDetail(
+            n=ns, rho=rho, tuple_count=tuples, sigma=sigma, jay=jay,
+            ratio=ratio, flagged=flagged,
+        ),
     )
 
 
@@ -306,75 +300,3 @@ def minor_arc_moment(
             return 0.0
         raise EmptyRegion("no minor grid points; refine the grid")
     return acc / grid_size
-
-
-def cache_store(obj, cache_dir: str) -> str:
-    """Persist a PrimeWindow or SeriesTruncation; returns the file path."""
-    if isinstance(obj, PrimeWindow):
-        key = {"kind": "window", "x": float(obj.x), "y": float(obj.y)}
-        arrays = {
-            "primes": np.asarray(obj.primes, dtype=np.int64),
-            "weights": np.asarray(obj.weights, dtype=np.float64),
-        }
-        return str(cache.store(cache_dir, "window", key, arrays))
-    if isinstance(obj, SeriesTruncation):
-        key = {
-            "kind": "sigma",
-            "n": obj.n,
-            "k": obj.k,
-            "s": obj.s,
-            "q0": obj.q0,
-        }
-        qs = np.array([q for q, _ in obj.partials], dtype=np.int64)
-        vals = np.array([v for _, v in obj.partials], dtype=np.float64)
-        arrays = {"q": qs, "a": vals, "value": np.array([obj.value])}
-        return str(cache.store(cache_dir, "sigma", key, arrays))
-    raise UnsupportedKind(f"cannot cache object of type {type(obj).__name__}")
-
-
-def cache_load(descriptor: dict, cache_dir: str):
-    """Load a previously stored artifact by its key descriptor.
-
-    descriptor["kind"] selects the artifact type: "window" needs x and y;
-    "sigma" needs n, k, s, q0.  Raises cache-miss / cache-version from
-    the underlying store.
-    """
-    kind = descriptor.get("kind")
-    if kind == "window":
-        key = {"kind": "window", "x": float(descriptor["x"]), "y": float(descriptor["y"])}
-        arrays = cache.load(cache_dir, "window", key)
-        return PrimeWindow(
-            x=key["x"],
-            y=key["y"],
-            primes=tuple(int(p) for p in arrays["primes"]),
-            weights=tuple(float(v) for v in arrays["weights"]),
-        )
-    if kind == "sigma":
-        key = {
-            "kind": "sigma",
-            "n": int(descriptor["n"]),
-            "k": int(descriptor["k"]),
-            "s": int(descriptor["s"]),
-            "q0": int(descriptor["q0"]),
-        }
-        arrays = cache.load(cache_dir, "sigma", key)
-        partials = tuple(
-            (int(q), float(v)) for q, v in zip(arrays["q"], arrays["a"])
-        )
-        return SeriesTruncation(
-            n=key["n"], k=key["k"], s=key["s"], q0=key["q0"],
-            value=float(arrays["value"][0]), partials=partials,
-        )
-    raise UnsupportedKind(f"unknown cache descriptor kind {kind!r}")
-
-
-def window_cached(x: float, y: float, cache_dir: Optional[str]) -> PrimeWindow:
-    """Prime window with read-through caching."""
-    if cache_dir is None:
-        return prime_window(x, y)
-    try:
-        return cache_load({"kind": "window", "x": x, "y": y}, cache_dir)
-    except (cache.CacheMiss, cache.CacheVersionMismatch):
-        win = prime_window(x, y)
-        cache_store(win, cache_dir)
-        return win

@@ -31,7 +31,7 @@ from .arith import ProblemContext, prime_window
 from .errors import EmptyWindow, EnumerationTooLarge, MemoryBudgetExceeded, ParameterDomain
 
 _ENUM_CEILING = 10 ** 8
-_TABLE_CEILING = 2 ** 31
+_TABLE_BYTES = 2 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,17 @@ def _fold_table(pk: list[int], logs: list[float], fold: int, top: int) -> HalfSu
     """All ordered fold-sums of pk, aggregated by value.
 
     top is the largest sum in play; from 2^62 on the values are held as
-    Python ints in an object array, so no sum can wrap.
+    Python ints in an object array, so no sum can wrap.  The last fold
+    holds five 8-byte arrays of m^fold entries (sums, weights, counts,
+    and np.unique's order and inverse); their 40 m^fold bytes must fit
+    the 2 GiB table budget, checked before anything is allocated.
     """
     m = len(pk)
-    if m ** fold > _TABLE_CEILING:
+    need = 40 * m ** fold
+    if need > _TABLE_BYTES:
         raise MemoryBudgetExceeded(
-            f"{m}^{fold} half-sums exceed the 2^31 table budget"
+            f"{m}^{fold} half-sums need {need / 2 ** 30:.1f} GiB, "
+            f"over the {_TABLE_BYTES / 2 ** 30:.0f} GiB table budget"
         )
     base_v = np.array(pk, dtype=np.int64 if top < 2 ** 62 else object)
     base_w = np.asarray(logs, dtype=np.float64)

@@ -11,7 +11,6 @@ from wglab.arith import (
     admissible_rule,
     euler_phi,
     factorize,
-    is_admissible,
     modulus_R,
     prime_window,
     sieve_interval,
@@ -165,12 +164,6 @@ class TestCongruenceLayer:
         for k, s in ((2, 5), (3, 7), (3, 5)):
             mask = admissible_rule(ns, k, s)
             assert mask.tolist() == [admissible(int(n), k, s) for n in ns]
-
-    def test_is_admissible_context_form(self):
-        ctx = ProblemContext.from_parts(2, 5, 400.0, 120.0)
-        assert is_admissible(800_005, ctx) == admissible(800_005, 2, 5)
-        assert is_admissible(29, ctx)
-        assert not is_admissible(30, ctx)
 
 
 class TestProblemContext:

@@ -1,31 +1,19 @@
 import glob
+import io
+import json
 import math
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wglab.cache as cache
 from wglab.arcs import ArcParams
-from wglab.arith import ProblemContext, prime_window
-from wglab.errors import (
-    CacheVersionMismatch,
-    EmptyRegion,
-    EmptyWindow,
-    ParameterDomain,
-    UnsupportedKind,
-)
-from wglab.experiment import (
-    cache_load,
-    cache_store,
-    exceptional_scan,
-    major_arc_rho_numeric,
-    minor_arc_moment,
-    predict,
-    window_cached,
-)
+from wglab.arith import ProblemContext
+from wglab.errors import CacheVersionMismatch, EmptyRegion, EmptyWindow, ParameterDomain
+from wglab.experiment import exceptional_scan, major_arc_rho_numeric, minor_arc_moment, predict
 from wglab.representations import moment, rho_mitm
 from wglab.singular_integral import j_integral
 from wglab.singular_series import truncated_sigma
@@ -145,15 +133,6 @@ class TestExceptionalScan:
         assert rep.threshold == pytest.approx(expect, rel=1e-13)
         assert ctx.y ** 4 / ctx.x / math.log(ctx.x) > 0  # formula shape sanity
 
-    def test_per_n_suppression(self):
-        ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
-        full = exceptional_scan(ctx, q0=40, keep_per_n=True)
-        slim = exceptional_scan(ctx, q0=40, keep_per_n=False)
-        assert slim.per_n is None
-        assert slim.scanned == full.scanned
-        assert slim.exceptional == full.exceptional
-        assert slim.ratios == full.ratios
-
     def test_threading_stability(self):
         ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
         solo = exceptional_scan(ctx, q0=40, threads=1)
@@ -188,6 +167,18 @@ class TestExceptionalScan:
         assert cold.per_n.sigma.tolist() == warm.per_n.sigma.tolist()
         bare = exceptional_scan(ctx, q0=40)
         assert bare.per_n.sigma.tolist() == warm.per_n.sigma.tolist()
+
+    def test_warm_scan_reads_the_cache(self, tmp_path, monkeypatch):
+        import wglab.experiment as experiment
+
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sigma_batch recomputed on a warm scan")
+
+        monkeypatch.setattr(experiment, "sigma_batch", refuse)
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path))
+        assert warm.per_n.sigma.tobytes() == cold.per_n.sigma.tobytes()
 
 
 class TestMinorArcMoment:
@@ -231,85 +222,68 @@ class TestMinorArcMoment:
             minor_arc_moment(TINY, params, 2, 1000, region="zero_arc")
 
 
-class TestArtifactCache:
-    def test_window_round_trip(self, tmp_path):
-        win = prime_window(100.0, 30.0)
-        path = cache_store(win, str(tmp_path))
-        assert path.endswith(".wgc")
-        back = cache_load({"kind": "window", "x": 100.0, "y": 30.0}, str(tmp_path))
-        assert back == win  # frozen dataclass equality covers all fields
+PROBE_KEY = {"kind": "probe", "x": 9.0, "y": 2.0}
+SCAN_CTX = ProblemContext.from_parts(2, 3, 40.0, 15.0)
 
-    def test_sigma_round_trip(self, tmp_path):
-        t = truncated_sigma(53, ProblemContext.from_scale(2, 5, 0.8, 800_000), 120)
-        cache_store(t, str(tmp_path))
-        back = cache_load(
-            {"kind": "sigma", "n": 53, "k": 2, "s": 5, "q0": 120}, str(tmp_path)
-        )
-        assert back.value.hex() == t.value.hex()
-        assert back.partials == t.partials
+
+class TestArtifactCache:
+    """`wglab.cache` store/load and the sigma-batch read-through over it."""
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        arrays = {
+            "ints": np.array([-(2 ** 62), 0, 7], dtype=np.int64),
+            "floats": np.array([math.pi, -0.0, np.inf, np.nan, 5e-324]),
+            "complex": np.array([1 + 2j, complex(-0.0, np.nan)]),
+            "flags": np.array([True, False, True]),
+            "grid": np.arange(12, dtype=np.float64).reshape(3, 4),
+            "empty": np.zeros(0, dtype=np.int64),
+        }
+        path = cache.store(tmp_path, "probe", PROBE_KEY, arrays)
+        assert path == cache.cache_path(tmp_path, "probe", PROBE_KEY)
+        assert path.name.startswith("probe-") and path.suffix == ".wgc"
+        back = cache.load(tmp_path, "probe", PROBE_KEY)
+        assert sorted(back) == sorted(arrays)
+        for name, arr in arrays.items():
+            assert back[name].dtype == arr.dtype
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+
+    def test_same_arrays_same_bytes(self, tmp_path, monkeypatch):
+        # the bytes of an entry must not depend on when it was written
+        arrays = {"n": np.arange(5, dtype=np.int64), "sigma": np.linspace(0, 1, 5)}
+        raw = cache.store(tmp_path, "probe", PROBE_KEY, arrays).read_bytes()
+        later = time.time() + 86400.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        assert cache.store(tmp_path, "probe", PROBE_KEY, arrays).read_bytes() == raw
 
     def test_miss_raises(self, tmp_path):
         with pytest.raises(cache.CacheMiss):
-            cache_load({"kind": "window", "x": 1.0, "y": 1.0}, str(tmp_path))
+            cache.load(tmp_path, "probe", PROBE_KEY)
 
-    def test_unsupported_kinds(self, tmp_path):
-        with pytest.raises(UnsupportedKind):
-            cache_store(42, str(tmp_path))
-        with pytest.raises(UnsupportedKind):
-            cache_load({"kind": "nope"}, str(tmp_path))
+    def test_stored_key_must_match(self, tmp_path):
+        # a file under another key's name (a hash collision) is a miss
+        other = {**PROBE_KEY, "x": 10.0}
+        path = cache.store(tmp_path, "probe", PROBE_KEY, {"v": np.ones(2)})
+        path.rename(cache.cache_path(tmp_path, "probe", other))
+        with pytest.raises(cache.CacheMiss):
+            cache.load(tmp_path, "probe", other)
 
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        win = prime_window(50.0, 10.0)
-        cache_store(win, str(tmp_path))
+        cache.store(tmp_path, "probe", PROBE_KEY, {"v": np.ones(2)})
         monkeypatch.setattr(cache, "VERSION", cache.VERSION + 1)
         with pytest.raises(CacheVersionMismatch):
-            cache_load({"kind": "window", "x": 50.0, "y": 10.0}, str(tmp_path))
+            cache.load(tmp_path, "probe", PROBE_KEY)
 
-    def test_read_through_window(self, tmp_path):
-        first = window_cached(200.0, 50.0, str(tmp_path))
-        files = glob.glob(str(tmp_path / "window-*"))
-        assert len(files) == 1
-        second = window_cached(200.0, 50.0, str(tmp_path))
-        assert second == first
-        assert window_cached(200.0, 50.0, None) == first
-
-    @staticmethod
-    def _overlong_header(raw):
-        return raw[:7] + len(raw).to_bytes(4, "little") + raw[11:]
-
-    @staticmethod
-    def _non_object_header(raw):
-        hlen = int.from_bytes(raw[7:11], "little")
-        return raw[:11] + b"[" + b" " * (hlen - 2) + b"]" + raw[11 + hlen:]
-
-    @staticmethod
-    def _foreign_dtype(raw):
-        # same item size, so only the dtype check can catch it
-        return raw.replace(b'"<f8"', b'">f8"', 1)
-
-    @staticmethod
-    def _short_payload(raw):
-        return raw[:-5]
-
-    @pytest.mark.parametrize(
-        "corrupt", ["_overlong_header", "_non_object_header", "_foreign_dtype", "_short_payload"]
-    )
-    def test_garbled_file_is_rejected_then_rewritten(self, tmp_path, corrupt):
-        win = prime_window(50.0, 10.0)
-        path = Path(cache_store(win, str(tmp_path)))
-        raw = path.read_bytes()
-        path.write_bytes(getattr(self, corrupt)(raw))
-        with pytest.raises(CacheVersionMismatch) as err:
-            cache_load({"kind": "window", "x": 50.0, "y": 10.0}, str(tmp_path))
-        assert err.value.code == "cache-version"
-        assert path.name in err.value.message
-        assert window_cached(50.0, 10.0, str(tmp_path)) == win
-        assert path.read_bytes() == raw
+    def test_refuses_object_arrays_and_reserved_name(self, tmp_path):
+        with pytest.raises(ParameterDomain):
+            cache.store(tmp_path, "probe", PROBE_KEY, {"v": np.array([1, "a"], dtype=object)})
+        with pytest.raises(ParameterDomain):
+            cache.store(tmp_path, "probe", PROBE_KEY, {"__meta__": np.ones(2)})
+        assert not cache.cache_path(tmp_path, "probe", PROBE_KEY).exists()
 
     def test_concurrent_writers_single_winner(self, tmp_path):
         # eight writers race on one key with different payloads; the
-        # stored artifact must be exactly one of them, not a blend
-        key = {"kind": "window", "x": 9.0, "y": 2.0}
+        # stored entry must be exactly one of them, not a blend
         payloads = [
             {"primes": np.array([7, 11], dtype=np.int64),
              "weights": np.full(2, float(i))}
@@ -317,10 +291,71 @@ class TestArtifactCache:
         ]
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(
-                lambda p: cache.store(str(tmp_path), "window", key, p), payloads
+                lambda p: cache.store(str(tmp_path), "probe", PROBE_KEY, p), payloads
             ))
-        back = cache.load(str(tmp_path), "window", key)
+        back = cache.load(str(tmp_path), "probe", PROBE_KEY)
         matches = [
             np.array_equal(back["weights"], p["weights"]) for p in payloads
         ]
         assert sum(matches) == 1
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @staticmethod
+    def _short_payload(raw, sigma):
+        return raw[:-5]
+
+    @staticmethod
+    def _flip_payload_bit(raw, sigma):
+        # the lowest exponent bit of the first stored sigma: a silent
+        # read would halve or double it
+        first = sigma[:1].tobytes()
+        assert raw.count(first) == 1
+        at = raw.index(first) + 6
+        return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
+
+    @staticmethod
+    def _parent_format(raw, sigma):
+        # the earlier hand-rolled layout: magic, version 1, header, payload
+        header = json.dumps({
+            "arrays": [{"dtype": "<f8", "name": "sigma", "shape": [sigma.size]}],
+            "key": {}, "kind": "sigbatch",
+        }).encode()
+        return (b"WGLAB" + (1).to_bytes(2, "little") + len(header).to_bytes(4, "little")
+                + header + sigma.tobytes())
+
+    @staticmethod
+    def _empty(raw, sigma):
+        return b""
+
+    @staticmethod
+    def _non_object_header(raw, sigma):
+        # a well-formed archive whose __meta__ holds a JSON list
+        with np.load(io.BytesIO(raw)) as archive:
+            members = {name: archive[name] for name in archive.files}
+        members["__meta__"] = np.array("[1, 2]")
+        buf = io.BytesIO()
+        np.savez(buf, **members)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["_short_payload", "_flip_payload_bit", "_parent_format", "_empty", "_non_object_header"],
+    )
+    def test_garbled_file_is_rejected_then_rewritten(self, tmp_path, corrupt):
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        (path,) = tmp_path.glob("sigbatch-*.wgc")
+        raw = path.read_bytes()
+        damage = getattr(self, corrupt)
+
+        probe_dir = tmp_path / "probe"
+        probe = cache.store(probe_dir, "probe", PROBE_KEY, {"n": cold.n, "sigma": cold.sigma})
+        probe.write_bytes(damage(probe.read_bytes(), cold.sigma))
+        with pytest.raises(CacheVersionMismatch) as err:
+            cache.load(probe_dir, "probe", PROBE_KEY)
+        assert err.value.code == "cache-version"
+        assert probe.name in err.value.message
+
+        path.write_bytes(damage(raw, cold.sigma))
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        assert warm.sigma.tobytes() == cold.sigma.tobytes()
+        assert path.read_bytes() == raw

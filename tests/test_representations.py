@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ class TestRhoMitm:
         ctx = ProblemContext.from_parts(2, 7, 1e4, 1e3)
         with pytest.raises(MemoryBudgetExceeded):
             rho_mitm([10 ** 8], ctx)
+
+    def test_table_budget_counts_bytes_before_allocating(self):
+        # m = 647 primes, 647^3 = 2.7e8 three-fold sums: 10 GiB of tables,
+        # refused before any of it is allocated
+        ctx = ProblemContext.from_parts(2, 5, 1e4, 3e3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded, match="647\\^3"):
+                rho_mitm([5 * 10 ** 8], ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
 
 
 class TestMoment:
