@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Run the exceptional-set scan up the scale ladder and record each rung.
+
+Each rung is one fresh interpreter that runs `exceptional_scan` once,
+cold, at q0 = 400.  The default ladder is k=2, s=5, theta=0.8 at
+x = 400, 1000, 2000, 4000, plus k=3, s=7, x=60; `--extra-x 8000` adds
+k=2 rungs.  Per rung the record holds:
+
+  * the stage times of the scan: prime window (inside rho), rho, sigma
+    and j, taken by wrapping the names `experiment` looks up and read
+    as soon as the scan returns;
+  * the rho route the cost rule took ("lattice" or "mitm");
+  * the peak RSS of the process (VmHWM);
+  * the sha256 of the canonical report (`canonical_json` of the
+    `ExceptionalReport`) and its median rho/(sigma j);
+  * or, when the scan refuses, its error code and message.
+
+The records go into the `--label` entry of `--out` (BENCH_ladder.json by
+default); other labels already in that file are kept, and so are the
+label's records of rungs not run this time.  Each rung runs under an
+address-space limit of MEM_LIMIT_GB, so a scan that outgrows its budget
+fails inside its own process.
+
+A checkout older than `representations.rho_scan` (commit 8234d71 and
+before, where the scan calls `rho_mitm` directly) can be measured by
+copying this script into its `scripts/`: the rho stage then times
+`rho_mitm` and the route reads "mitm".  The `parent-8234d71` entry of
+BENCH_ladder.json was made that way.
+
+    python3 scripts/ladder.py --label after
+    python3 scripts/ladder.py --label after --extra-x 8000
+"""
+
+import argparse
+import hashlib
+import json
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+LADDER = [(2, 5, 0.8, x) for x in (400, 1000, 2000, 4000)] + [(3, 7, 0.8, 60)]
+Q0 = 400
+MEM_LIMIT_GB = 6
+
+
+def _vm_hwm_mb() -> float:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    return float("nan")
+
+
+def run_rung(k: int, s: int, theta: float, x: int) -> dict:
+    """One cold scan in this process; the record described above."""
+    from wglab import experiment, representations
+    from wglab.arith import ProblemContext
+    from wglab.config import canonical_json
+    from wglab.errors import WglabError
+
+    stages = {"prime_window": 0.0, "rho": 0.0, "sigma": 0.0, "j": 0.0}
+
+    def timed(module, name, stage):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stages[stage] += time.perf_counter() - t0
+
+        setattr(module, name, wrapper)
+
+    timed(representations, "prime_window", "prime_window")
+    lattice = hasattr(experiment, "rho_scan")
+    timed(experiment, "rho_scan" if lattice else "rho_mitm", "rho")
+    timed(experiment, "sigma_batch", "sigma")
+    timed(experiment, "j_array", "j")
+
+    ctx = ProblemContext.from_scale(k, s, theta, s * x ** k)
+    record = {"k": k, "s": s, "theta": theta, "x": x, "N": ctx.N, "q0": Q0}
+    t0 = time.perf_counter()
+    try:
+        rep = experiment.exceptional_scan(ctx, Q0)
+    except WglabError as exc:
+        record.update(error=exc.code, message=exc.message)
+        record["peak_rss_mb"] = round(_vm_hwm_mb(), 1)
+        return record
+    scan_s = time.perf_counter() - t0
+    stages_s = {name: round(v, 4) for name, v in stages.items()}
+    peak_rss_mb = round(_vm_hwm_mb(), 1)
+    ns = rep.per_n.n
+    payload = canonical_json({"report": rep})
+    record.update(
+        targets=rep.scanned,
+        route=(
+            representations.rho_route(ctx, int(ns[0]), int(ns[-1])) if lattice else "mitm"
+        ),
+        scan_s=round(scan_s, 3),
+        stages_s=stages_s,
+        peak_rss_mb=peak_rss_mb,
+        report_sha256=hashlib.sha256(payload.encode()).hexdigest(),
+        median_ratio=rep.ratios.median,
+    )
+    return record
+
+
+def spawn(rung) -> dict:
+    """Run one rung in a fresh interpreter and return its record."""
+    limit = MEM_LIMIT_GB * 2 ** 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = [sys.executable, __file__, "--rung", *map(str, rung)]
+    proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=cap)
+    if proc.returncode != 0:
+        k, s, theta, x = rung
+        tail = proc.stderr.strip().splitlines()[-1:] or [""]
+        return {"k": k, "s": s, "theta": theta, "x": x,
+                "error": f"exit {proc.returncode}", "message": tail[0]}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", default="current", help="entry of the output file")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
+    ap.add_argument("--extra-x", type=int, nargs="*", default=[],
+                    help="more k=2, s=5, theta=0.8 rungs")
+    ap.add_argument("--rung", nargs=4, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+
+    if args.rung:
+        k, s, theta, x = args.rung
+        print(json.dumps(run_rung(int(k), int(s), float(theta), int(x))))
+        return 0
+
+    rungs = LADDER + [(2, 5, 0.8, x) for x in args.extra_x]
+    records = []
+    for rung in rungs:
+        rec = spawn(rung)
+        print(json.dumps(rec), flush=True)
+        records.append(rec)
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    run = {(r["k"], r["s"], r["theta"], r["x"]) for r in records}
+    kept = [
+        r for r in doc.get(args.label, {}).get("rungs", [])
+        if (r["k"], r["s"], r["theta"], r["x"]) not in run
+    ]
+    rungs_out = sorted(kept + records, key=lambda r: (r["k"], r["x"]))
+    doc[args.label] = {"q0": Q0, "rungs": rungs_out}
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,7 @@ Subpackage map:
 - arcs: Farey dissection, Dirichlet approximation, arc bookkeeping
 - singular_series: Gauss sums and the truncated singular series
 - singular_integral: the continuous main-term factor and its oscillatory kin
-- representations: exact weighted representation counts (naive and meet-in-the-middle)
+- representations: exact weighted representation counts (naive, meet-in-the-middle, lattice FFT)
 - experiment: prediction vs count scans, arc quadrature, moments
 - cache: on-disk numpy archives of the scan's sigma batch
 - cli: command-line front end

@@ -4,9 +4,10 @@ through `wglab.cache`), and minor-arc moment diagnostics.
 
 The headline object is the exceptional-set report for a window
 (N, N + x^(k-1) y]: every admissible n in the window gets its exact
-weighted representation count rho(n) (one meet-in-the-middle join), its
-main-term prediction sigma(n, Q0) * j(n), and a two-sided deviation flag
-at threshold y^(s-1) x^(1-k) / log x.
+weighted representation count rho(n) (one meet-in-the-middle join or one
+wrapped lattice FFT, whichever the cost rule in `representations` finds
+cheaper), its main-term prediction sigma(n, Q0) * j(n), and a two-sided
+deviation flag at threshold y^(s-1) x^(1-k) / log x.
 
 The deviation test here is |rho - prediction| >= threshold.  A one-sided
 reading (only an excess counts) is also tallied and reported alongside,
@@ -27,7 +28,7 @@ from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
 from .expsums import build_sequence, eval_sums, exact_phase, grid_points
-from .representations import rho_mitm
+from .representations import rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
 
@@ -167,9 +168,9 @@ def exceptional_scan(
 ) -> ExceptionalReport:
     """Scan every admissible n in (N, N + x^(k-1) y] for main-term failure.
 
-    rho comes from one meet-in-the-middle join over the whole window,
-    sigma from the vectorized singular-series batch (optionally cached),
-    jay from the shared convolution table.  Flags use the two-sided
+    rho comes from `rho_scan` over the whole window (one join or one
+    lattice FFT), sigma from the vectorized singular-series batch
+    (optionally cached), jay from the convolution table of the window.  Flags use the two-sided
     threshold; the one-sided count (excess only) is recorded alongside.
     batch_size and threads must be >= 1 but select nothing: the join
     runs once, in the calling thread.
@@ -194,16 +195,15 @@ def exceptional_scan(
             exceptional_one_sided=0, threshold=threshold, ratios=None, per_n=None,
         )
 
-    records = rho_mitm(ns, ctx)
-    rho = np.array([r.value for r in records])
-    tuples = np.array([r.tuple_count for r in records], dtype=np.int64)
+    rho, tuples = rho_scan(ns, ctx)
 
     sigma = _sigma_batch_cached(ns, ctx, q0, cache_dir)
 
-    offset, table = j_array(ctx)
+    offset, table = j_array(ctx, n_lo, n_hi)
+    jay = np.zeros(ns.size)
     idx = ns - offset
     inside = (idx >= 0) & (idx < table.size)
-    jay = np.where(inside, table[np.clip(idx, 0, table.size - 1)], 0.0)
+    jay[inside] = table[idx[inside]]
 
     main = sigma * jay
     dev = rho - main

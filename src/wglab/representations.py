@@ -2,17 +2,31 @@
 
 rho(n) is the log-weighted count: the sum of log(p_1)...log(p_s) over
 ordered s-tuples of primes from the window (x - y, x + y] whose k-th
-powers sum to n.  Two routes are provided:
+powers sum to n.  Three routes are provided:
 
-* `rho_naive` - direct nested enumeration with range pruning; the
+* `rho_naive`  - direct nested enumeration with range pruning; the
   reference implementation, exponential in s.
-* `rho_mitm`  - meet-in-the-middle: aggregate all ceil(s/2)-fold and
+* `rho_mitm`   - meet-in-the-middle: aggregate all ceil(s/2)-fold and
   floor(s/2)-fold sums into sorted unique tables, then join them once
   over the whole target set, whether one target or a scan window.
   Table values are int64, or Python ints in an object array once the
   sums can reach 2^62; the same code serves both.
+* the lattice route - rho is the s-fold convolution of the weights
+  log p placed at p^k on the lattice [p_min^k, p_max^k], and the tuple
+  count that of the 0/1 indicator of the same points.  One wrapped FFT
+  each (`singular_integral.wrapped_convolution`) gives both over the
+  targets' span; counts are rounded under an a-priori error estimate
+  and an a-posteriori check on the computed counts.
 
-Both count ordered tuples; they must agree exactly up to float
+`rho_scan` takes a sorted target array and picks between the last two
+by one cost rule: the lattice when the estimated join pairs
+m^s (b - a + 1) / (s(R - 1) + 1) exceed L log2 L, where m is the number
+of primes, R the lattice length, [a, b] the targets' offsets from
+s p_min^k and L the wrapped FFT length; meet-in-the-middle otherwise.
+Dense lattices (k = 2 at x = 1000 and up) take the FFT; sparse ones
+(k >= 3, or small windows such as N = 800,000) keep the join.
+
+All routes count ordered tuples; they must agree exactly up to float
 associativity, and the tests pin that.
 
 The even moment of the window exponential sum comes out of the same
@@ -23,15 +37,24 @@ computed here without touching any alpha grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import ProblemContext, prime_window
-from .errors import EmptyWindow, EnumerationTooLarge, MemoryBudgetExceeded, ParameterDomain
+from .errors import (
+    EmptyWindow,
+    EnumerationTooLarge,
+    MemoryBudgetExceeded,
+    ParameterDomain,
+    PrecisionOverflow,
+)
+from .singular_integral import require_conv_budget, wrap_length, wrapped_convolution
 
 _ENUM_CEILING = 10 ** 8
 _TABLE_BYTES = 2 * 2 ** 30
+_COUNT_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -178,6 +201,108 @@ def rho_mitm(n_values, ctx: ProblemContext) -> list[RepresentationRecord]:
             csum[pos[ok]] += c2 * t1.counts[i:j][ok]
         found = dict(zip(inside, zip(wsum.tolist(), csum.tolist())))
     return [RepresentationRecord(n, *found.get(n, (0.0, 0))) for n in ns]
+
+
+def _lattice_window(ctx: ProblemContext, n_lo: int, n_hi: int):
+    """(pk, logs, a, b, L) for targets in [n_lo, n_hi] on the prime-power
+    lattice, or None when no target lies in [s p_min^k, s p_max^k]."""
+    pk, logs = _window_powers(ctx)
+    base = ctx.s * pk[0]
+    S = ctx.s * (pk[-1] - pk[0])
+    a, b = max(n_lo - base, 0), min(n_hi - base, S)
+    if a > b:
+        return None
+    return pk, logs, a, b, wrap_length(pk[-1] - pk[0] + 1, ctx.s, a, b)
+
+
+def _lattice_pays(ctx: ProblemContext, plan) -> bool:
+    """The cost rule of the module docstring on a `_lattice_window` plan."""
+    if plan is None:
+        return False
+    pk, _, a, b, L = plan
+    support = ctx.s * (pk[-1] - pk[0]) + 1
+    # compared in logs, since m^s can overflow a float
+    log_pairs = ctx.s * math.log(len(pk)) + math.log((b - a + 1) / support)
+    return log_pairs > math.log(max(L * math.log2(L), 1.0))
+
+
+def rho_route(ctx: ProblemContext, n_lo: int, n_hi: int) -> str:
+    """"lattice" or "mitm": the route `rho_scan` takes for targets
+    spanning [n_lo, n_hi]."""
+    plan = _lattice_window(ctx, int(n_lo), int(n_hi))
+    return "lattice" if _lattice_pays(ctx, plan) else "mitm"
+
+
+def _rho_lattice(ns: np.ndarray, ctx: ProblemContext, plan) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts) of rho at sorted int64 targets by two wrapped FFTs
+    over a `_lattice_window` plan of their span.
+
+    The counts are the rounded FFT convolution of the 0/1 lattice.  Two
+    checks guard the rounding.  The a-priori one is an estimate derived
+    from the radix-2 complex FFT: for a nonnegative vector w with sum W
+    and 2-norm |w|, the computed s-fold power of its length-L DFT,
+    transformed back, is off by at most c eps log2(L) W^(s-1) |w| in
+    every entry, with c = 8 s + 5: the forward and inverse FFT
+    contribute c1 eps log2(L) each relative to the 2-norm (c1 = 5,
+    Higham, Accuracy and Stability, thm. 24.2, which covers radix 2
+    only; numpy's mixed-radix real transforms carry other constants),
+    the power multiplies the first by s, its own s - 1 products add
+    3 s eps, and sum |A_k|^(2s) <= W^(2s-2) sum |A_k|^2 turns every term
+    into W^(s-1)|w|.  On the 0/1 lattice W = m, |w| = sqrt(m), so the
+    estimate is c eps log2(L) m^(s - 1/2); one >= 1/2 raises
+    precision-overflow before any FFT array is allocated.  The
+    a-posteriori one reads the computed counts over the whole window
+    and raises precision-overflow when any is further than
+    `_COUNT_GAP` = 1e-3 from an integer.  rho is set to exactly 0.0
+    wherever the count is 0.
+    """
+    pk, logs, a, b, L = plan
+    m, s = len(pk), ctx.s
+    log2_bound = (
+        math.log2((8 * s + 5) * np.finfo(float).eps * max(math.log2(L), 1.0))
+        + (s - 0.5) * math.log2(m)
+    )
+    if log2_bound >= -1:
+        raise PrecisionOverflow(
+            f"FFT count error bound 2^{log2_bound:.1f} for {m} primes at s={s}, "
+            f"length {L}, is not below 1/2"
+        )
+    require_conv_budget(L)
+    values = np.zeros(ns.size)
+    counts = np.zeros(ns.size, dtype=np.int64)
+    idx = ns - (s * pk[0] + a)
+    inside = (idx >= 0) & (idx <= b - a)
+    idx = idx[inside]
+    w = np.zeros(pk[-1] - pk[0] + 1)
+    spots = np.array(pk, dtype=np.int64) - pk[0]
+    w[spots] = 1.0
+    raw = wrapped_convolution(w, s, a, b)
+    rounded = np.rint(raw)
+    gap = float(np.max(np.abs(raw - rounded)))
+    if gap > _COUNT_GAP:
+        raise PrecisionOverflow(
+            f"FFT counts for {m} primes at s={s}, length {L}, lie up to {gap:.2g} "
+            f"from an integer"
+        )
+    counts[inside] = rounded[idx].astype(np.int64)
+    del raw, rounded  # window-long; not kept through the second FFT
+    w[spots] = logs
+    values[inside] = wrapped_convolution(w, s, a, b)[idx]
+    values[counts == 0] = 0.0
+    return values, counts
+
+
+def rho_scan(ns: np.ndarray, ctx: ProblemContext) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts) of rho at sorted int64 targets, by the route the
+    cost rule picks for their span."""
+    plan = _lattice_window(ctx, int(ns[0]), int(ns[-1])) if ns.size else None
+    if _lattice_pays(ctx, plan):
+        return _rho_lattice(ns, ctx, plan)
+    records = rho_mitm(ns, ctx)
+    return (
+        np.array([r.value for r in records], dtype=np.float64),
+        np.array([r.tuple_count for r in records], dtype=np.int64),
+    )
 
 
 def moment(t: int, ctx: ProblemContext) -> MomentValue:

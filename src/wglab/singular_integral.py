@@ -10,19 +10,27 @@ density weight c_m = (1/k) m^(1/k - 1).  Two derived quantities matter:
   is the discrete stand-in for the continuous window integral and the
   archimedean factor in the main-term prediction.
 
-j is computed exactly as a convolution (direct for small windows, real
-FFT power for large ones; the crossover is regression-tested), cached per
-(k, s, window) for the few most recent windows.  The oscillatory
-integral I(beta) over the original window uses composite Gauss-Legendre
-panels with doubling until the change falls below 1e-8 * y, with the
-panel count seeded above the oscillation count so every period sees at
-least 16 nodes.
+j is computed exactly as a convolution.  A window of at most 10^4
+weights is convolved directly with `np.convolve`.  A longer one goes
+through `wrapped_convolution`, which returns only the entries [a, b] of
+the s-fold self-convolution from one cyclic real FFT of the shortest
+5-smooth length that aliases nothing into [a, b]: the whole support when
+no target window is given, about 0.56 of it for a scan's window.  The
+same helper computes rho over a scan window in `representations`, which
+takes it over the meet-in-the-middle join when the join's estimated pair
+count m^s (b - a + 1) / (s(R - 1) + 1) exceeds the FFT's L log2 L.
+Tables are cached per (k, s, window, target entries) for the few most
+recent requests, and every FFT checks a byte budget before allocating.
+
+The oscillatory integral I(beta) over the original window uses composite
+Gauss-Legendre panels with doubling until the change falls below
+1e-8 * y, with the panel count seeded above the oscillation count so
+every period sees at least 16 nodes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +45,7 @@ from .errors import (
 )
 from .expsums import exact_phase
 
-_CONV_CEILING = 10 ** 8
+_CONV_BYTES = 4 * 2 ** 30
 _DIRECT_CONV_LIMIT = 10 ** 4
 _OSC_TOL_FACTOR = 1e-8
 _MAX_DOUBLINGS = 18
@@ -103,57 +111,118 @@ def v_eval(ws: WeightSeq, beta: float) -> complex:
     return complex(total)
 
 
+def wrap_length(R: int, s: int, a: int, b: int) -> int:
+    """Shortest 5-smooth L >= max(b + 1, s(R - 1) - a + 1).
+
+    Entry i of the cyclic convolution of length L is the sum of the
+    linear entries i + tL over integers t.  The linear support is
+    [0, s(R - 1)], so entries a..b see only t = 0 exactly when
+    a + L > s(R - 1) and b < L.
+    """
+    need = max(b + 1, s * (R - 1) - a + 1)
+    best = 1 << max(need - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << max(-(-need // p35) - 1, 0).bit_length()
+            best = min(best, p35 * p2)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def require_conv_budget(L: int) -> None:
+    """Refuse a cyclic FFT of length L before any of it is allocated.
+
+    Measured by VmHWM in a fresh process (numpy 2.4), `rfft`, the power
+    and `irfft` at length L raise the peak by 32 L bytes: four real
+    arrays of length L are alive at once inside `irfft`.  The budget is
+    4 GiB, which admits L up to 1.3e8; the k=2, s=5, theta=0.8 scan
+    window at x = 8000 needs L = 1.15e8.
+    """
+    need = 32 * L
+    if need > _CONV_BYTES:
+        raise ConvolutionTooLarge(
+            f"a cyclic FFT of length {L} needs {need / 2 ** 30:.1f} GiB, "
+            f"over the {_CONV_BYTES / 2 ** 30:.0f} GiB convolution budget"
+        )
+
+
+def wrapped_convolution(w: np.ndarray, s: int, a: int, b: int) -> np.ndarray:
+    """Entries a..b of the s-fold self-convolution of w, as float64.
+
+    One real FFT of the cyclic length `wrap_length(len(w), s, a, b)`;
+    a = 0, b = s(len(w) - 1) is the plain linear convolution.
+    """
+    L = wrap_length(len(w), s, a, b)
+    require_conv_budget(L)
+    spec = np.fft.rfft(w, L)
+    spec **= s
+    return np.fft.irfft(spec, L)[a : b + 1].copy()
+
+
 # the most recent windows' tables; the oldest is dropped first
 _CONV_CACHE_CAP = 4
-_conv_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-_conv_lock = threading.Lock()
+_conv_cache: dict[tuple[int, int, int, int, int, int], np.ndarray] = {}
 
 
-def _convolution(ctx: ProblemContext, ws: WeightSeq) -> np.ndarray:
-    """s-fold self-convolution of the weight vector, cached per window."""
-    key = (ctx.k, ctx.s, ws.lo, ws.hi)
-    with _conv_lock:
-        hit = _conv_cache.get(key)
-    if hit is not None:
-        return hit
+def _convolution(ctx: ProblemContext, ws: WeightSeq, a: int, b: int) -> tuple[int, np.ndarray]:
+    """(a', entries a'..b' of the s-fold convolution) covering a..b.
+
+    A window of at most 10^4 weights gets the whole direct table (a' = 0)
+    whatever a..b is asked for; a longer one gets exactly a..b.
+    """
     R = len(ws)
-    out_len = ctx.s * (R - 1) + 1
-    if R * ctx.s > _CONV_CEILING:
-        raise ConvolutionTooLarge(
-            f"window length {R} times s={ctx.s} exceeds {_CONV_CEILING}"
-        )
-    if R <= _DIRECT_CONV_LIMIT:
+    S = ctx.s * (R - 1)
+    direct = R <= _DIRECT_CONV_LIMIT
+    if direct:
+        a, b = 0, S
+    key = (ctx.k, ctx.s, ws.lo, ws.hi, a, b)
+    hit = _conv_cache.get(key)
+    if hit is not None:
+        return a, hit
+    if direct:
+        # the direct table is as long as the whole-support FFT; same budget
+        require_conv_budget(wrap_length(R, ctx.s, 0, S))
         acc = ws.weights
         for _ in range(ctx.s - 1):
             acc = np.convolve(acc, ws.weights)
     else:
-        nfft = 1
-        while nfft < out_len:
-            nfft *= 2
-        spec = np.fft.rfft(ws.weights, nfft)
-        acc = np.fft.irfft(spec ** ctx.s, nfft)[:out_len]
+        acc = wrapped_convolution(ws.weights, ctx.s, a, b)
         np.maximum(acc, 0.0, out=acc)  # clip FFT noise below true zero
-    with _conv_lock:
-        acc = _conv_cache.setdefault(key, acc)
-        while len(_conv_cache) > _CONV_CACHE_CAP:
-            del _conv_cache[next(iter(_conv_cache))]
-        return acc
+    _conv_cache[key] = acc
+    while len(_conv_cache) > _CONV_CACHE_CAP:
+        del _conv_cache[next(iter(_conv_cache))]
+    return a, acc
 
 
-def j_array(ctx: ProblemContext) -> tuple[int, np.ndarray]:
-    """(offset, table) with j(n) = table[n - offset]; offset = s * lo."""
+def j_array(
+    ctx: ProblemContext, n_lo: int | None = None, n_hi: int | None = None
+) -> tuple[int, np.ndarray]:
+    """(offset, table) with j(n) = table[n - offset].
+
+    Without a window the table is the whole support [s lo, s hi] and
+    offset = s lo.  With one, the table covers at least the part of
+    [n_lo, n_hi] inside the support; a window outside the support gives
+    an empty table.
+    """
     ws = WeightSeq.from_context(ctx)
-    return ctx.s * ws.lo, _convolution(ctx, ws)
+    base = ctx.s * ws.lo
+    S = ctx.s * (len(ws) - 1)
+    a = 0 if n_lo is None else max(int(n_lo) - base, 0)
+    b = S if n_hi is None else min(int(n_hi) - base, S)
+    if a > b:
+        return base + a, np.zeros(0)
+    a, table = _convolution(ctx, ws, a, b)
+    return base + a, table
 
 
 def j_integral(n: int, ctx: ProblemContext) -> float:
     """The window convolution j(n); zero outside [s*lo, s*hi]."""
-    n = int(n)
-    ws = WeightSeq.from_context(ctx)
-    if n < ctx.s * ws.lo or n > ctx.s * ws.hi:
-        return 0.0
-    conv = _convolution(ctx, ws)
-    return float(conv[n - ctx.s * ws.lo])
+    offset, conv = j_array(ctx)
+    i = int(n) - offset
+    return float(conv[i]) if 0 <= i < conv.size else 0.0
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -403,8 +403,7 @@ def _clear_shared_caches():
     ss._gauss_row.cache_clear()
     ss._pp_table.cache_clear()
     arcs_mod._phi_partial_sums.cache_clear()
-    with si._conv_lock:
-        si._conv_cache.clear()
+    si._conv_cache.clear()
 
 
 def _payload_criterion_5() -> str:

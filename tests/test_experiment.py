@@ -118,6 +118,15 @@ class TestExceptionalScan:
         assert rep.ratios is None and rep.per_n is None
         assert rep.exceptional_fraction() == 0.0
 
+    def test_window_outside_the_support(self):
+        # N is not tied to x here: the window past 10^6 lies beyond
+        # s p_max^k = 338, so every target has rho = 0 and jay = 0
+        ctx = ProblemContext(k=2, s=2, theta=1.0, N=10 ** 6, x=10.0, y=4.0)
+        rep = exceptional_scan(ctx, q0=20)
+        assert rep.scanned > 0
+        assert not rep.per_n.jay.any()
+        assert not rep.per_n.rho.any() and not rep.per_n.tuple_count.any()
+
     def test_window_without_integers(self):
         ctx = ProblemContext(k=2, s=2, theta=-1.3, N=200, x=10.0, y=0.05)
         with pytest.raises(EmptyWindow):

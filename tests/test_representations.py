@@ -10,8 +10,20 @@ from wglab.errors import (
     EnumerationTooLarge,
     MemoryBudgetExceeded,
     ParameterDomain,
+    PrecisionOverflow,
 )
-from wglab.representations import _fold_table, moment, rho_mitm, rho_naive
+import wglab.representations as representations
+from wglab.representations import (
+    _fold_table,
+    _lattice_window,
+    _rho_lattice,
+    moment,
+    rho_mitm,
+    rho_naive,
+    rho_route,
+    rho_scan,
+)
+from wglab.singular_integral import wrap_length
 
 L7, L11, L13 = math.log(7), math.log(11), math.log(13)
 
@@ -174,6 +186,112 @@ class TestRhoMitm:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2 ** 20
+
+
+def _scan_targets(ctx):
+    lo = math.floor(ctx.N) + 1
+    hi = math.floor(ctx.N + ctx.window_width)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    return ns[[admissible(int(n), ctx.k, ctx.s) for n in ns]]
+
+
+def _forced_lattice(ns, ctx):
+    return _rho_lattice(ns, ctx, _lattice_window(ctx, int(ns[0]), int(ns[-1])))
+
+
+def _assert_matches_mitm(ns, ctx):
+    values, counts = _forced_lattice(ns, ctx)
+    recs = rho_mitm(ns, ctx)
+    assert counts.tolist() == [rec.tuple_count for rec in recs]
+    ref = np.array([rec.value for rec in recs])
+    assert np.array_equal(values == 0.0, ref == 0.0)
+    hit = ref > 0
+    assert np.all(np.abs(values[hit] - ref[hit]) <= 1e-12 * ref[hit])
+
+
+class TestLatticeRoute:
+    def test_matches_mitm_on_window(self):
+        # the lattice route forced on all 2011 admissible N = 800,000
+        # targets, where the cost rule would take the join
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        ns = _scan_targets(ctx)
+        assert ns.size == 2011
+        _assert_matches_mitm(ns, ctx)
+
+    def test_matches_mitm_sampled_x1000(self):
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 5 * 1000 ** 2)
+        ns = _scan_targets(ctx)
+        rng = np.random.default_rng(1000)
+        sample = np.sort(rng.choice(ns, size=300, replace=False))
+        _assert_matches_mitm(sample, ctx)
+
+    def test_matches_naive_with_zeros_and_out_of_span(self):
+        ctx = _tiny_ctx(s=3)
+        ns = np.arange(3 * 49 - 5, 3 * 169 + 6, dtype=np.int64)
+        values, counts = _forced_lattice(ns, ctx)
+        for n, v, c in zip(ns.tolist(), values.tolist(), counts.tolist()):
+            ref = rho_naive(n, ctx)
+            assert c == ref.tuple_count
+            assert v == pytest.approx(ref.value, rel=1e-12)
+            assert (v == 0.0) == (c == 0)
+        assert _lattice_window(ctx, 10, 20) is None
+
+    @pytest.mark.parametrize(
+        "ctx,route",
+        [
+            (ProblemContext.from_parts(2, 2, 10.0, 4.0), "mitm"),  # x = 10 goldens
+            (ProblemContext.from_scale(2, 5, 0.8, 800_000), "mitm"),
+            (ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3), "mitm"),
+            (ProblemContext.from_scale(2, 5, 0.8, 5 * 1000 ** 2), "lattice"),
+        ],
+        ids=["x10", "N800000", "k3-x60", "k2-x1000"],
+    )
+    def test_cost_rule(self, ctx, route):
+        lo = math.floor(ctx.N) + 1
+        hi = math.floor(ctx.N + ctx.window_width)
+        assert rho_route(ctx, lo, hi) == route
+
+    def test_scan_follows_the_route(self):
+        # rho_scan on the join side returns the join's numbers exactly
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        ns = _scan_targets(ctx)
+        values, counts = rho_scan(ns, ctx)
+        recs = rho_mitm(ns, ctx)
+        assert values.tolist() == [rec.value for rec in recs]
+        assert counts.tolist() == [rec.tuple_count for rec in recs]
+
+    def test_rounding_certificate_refuses_before_allocating(self):
+        # 30 primes in (900, 1100] at s = 12: m^(s - 1/2) = 1e17 puts the
+        # count error bound far past 1/2, while the FFT (four real arrays
+        # of 8 L = 19 MB each) fits the budget
+        ctx = ProblemContext.from_parts(2, 12, 1000.0, 100.0)
+        pk = [p ** 2 for p in prime_window(ctx.x, ctx.y).primes]
+        assert len(pk) == 30
+        lo = math.floor(ctx.N) + 1
+        a = lo - 12 * pk[0]
+        L = wrap_length(pk[-1] - pk[0] + 1, 12, a, a + 1000)
+        assert 8 * L > 16 * 2 ** 20 and 32 * L < 2 ** 30
+        ns = np.arange(lo, lo + 1001, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PrecisionOverflow, match="not below 1/2"):
+                _forced_lattice(ns, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_counts_off_the_integers_are_refused(self, monkeypatch):
+        # the a-posteriori check: counts computed 0.01 away from the
+        # integers raise instead of being rounded
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        ns = _scan_targets(ctx)
+        exact = representations.wrapped_convolution
+        monkeypatch.setattr(
+            representations, "wrapped_convolution", lambda *args: exact(*args) + 0.01
+        )
+        with pytest.raises(PrecisionOverflow, match="from an integer"):
+            _forced_lattice(ns, ctx)
 
 
 class TestMoment:

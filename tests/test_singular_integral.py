@@ -16,7 +16,10 @@ from wglab.singular_integral import (
     j_array,
     j_integral,
     oscillatory_I,
+    require_conv_budget,
     v_eval,
+    wrap_length,
+    wrapped_convolution,
 )
 
 
@@ -153,8 +156,7 @@ class TestJIntegral:
         # served from the cache
         import wglab.singular_integral as si
 
-        with si._conv_lock:
-            si._conv_cache.clear()
+        si._conv_cache.clear()
         cap = si._CONV_CACHE_CAP
         ctxs = [ProblemContext.from_parts(2, 2, 30.0 + i, 3.0) for i in range(cap + 1)]
         tabs = [j_array(ctx)[1] for ctx in ctxs]
@@ -166,6 +168,89 @@ class TestJIntegral:
         ctx = ProblemContext.from_parts(2, 100_000, 100.0, 10.0)
         with pytest.raises(ConvolutionTooLarge):
             j_integral(10 ** 9, ctx)
+
+
+def _linear_power(w, s):
+    acc = w
+    for _ in range(s - 1):
+        acc = np.convolve(acc, w)
+    return acc
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestWrappedConvolution:
+    def test_shortest_smooth_length(self):
+        for R, s, a, b in [(41, 2, 0, 5), (6, 3, 15, 15), (100, 5, 200, 260), (7, 4, 3, 20)]:
+            need = max(b + 1, s * (R - 1) - a + 1)
+            L = wrap_length(R, s, a, b)
+            assert L >= need and _is_5_smooth(L)
+            assert not any(_is_5_smooth(n) for n in range(need, L))
+
+    @pytest.mark.parametrize(
+        "R,s,a,b,L",
+        [
+            (41, 2, 0, 5, 81),  # s(R - 1) - a + 1 binds; 80 would alias entry 80 onto 0
+            (6, 3, 15, 15, 16),  # b + 1 binds; 15 would fold entry 15 onto 0
+        ],
+    )
+    def test_length_rule_is_tight(self, R, s, a, b, L):
+        # both L and L - 1 are 5-smooth, so a rule one short would give
+        # L - 1 and a wrong window
+        assert wrap_length(R, s, a, b) == L
+        w = np.random.default_rng(R).uniform(0.5, 1.5, size=R)
+        oracle = _linear_power(w, s)[a : b + 1]
+        got = wrapped_convolution(w, s, a, b)
+        assert got.shape == oracle.shape
+        assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
+        short = np.fft.irfft(np.fft.rfft(w, L - 1) ** s, L - 1)[a : b + 1]
+        assert short.shape != oracle.shape or not np.allclose(short, oracle, rtol=1e-6)
+
+    def test_windows_match_linear_convolution(self):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.0, 1.0, size=300)
+        full = _linear_power(w, 4)
+        scale = float(full.max())
+        for a, b in [(0, 4 * 299), (0, 10), (500, 700), (1190, 1196), (598, 598)]:
+            got = wrapped_convolution(w, 4, a, b)
+            assert got.shape == (b - a + 1,)
+            assert float(np.max(np.abs(got - full[a : b + 1]))) <= 1e-13 * scale
+
+    def test_budget_counts_four_arrays(self):
+        # 32 L bytes against 4 GiB: L = 2^27 fits, one more does not
+        require_conv_budget(2 ** 27)
+        with pytest.raises(ConvolutionTooLarge, match="GiB"):
+            require_conv_budget(2 ** 27 + 1)
+
+    def test_window_matches_full_table(self):
+        # an FFT-route window (13201 weights): the scan-window table
+        # against the whole-support one
+        ctx = ProblemContext.from_parts(2, 3, 110.0, 30.0)
+        assert len(WeightSeq.from_context(ctx)) > 10 ** 4
+        off0, full = j_array(ctx)
+        lo = math.floor(ctx.N) + 1
+        hi = math.floor(ctx.N + ctx.window_width)
+        off, tab = j_array(ctx, lo, hi)
+        assert off == lo and tab.size == hi - lo + 1
+        ref = full[off - off0 : off - off0 + tab.size]
+        assert np.all(np.abs(tab - ref) <= 1e-13 * ref)
+        # a window running past the support is clipped to it
+        top = off0 + full.size - 1
+        off, tab = j_array(ctx, top - 5, top + 50)
+        assert (off, tab.size) == (top - 5, 6)
+        assert j_array(ctx, top + 1, top + 9)[1].size == 0
+
+    def test_direct_route_window_is_the_whole_table(self):
+        # up to 10^4 weights the window is served from the direct table
+        ctx = ProblemContext.from_parts(2, 3, 60.0, 30.0)
+        off0, full = j_array(ctx)
+        off, tab = j_array(ctx, off0 + 100, off0 + 200)
+        assert off == off0 and tab is full
 
 
 class TestOscillatoryI:
