@@ -13,6 +13,10 @@ k=2 rungs.  Per rung the record holds:
   * the peak RSS of the process (VmHWM);
   * the sha256 of the canonical report (`canonical_json` of the
     `ExceptionalReport`) and its median rho/(sigma j);
+  * the median rho/(sigma j) over the represented targets (rho > 0)
+    and the share of targets with rho = 0: where most targets have no
+    representation (k=3, x=60) the report's median is 0.0 and says
+    nothing about the main term;
   * or, when the scan refuses, its error code and message.
 
 The records go into the `--label` entry of `--out` (BENCH_ladder.json by
@@ -39,6 +43,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -96,6 +102,8 @@ def run_rung(k: int, s: int, theta: float, x: int) -> dict:
     stages_s = {name: round(v, 4) for name, v in stages.items()}
     peak_rss_mb = round(_vm_hwm_mb(), 1)
     ns = rep.per_n.n
+    rho, ratio = rep.per_n.rho, rep.per_n.ratio
+    represented = (rho > 0) & np.isfinite(ratio)
     payload = canonical_json({"report": rep})
     record.update(
         targets=rep.scanned,
@@ -107,6 +115,10 @@ def run_rung(k: int, s: int, theta: float, x: int) -> dict:
         peak_rss_mb=peak_rss_mb,
         report_sha256=hashlib.sha256(payload.encode()).hexdigest(),
         median_ratio=rep.ratios.median,
+        median_ratio_represented=(
+            float(np.median(ratio[represented])) if represented.any() else None
+        ),
+        zero_rho_share=float(np.mean(rho == 0)),
     )
     return record
 

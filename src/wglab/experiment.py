@@ -27,7 +27,7 @@ from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
-from .expsums import build_sequence, eval_sums, exact_phase, grid_points
+from .expsums import PhasePowers, build_sequence, eval_sums, grid_points
 from .representations import rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
@@ -69,8 +69,10 @@ def major_arc_rho_numeric(
     region selects the domain: "major" integrates over the enumerated
     major intervals, "full" over the whole circle [0, 1), "zero_arc" over
     the single glued arc at the origin.  Composite 16-point Gauss-Legendre
-    per interval; emits a warning when the phase of f^s jumps by more
-    than pi/4 between adjacent nodes (under-resolution).
+    per interval; the nodes of every interval go through one `eval_sums`
+    call, and e(-n alpha) comes from one `PhasePowers` block.  Emits a
+    warning when the phase of f^s jumps by more than pi/4 between
+    adjacent nodes (under-resolution).
 
     Returns the real part; the integrand's imaginary parts cancel over
     any region symmetric under alpha -> 1 - alpha.
@@ -94,18 +96,27 @@ def major_arc_rho_numeric(
         raise ParameterDomain(f"unknown region {region!r}")
 
     panels = max(1, math.ceil(nodes_per_arc / 16))
+    quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
+    alphas = np.concatenate([pts for _, pts, _ in quads])
+    fs = np.array([complex(f) ** ctx.s for f in eval_sums(seq, ctx.k, alphas)])
+    # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
+    c = PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas)[:, 0].conj()
+    # f^s e(-n alpha) in components, rounded as a scalar complex product;
+    # numpy's array complex multiply differs from it in the last bit
+    vals = np.empty_like(fs)
+    vals.real = fs.real * c.real - fs.imag * c.imag
+    vals.imag = fs.real * c.imag + fs.imag * c.real
     total = 0.0 + 0.0j
     worst_jump = 0.0
-    for lo, hi in intervals:
-        half, pts, weights = gauss_legendre_panels(lo, hi, panels)
-        alphas = pts.tolist()
-        fs = np.array([complex(f) ** ctx.s for f in eval_sums(seq, ctx.k, alphas)])
-        # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
-        vals = np.array([f * exact_phase(a, n).conjugate() for f, a in zip(fs, alphas)])
+    start = 0
+    for half, pts, weights in quads:
+        stop = start + pts.size
         if pts.size > 1:
-            jumps = np.abs(np.angle(fs[1:] * np.conj(fs[:-1])))
+            f_arc = fs[start:stop]
+            jumps = np.abs(np.angle(f_arc[1:] * np.conj(f_arc[:-1])))
             worst_jump = max(worst_jump, float(np.max(jumps)))
-        total += half * np.dot(vals, weights)
+        total += half * np.dot(vals[start:stop], weights)
+        start = stop
     if worst_jump > math.pi / 4:
         warnings.warn(
             f"arc quadrature under-resolved: adjacent-node phase jump "

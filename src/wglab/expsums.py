@@ -13,23 +13,33 @@ Phase accuracy
 Evaluating e(alpha * n^k) naively in doubles loses all phase information
 once alpha * n^k reaches 2^52, which happens immediately at the scales of
 interest (n^k ~ 10^12 and beyond).  Phases are therefore reduced exactly:
-alpha is taken apart into its dyadic ratio num/2^t, n^k is carried in
-base-2^26 limbs, and frac(alpha * n^k) is assembled limb by limb with
-integer arithmetic modulo 2^53 plus a float tail.  The result is the true
-fractional part up to ~2^-53 regardless of the size of alpha * n^k, and
-every evaluation is bit-reproducible.  `exact_phase` gives the scalar
-e(alpha * m) from the big-integer oracle `phase_fraction_exact`.
+n^k is carried in base-2^26 limbs L_j, and frac(alpha * n^k) is assembled
+limb by limb with integer arithmetic modulo 2^53 plus a float tail.  The
+result is the true fractional part up to ~2^-53 regardless of the size of
+alpha * n^k, and every evaluation is bit-reproducible.  `exact_phase`
+gives the scalar e(alpha * m) from the big-integer oracle
+`phase_fraction_exact`.
 
-The per-limb step: write frac(num * 2^(26 j) / 2^t) = (a_j + tail_j)/2^53
-with a_j integer.  Multiplying by limb L_j < 2^26 and summing modulo 2^53
-needs only int64 operations once a_j is split into high and low halves.
+The per-limb step: write frac(alpha * 2^(26 j)) = (a_j + tail_j)/2^53
+with a_j integer.  Both come from exact float operations: the fraction
+part f of alpha * 2^(26 j) is a float (f_0 = alpha - trunc(alpha), then
+f_j = the fraction part of f_(j-1) * 2^26), g = f * 2^53,
+a_j = floor(g) mod 2^53 and tail_j = g - floor(g).  Multiplying by
+L_j < 2^26 and summing modulo 2^53 needs only int64 operations once a_j
+is split into high and low halves.  `PhasePowers.fractions` runs this
+loop over a whole (alphas x support) block at once; one alpha is the
+one-row case.
 
 Circle points
 -------------
 `grid_points` lists the grid points j/G of a region and `eval_sums`
-returns f at a sequence of alphas.  Every caller that needs f at many
-points (`sup_scan`, `arc_profile`, `minor_arc_moment`, the arc
-quadrature) goes through these two.
+returns f at a sequence of alphas, building phases for blocks of about
+2^13 entries and reducing each row with `np.dot`.  Every caller that
+needs f at many points (`sup_scan`, `arc_profile`, `minor_arc_moment`,
+the arc quadrature) goes through these two.  Major/minor labels of the
+grid come from `major_mask`: the index ranges of the arcs
+|alpha - a/q| <= 1/(qQ), q <= floor(P), with `classify` consulted only
+within 2 indices of an arc's float edge.
 """
 
 from __future__ import annotations
@@ -50,12 +60,14 @@ _M53 = (1 << 53) - 1
 
 SEQUENCE_KINDS = ("prime_log", "integer_log", "unit")
 
+_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums
+
 
 class PhasePowers:
     """Base-2^26 limb decomposition of n^k over a support array.
 
-    Built once per (support, k); evaluating the phase vector for a new
-    alpha costs O(limbs * len(support)) int64 operations.
+    Built once per (support, k); the phases of a block of B alphas cost
+    O(limbs * B * len(support)) int64 operations and O(limbs) numpy calls.
     """
 
     def __init__(self, support: np.ndarray, k: int):
@@ -102,32 +114,41 @@ class PhasePowers:
         if carry.any():  # pragma: no cover - limb allocation covers the product
             raise ParameterDomain("limb overflow")
 
-    def fractions(self, alpha: float) -> np.ndarray:
-        """frac(alpha * n^k) for every n in the support, to ~2^-53."""
-        if self.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        num, den = float(alpha).as_integer_ratio()
-        acc = np.zeros(self.size, dtype=np.int64)
-        tail = np.zeros(self.size, dtype=np.float64)
+    def fractions(self, alpha) -> np.ndarray:
+        """frac(alpha * n^k) for every n in the support, to ~2^-53.
+
+        alpha is a float or an array of floats; the result has shape
+        alpha.shape + (len(support),), so a scalar alpha gives one row.
+        """
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if not np.all(np.isfinite(alpha)):
+            raise ParameterDomain("alpha must be finite")
+        rows = alpha.reshape(-1, 1)
+        acc = np.zeros((rows.shape[0], self.size), dtype=np.int64)
+        tail = np.zeros(acc.shape, dtype=np.float64)
+        # f is the signed fractional part of alpha * 2^(26 j), exact in
+        # doubles: the fraction part of a float is a float, and scaling by
+        # a power of two is exact below overflow, which |f| < 1 rules out
+        f = rows - np.trunc(rows)
         for j in range(self._limbs.shape[1]):
-            r = (num << (26 * j)) % den
-            if r == 0:
-                continue
-            scaled = r << 53
-            a_j = scaled // den
-            # int/int division rounds correctly at any magnitude; den can
-            # exceed float range for subnormal alpha
-            tail_j = (scaled - a_j * den) / den
+            if j:
+                f = np.ldexp(f, 26)
+                f -= np.trunc(f)
+            g = np.ldexp(f, 53)
+            a = np.floor(g)
+            tail_j = g - a
+            # a in (-2^53, 2^53); & keeps it modulo 2^53 in two's complement
+            a_j = a.astype(np.int64) & _M53
             a_hi, a_lo = a_j >> 27, a_j & ((1 << 27) - 1)
             L = self._limbs[:, j]
             acc = (acc + (((a_hi * L) & _M26) << 27) + a_lo * L) & _M53
             tail += self._limbs_f[:, j] * (tail_j * 2.0 ** -53)
         frac = acc.astype(np.float64) * 2.0 ** -53 + tail
         frac -= np.floor(frac)
-        return frac
+        return frac.reshape(alpha.shape + (self.size,))
 
-    def phases(self, alpha: float) -> np.ndarray:
-        """e(alpha * n^k) as complex128."""
+    def phases(self, alpha) -> np.ndarray:
+        """e(alpha * n^k) as complex128, shaped like `fractions`."""
         return np.exp((2j * np.pi) * self.fractions(alpha))
 
 
@@ -213,13 +234,22 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
 
 
 def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
-    """f(alpha) for each alpha in order, as complex128; the limb powers
-    and weights are looked up once per call, not once per point."""
-    out = np.zeros(len(alphas), dtype=np.complex128)
+    """f(alpha) for each alpha in order, as complex128.
+
+    Phases are built for blocks of about _BLOCK_PHASES entries at a
+    time; each row is then reduced with np.dot(w, row), which is the
+    pointwise f(alpha) bit for bit (a matrix-vector product is not: its
+    summation order differs in the last bits).
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    out = np.zeros(alphas.size, dtype=np.complex128)
     pw = seq.powers(k)
     w = seq.weights
-    for i, alpha in enumerate(alphas):
-        out[i] = np.dot(w, pw.phases(alpha))
+    rows = max(1, _BLOCK_PHASES // max(pw.size, 1))
+    for start in range(0, alphas.size, rows):
+        block = pw.phases(alphas[start : start + rows])
+        for i, row in enumerate(block, start):
+            out[i] = np.dot(w, row)
     return out
 
 
@@ -228,15 +258,53 @@ def eval_sum(seq: WeightedSequence, k: int, alpha: float) -> complex:
     return complex(eval_sums(seq, k, [alpha])[0])
 
 
+def major_mask(params: ArcParams, grid_size: int) -> np.ndarray:
+    """For each grid point j/grid_size, True when `classify` calls it major.
+
+    alpha is major exactly when it lies on an arc |alpha - a/q| <= 1/(qQ)
+    with q <= floor(P) (its minimal Dirichlet witness is then at most
+    that q).  The arcs are listed here, not taken from
+    `ArcDecomposition.build`, so overlapping parameters work too.  Each
+    arc's edges are placed on the grid in floating point; indices more
+    than 2 from every float edge take the arc's label directly, and
+    `classify` decides the few within 2 of one.
+    """
+    G = grid_size
+    Q = params.Q
+    inside = np.zeros(G + 1, dtype=np.int64)  # +1/-1 at starts/ends of sure ranges
+    near_edge = np.zeros(G, dtype=bool)
+    for q in range(1, math.floor(params.P) + 1):
+        a = np.arange(q + 1)
+        a = a[np.gcd(a, q) == 1]
+        hw = 1.0 / (q * Q)
+        lo = np.rint(G * (a / q - hw)).astype(np.int64)
+        hi = np.rint(G * (a / q + hw)).astype(np.int64)
+        # |j - edge| <= 2 implies |j - rint(edge)| <= 2
+        for d in range(-2, 3):
+            for edge in (lo + d, hi + d):
+                near_edge[edge[(edge >= 0) & (edge < G)]] = True
+        start = np.clip(lo + 3, 0, G)
+        stop = np.clip(hi - 2, 0, G)
+        keep = start < stop
+        np.add.at(inside, start[keep], 1)
+        np.add.at(inside, stop[keep], -1)
+    major = np.cumsum(inside[:G]) > 0
+    for j in np.flatnonzero(near_edge & ~major).tolist():
+        major[j] = classify(j / G, params)[0] == "major"
+    return major
+
+
 def grid_points(params: ArcParams, region: str, grid_size: int) -> list[float]:
     """The grid points j/grid_size in a region, ascending; membership is
-    decided by `classify`, except that "full" keeps every point."""
+    that of `classify` (see `major_mask`), except that "full" keeps
+    every point."""
     if region not in ("major", "minor", "full"):
         raise ParameterDomain(f"unknown region {region!r}")
     alphas = [j / grid_size for j in range(grid_size)]
     if region == "full":
         return alphas
-    return [alpha for alpha in alphas if classify(alpha, params)[0] == region]
+    keep = major_mask(params, grid_size) == (region == "major")
+    return [alphas[j] for j in np.flatnonzero(keep).tolist()]
 
 
 @dataclass(frozen=True)
@@ -260,10 +328,11 @@ def sup_scan(
 ) -> SupScanReport:
     """Scan |f| over the grid points j/grid_size lying in a region.
 
-    Region membership is decided by `arcs.classify` on the decomposition's
-    parameters, i.e. by the minimal Dirichlet witness, not by interval
-    arithmetic.  The reported witness is the rational point attached to
-    the argmax.
+    Region membership is that of `arcs.classify` on the decomposition's
+    parameters, i.e. of the minimal Dirichlet witness; `major_mask`
+    reads it off the arcs' index ranges and asks `classify` only near
+    their float edges.  The reported witness is the rational point
+    attached to the argmax.
 
     Raises empty-region when no grid point falls in the region.
     """
@@ -295,13 +364,14 @@ class ArcProfile:
 
 
 def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
-    """|f| at every grid point j/grid_size with its `classify` label."""
+    """|f| at every grid point j/grid_size with its `classify` label
+    (from `major_mask`)."""
     if grid_size < 2:
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
     seq = build_sequence(ctx, "prime_log")
     alphas = grid_points(params, "full", grid_size)
     mags = np.array([abs(f) for f in eval_sums(seq, ctx.k, alphas)])
-    labels = tuple(classify(alpha, params)[0] for alpha in alphas)
+    labels = tuple("major" if m else "minor" for m in major_mask(params, grid_size).tolist())
     return ArcProfile(alphas=np.array(alphas), magnitudes=mags, labels=labels)
 
 

@@ -88,6 +88,22 @@ class TestFactorize:
         assert prod == q
         assert [p for p, _ in fac] == sorted({p for p, _ in fac})
 
+    def test_matches_plain_trial_division(self):
+        def oracle(q):
+            out, d = [], 2
+            while d * d <= q:
+                e = 0
+                while q % d == 0:
+                    q //= d
+                    e += 1
+                if e:
+                    out.append((d, e))
+                d += 1
+            return tuple(out + [(q, 1)] if q > 1 else out)
+
+        for q in range(1, 20_000):
+            assert factorize(q) == oracle(q)
+
     def test_large_prime_cofactor(self):
         # trial division stops at 1e6; the cofactor is certified prime
         p = 1_000_003

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import wglab.cache as cache
-from wglab.arcs import ArcParams
+from wglab.arcs import ArcDecomposition, ArcParams
 from wglab.arith import ProblemContext
 from wglab.errors import CacheVersionMismatch, EmptyRegion, EmptyWindow, ParameterDomain
 from wglab.experiment import exceptional_scan, major_arc_rho_numeric, minor_arc_moment, predict
+from wglab.expsums import build_sequence, eval_sum, exact_phase
 from wglab.representations import moment, rho_mitm
-from wglab.singular_integral import j_integral
+from wglab.singular_integral import gauss_legendre_panels, j_integral
 from wglab.singular_series import truncated_sigma
 
 TINY = ProblemContext.from_parts(2, 2, 10.0, 4.0)
@@ -38,7 +39,43 @@ class TestPredict:
         assert predict(219, TINY, q0=50).admissible is False
 
 
+def _quadrature_per_node(n, ctx, params, nodes_per_arc, region):
+    """The arc quadrature one node at a time: f by `eval_sum`, e(-n alpha)
+    by `exact_phase`, summed arc by arc."""
+    seq = build_sequence(ctx, "prime_log")
+    if region == "major":
+        arcs = ArcDecomposition.build(params).intervals
+        intervals = [(m.center - m.half_width, m.center + m.half_width) for m in arcs]
+    elif region == "full":
+        intervals = [(0.0, 1.0)]
+    else:
+        intervals = [(-1.0 / params.Q, 1.0 / params.Q)]
+    panels = max(1, math.ceil(nodes_per_arc / 16))
+    total = 0.0 + 0.0j
+    for lo, hi in intervals:
+        half, pts, weights = gauss_legendre_panels(lo, hi, panels)
+        vals = [
+            eval_sum(seq, ctx.k, a) ** ctx.s * exact_phase(a, n).conjugate()
+            for a in pts.tolist()
+        ]
+        total += half * np.dot(vals, weights)
+    return total.real
+
+
 class TestMajorArcQuadrature:
+    @pytest.mark.parametrize(
+        "region, nodes", [("major", 32), ("full", 256), ("zero_arc", 64)]
+    )
+    def test_matches_per_node_oracle(self, region, nodes):
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        params = ArcParams.from_context(ctx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n in (801125, 823205, 848261):
+                got = major_arc_rho_numeric(n, ctx, params, nodes, region=region)
+                want = _quadrature_per_node(n, ctx, params, nodes, region)
+                assert got == pytest.approx(want, rel=1e-12)
+
     def test_full_circle_recovers_rho(self):
         # at 4096 nodes the full-circle quadrature of f^s e(-n alpha) is
         # the exact representation count; checked against the

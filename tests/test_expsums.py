@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglab.arcs import ArcDecomposition, ArcParams
+from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
 from wglab.errors import EmptyRegion, EmptyWindow, ParameterDomain
+from wglab.experiment import minor_arc_moment
 from wglab.expsums import (
+    _M26,
+    _M53,
     PhasePowers,
     WeightedSequence,
     arc_profile,
@@ -18,6 +21,7 @@ from wglab.expsums import (
     eval_sums,
     exact_phase,
     grid_points,
+    major_mask,
     phase_fraction_exact,
     sup_scan,
 )
@@ -25,6 +29,36 @@ from wglab.expsums import (
 
 def _window_ctx(x, y, k=2, s=2):
     return ProblemContext.from_parts(k, s, x, y)
+
+
+def _fractions_scalar(pw, alpha):
+    """The one-alpha limb loop on Python big integers: frac(alpha n^k)
+    from alpha's dyadic ratio num/den, limb by limb."""
+    num, den = float(alpha).as_integer_ratio()
+    acc = np.zeros(pw.size, dtype=np.int64)
+    tail = np.zeros(pw.size, dtype=np.float64)
+    for j in range(pw._limbs.shape[1]):
+        r = (num << (26 * j)) % den
+        if r == 0:
+            continue
+        scaled = r << 53
+        a_j = scaled // den
+        tail_j = (scaled - a_j * den) / den
+        a_hi, a_lo = a_j >> 27, a_j & ((1 << 27) - 1)
+        L = pw._limbs[:, j]
+        acc = (acc + (((a_hi * L) & _M26) << 27) + a_lo * L) & _M53
+        tail += pw._limbs_f[:, j] * (tail_j * 2.0 ** -53)
+    frac = acc.astype(np.float64) * 2.0 ** -53 + tail
+    frac -= np.floor(frac)
+    return frac
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# the N = 800,000 scale context (k=2, s=5, theta=0.8)
+CTX_800K = ProblemContext.from_scale(2, 5, 0.8, 800_000)
 
 
 class TestBuildSequence:
@@ -136,6 +170,58 @@ class TestEvalSum:
             )
 
 
+class TestBatchedPhases:
+    """`PhasePowers.fractions` on many alphas at once against the scalar
+    big-integer limb loop, bit for bit."""
+
+    SUPPORT = np.array([2, 3, 97, 401, 10 ** 6 + 3, 2 ** 40 + 3, 2 ** 48], dtype=np.int64)
+
+    @staticmethod
+    def _alphas():
+        rng = np.random.default_rng(11)
+        out = [j / 32768 for j in range(0, 32768, 5)]
+        out += [j / 5000 for j in range(0, 5000, 3)]
+        out += (-rng.random(400) * 1e-4).tolist() + (1 + rng.random(400) * 1e-4).tolist()
+        out += [5e-324, 2.2250738585072014e-313, math.ulp(0.0) * 7, -5e-324, 0.0, -0.0]
+        out += [1 - 2 ** -53, -(1 - 2 ** -53), 3.5, 1e17, 1e300, -1e300]
+        return out
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_match_scalar_loop(self, k):
+        pw = PhasePowers(self.SUPPORT, k)
+        alphas = self._alphas()
+        got = pw.fractions(np.array(alphas))
+        assert got.shape == (len(alphas), self.SUPPORT.size)
+        want = np.array([_fractions_scalar(pw, a) for a in alphas])
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_one_row_and_shapes(self):
+        pw = PhasePowers(self.SUPPORT, 3)
+        alpha = 0.6180339887498949
+        assert pw.fractions(alpha).shape == (self.SUPPORT.size,)
+        assert np.array_equal(_bits(pw.fractions(alpha)), _bits(_fractions_scalar(pw, alpha)))
+        grid = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert pw.phases(grid).shape == (2, 2, self.SUPPORT.size)
+        assert np.array_equal(_bits(pw.phases(grid)[1, 0]), _bits(pw.phases(0.3)))
+        assert PhasePowers(np.zeros(0, dtype=np.int64), 2).fractions([0.5, 0.25]).shape == (2, 0)
+
+    def test_non_finite_alpha(self):
+        pw = PhasePowers(self.SUPPORT, 2)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterDomain):
+                pw.fractions([0.5, bad])
+
+    def test_eval_sums_matches_pointwise_dot(self):
+        # more points than one block holds, so block edges are crossed
+        seq = build_sequence(CTX_800K, "prime_log")
+        pw = seq.powers(2)
+        rng = np.random.default_rng(5)
+        alphas = np.concatenate([np.arange(700) / 700, rng.random(300)])
+        got = eval_sums(seq, 2, alphas)
+        want = np.array([np.dot(seq.weights, pw.phases(float(a))) for a in alphas])
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestSupScan:
     def _setup(self):
         ctx = ProblemContext.from_parts(2, 5, 1e4, 1e3)
@@ -200,6 +286,35 @@ class TestCircleGrid:
         got = eval_sums(seq, 2, alphas)
         assert got.dtype == np.complex128
         assert got.tolist() == [eval_sum(seq, 2, a) for a in alphas]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ArcParams.from_context(CTX_800K),
+            ArcParams.explicit(10.0, 1e4),
+            ArcParams.explicit(5.0, 9.0),  # overlapping arcs
+        ],
+        ids=["N800000", "explicit-10-1e4", "overlap-5-9"],
+    )
+    def test_major_mask_matches_classify(self, params):
+        for G in (200, 1000, 4096, 5000, 12347, 32768):
+            want = [classify(j / G, params)[0] == "major" for j in range(G)]
+            assert major_mask(params, G).tolist() == want
+
+    def test_minor_moment_on_overlapping_arcs(self):
+        # Q <= 2 floor(P) - 1: the arcs overlap, which `ArcDecomposition.build`
+        # refuses; the grid labels still come out.  At (5, 9) points with
+        # minimal witness q in 6..9 stay minor; at (5, 6) none is left
+        seq = build_sequence(CTX_800K, "prime_log")
+        params = ArcParams.explicit(5.0, 9.0, ctx=CTX_800K)
+        minor = [j / 4096 for j in range(4096) if classify(j / 4096, params)[0] == "minor"]
+        assert grid_points(params, "minor", 4096) == minor
+        want = 0.0
+        for f in eval_sums(seq, 2, minor):
+            want += abs(f) ** 4
+        assert minor_arc_moment(CTX_800K, params, 4, 4096) == want / 4096
+        blanket = ArcParams.explicit(5.0, 6.0, ctx=CTX_800K)
+        assert minor_arc_moment(CTX_800K, blanket, 4, 4096) == 0.0
 
     def test_callers_share_the_grid(self):
         ctx, seq, params = self._setup()
