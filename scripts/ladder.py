@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the exceptional-set scan up the scale ladder and record each rung.
 
-Each rung is one fresh interpreter that runs `exceptional_scan` once,
-cold, at q0 = 400.  The default ladder is k=2, s=5, theta=0.8 at
-x = 400, 1000, 2000, 4000, plus k=3, s=7, x=60; `--extra-x 8000` adds
-k=2 rungs.  Per rung the record holds:
+Each rung is two fresh interpreters that run `exceptional_scan` at
+q0 = 400 with one new cache directory: the first cold, filling the
+cache, the second warm, reading it.  The default ladder is k=2, s=5,
+theta=0.8 at x = 400, 1000, 2000, 4000, plus k=3, s=7, x=60;
+`--extra-x 8000` adds k=2 rungs.  Per rung the record holds, for the
+cold process:
 
   * the stage times of the scan: prime window (inside rho), rho, sigma
     and j, taken by wrapping the names `experiment` looks up and read
@@ -17,7 +19,11 @@ k=2 rungs.  Per rung the record holds:
     and the share of targets with rho = 0: where most targets have no
     representation (k=3, x=60) the report's median is 0.0 and says
     nothing about the main term;
-  * or, when the scan refuses, its error code and message.
+  * or, when the scan refuses, its error code and message;
+
+and under "rerun" the warm process's scan seconds, its stage times (zero
+when the cache served the columns) and whether its report sha256 equals
+the cold one.
 
 The records go into the `--label` entry of `--out` (BENCH_ladder.json by
 default); other labels already in that file are kept, and so are the
@@ -41,6 +47,7 @@ import json
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,8 +69,9 @@ def _vm_hwm_mb() -> float:
     return float("nan")
 
 
-def run_rung(k: int, s: int, theta: float, x: int) -> dict:
-    """One cold scan in this process; the record described above."""
+def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
+    """One scan in this process, against cache_dir when given; the
+    record described above."""
     from wglab import experiment, representations
     from wglab.arith import ProblemContext
     from wglab.config import canonical_json
@@ -93,7 +101,7 @@ def run_rung(k: int, s: int, theta: float, x: int) -> dict:
     record = {"k": k, "s": s, "theta": theta, "x": x, "N": ctx.N, "q0": Q0}
     t0 = time.perf_counter()
     try:
-        rep = experiment.exceptional_scan(ctx, Q0)
+        rep = experiment.exceptional_scan(ctx, Q0, cache_dir=cache_dir)
     except WglabError as exc:
         record.update(error=exc.code, message=exc.message)
         record["peak_rss_mb"] = round(_vm_hwm_mb(), 1)
@@ -123,14 +131,14 @@ def run_rung(k: int, s: int, theta: float, x: int) -> dict:
     return record
 
 
-def spawn(rung) -> dict:
+def _run_process(rung, cache_dir: str) -> dict:
     """Run one rung in a fresh interpreter and return its record."""
     limit = MEM_LIMIT_GB * 2 ** 30
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    argv = [sys.executable, __file__, "--rung", *map(str, rung)]
+    argv = [sys.executable, __file__, "--rung", *map(str, rung), "--cache-dir", cache_dir]
     proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=cap)
     if proc.returncode != 0:
         k, s, theta, x = rung
@@ -140,6 +148,24 @@ def spawn(rung) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def spawn(rung) -> dict:
+    """The cold process of a rung, then the warm one over its cache."""
+    with tempfile.TemporaryDirectory(prefix="wglab-ladder-") as cache_dir:
+        record = _run_process(rung, cache_dir)
+        if "error" in record:
+            return record
+        warm = _run_process(rung, cache_dir)
+    if "error" in warm:
+        record["rerun"] = {"error": warm["error"], "message": warm["message"]}
+    else:
+        record["rerun"] = {
+            "scan_s": warm["scan_s"],
+            "stages_s": warm["stages_s"],
+            "same_report": warm["report_sha256"] == record["report_sha256"],
+        }
+    return record
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="current", help="entry of the output file")
@@ -147,11 +173,12 @@ def main(argv=None) -> int:
     ap.add_argument("--extra-x", type=int, nargs="*", default=[],
                     help="more k=2, s=5, theta=0.8 rungs")
     ap.add_argument("--rung", nargs=4, help=argparse.SUPPRESS)
+    ap.add_argument("--cache-dir", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.rung:
         k, s, theta, x = args.rung
-        print(json.dumps(run_rung(int(k), int(s), float(theta), int(x))))
+        print(json.dumps(run_rung(int(k), int(s), float(theta), int(x), args.cache_dir)))
         return 0
 
     rungs = LADDER + [(2, 5, 0.8, x) for x in args.extra_x]

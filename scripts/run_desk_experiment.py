@@ -37,7 +37,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--N", type=int, default=800_000)
     ap.add_argument("--q0", type=int, default=400, help="singular-series truncation")
     ap.add_argument("--grid-size", type=int, default=2000, help="arc-profile resolution")
-    ap.add_argument("--cache-dir", default=None, help="reuse the cached singular-series batch")
+    ap.add_argument("--cache-dir", default=None, help="reuse the cached scan columns")
     ap.add_argument("--out-dir", default="results/desk")
     return ap.parse_args(argv)
 

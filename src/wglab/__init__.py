@@ -10,7 +10,7 @@ Subpackage map:
 - singular_integral: the continuous main-term factor and its oscillatory kin
 - representations: exact weighted representation counts (naive, meet-in-the-middle, lattice FFT)
 - experiment: prediction vs count scans, arc quadrature, moments
-- cache: on-disk numpy archives of the scan's sigma batch
+- cache: on-disk numpy archives of the scan's columns (rho, sigma, j)
 - cli: command-line front end
 """
 

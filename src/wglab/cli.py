@@ -112,8 +112,18 @@ def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> Ar
     return ArcParams.from_context(ctx, A=cfg.A)
 
 
-def csv_lines(header: list[str], rows: list[list]) -> str:
-    """CSV text with floats at 12 significant digits and lowercase bools."""
+def _csv_column(col) -> list[str]:
+    """The CSV cells of one column: a numpy float, int or bool array in
+    one pass, anything else value by value; floats at 12 significant
+    digits, bools lowercase."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiub":
+        values = col.tolist()
+        if col.dtype.kind == "f":
+            return [f"{v:.12g}" for v in values]
+        if col.dtype.kind == "b":
+            return ["true" if v else "false" for v in values]
+        return [str(v) for v in values]
+
     def cell(v) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -121,9 +131,13 @@ def csv_lines(header: list[str], rows: list[list]) -> str:
             return format_float(v)
         return str(v)
 
-    out = [",".join(header)]
-    out.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(out) + "\n"
+    return [cell(v) for v in col]
+
+
+def csv_lines(header: list[str], columns: list) -> str:
+    """CSV text of equal-length columns, one per header field."""
+    rows = zip(*(_csv_column(col) for col in columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -141,13 +155,14 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
     return items
 
 
-def _emit(cfg: RunConfig, payload: dict, table: Optional[tuple[list[str], list[list]]]) -> str:
-    """Render a command result: JSON payload or the CSV view of it."""
+def _emit(cfg: RunConfig, payload: dict, table: Optional[tuple[list[str], list]]) -> str:
+    """Render a command result: JSON payload or the CSV view of it;
+    table is (header, columns)."""
     if cfg.output == "csv":
         if table is not None:
             return csv_lines(*table)
         flat = _flatten(payload)
-        return csv_lines([k for k, _ in flat], [[v for _, v in flat]])
+        return csv_lines([k for k, _ in flat], [[v] for _, v in flat])
     return canonical_json(payload)
 
 
@@ -226,10 +241,8 @@ def _cmd_arcs(cfg, args, y):
         "P": params.P, "Q": params.Q, "A": params.A,
         "arc_count": len(arcs), "measure": decomp.measure(), "arcs": arcs,
     }
-    table = (
-        ["q", "a", "center", "half_width"],
-        [[m.q, m.a, m.center, m.half_width] for m in decomp.intervals],
-    )
+    fields = ["q", "a", "center", "half_width"]
+    table = (fields, [[getattr(m, f) for m in decomp.intervals] for f in fields])
     return _emit(cfg, payload, table)
 
 
@@ -283,19 +296,13 @@ def _report_summary(rep: ExceptionalReport) -> dict:
     }
 
 
-def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list[list]]:
-    """(header, rows) of the per-n detail stream of a scan."""
+def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list]:
+    """(header, columns) of the per-n detail stream of a scan."""
     header = ["n", "rho", "tuple_count", "sigma", "jay", "ratio", "flagged"]
-    rows: list[list] = []
-    if rep.per_n is not None:
-        d = rep.per_n
-        for i in range(len(d.n)):
-            rows.append([
-                int(d.n[i]), float(d.rho[i]), int(d.tuple_count[i]),
-                float(d.sigma[i]), float(d.jay[i]), float(d.ratio[i]),
-                bool(d.flagged[i]),
-            ])
-    return header, rows
+    d = rep.per_n
+    if d is None:
+        return header, [[] for _ in header]
+    return header, [d.n, d.rho, d.tuple_count, d.sigma, d.jay, d.ratio, d.flagged]
 
 
 def _cmd_exceptional(cfg, args, y):
@@ -383,33 +390,28 @@ def emit_plot_data(report, kind: str, path: str) -> None:
         if not isinstance(report, ArcProfile):
             raise UnsupportedKind("arc_profile needs an ArcProfile source")
         header = ["alpha", "abs_f", "label"]
-        rows = [
-            [float(report.alphas[i]), float(report.magnitudes[i]), report.labels[i]]
-            for i in range(len(report.alphas))
-        ]
+        columns = [report.alphas, report.magnitudes, report.labels]
     elif kind == "ratio_histogram":
         if not isinstance(report, ExceptionalReport):
             raise UnsupportedKind("ratio_histogram needs an ExceptionalReport source")
         header = ["bin_lo", "bin_hi", "count"]
-        rows = []
+        columns = [[], [], []]
         if report.per_n is not None and report.scanned:
             finite = report.per_n.ratio[np.isfinite(report.per_n.ratio)]
             if finite.size:
                 counts, edges = np.histogram(finite, bins=20)
-                rows = [
-                    [float(edges[i]), float(edges[i + 1]), int(counts[i])]
-                    for i in range(len(counts))
-                ]
+                columns = [edges[:-1], edges[1:], counts]
     else:  # partial_sums
         if not isinstance(report, SeriesTruncation):
             raise UnsupportedKind("partial_sums needs a SeriesTruncation source")
         header = ["q", "a_q", "partial_sum"]
-        rows = [
-            [q, a, acc]
-            for (q, a), (_, acc) in zip(report.partials, report.trajectory())
+        columns = [
+            [q for q, _ in report.partials],
+            [a for _, a in report.partials],
+            [acc for _, acc in report.trajectory()],
         ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_lines(header, rows))
+        fh.write(csv_lines(header, columns))
 
 
 # ---------------------------------------------------------------- parser

@@ -115,11 +115,8 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def format_float(v: float) -> str:
-    """12-significant-digit rendering used in all textual output."""
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
+    """12-significant-digit rendering used in all textual output; nan,
+    inf and -inf print as such."""
     return f"{v:.12g}"
 
 

@@ -1,6 +1,5 @@
 """Desk-scale experiment pipeline: main-term prediction, arc quadrature,
-the exceptional-set scan (its sigma batch optionally cached on disk
-through `wglab.cache`), and minor-arc moment diagnostics.
+the exceptional-set scan, and minor-arc moment diagnostics.
 
 The headline object is the exceptional-set report for a window
 (N, N + x^(k-1) y]: every admissible n in the window gets its exact
@@ -8,6 +7,15 @@ weighted representation count rho(n) (one meet-in-the-middle join or one
 wrapped lattice FFT, whichever the cost rule in `representations` finds
 cheaper), its main-term prediction sigma(n, Q0) * j(n), and a two-sided
 deviation flag at threshold y^(s-1) x^(1-k) / log x.
+
+With a cache directory the scan keeps its computed columns (n, rho,
+tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`.  The key
+names everything that picks their bits: k, s, x, y, q0, the integer
+window, the targets' first, last and count, the singular-series partial
+floor, the rho route of the cost rule, the j route (direct or FFT) and
+the numpy version.  A
+rerun whose key and stored targets match reads the columns and computes
+no rho, sigma or j; the ratios, flags and summary are derived afresh.
 
 The deviation test here is |rho - prediction| >= threshold.  A one-sided
 reading (only an excess counts) is also tallied and reported alongside,
@@ -28,8 +36,8 @@ from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_points
-from .representations import rho_scan
-from .singular_integral import gauss_legendre_panels, j_array, j_integral
+from .representations import rho_route, rho_scan
+from .singular_integral import gauss_legendre_panels, j_array, j_integral, j_route
 from .singular_series import sigma_batch, truncated_sigma
 
 
@@ -180,9 +188,11 @@ def exceptional_scan(
     """Scan every admissible n in (N, N + x^(k-1) y] for main-term failure.
 
     rho comes from `rho_scan` over the whole window (one join or one
-    lattice FFT), sigma from the vectorized singular-series batch
-    (optionally cached), jay from the convolution table of the window.  Flags use the two-sided
-    threshold; the one-sided count (excess only) is recorded alongside.
+    lattice FFT), sigma from the vectorized singular-series batch, jay
+    from the convolution table of the window; with cache_dir all four
+    columns are read from, or written to, one `scan` cache entry.  Flags
+    use the two-sided threshold; the one-sided count (excess only) is
+    recorded alongside.
     batch_size and threads must be >= 1 but select nothing: the join
     runs once, in the calling thread.
 
@@ -206,15 +216,8 @@ def exceptional_scan(
             exceptional_one_sided=0, threshold=threshold, ratios=None, per_n=None,
         )
 
-    rho, tuples = rho_scan(ns, ctx)
-
-    sigma = _sigma_batch_cached(ns, ctx, q0, cache_dir)
-
-    offset, table = j_array(ctx, n_lo, n_hi)
-    jay = np.zeros(ns.size)
-    idx = ns - offset
-    inside = (idx >= 0) & (idx < table.size)
-    jay[inside] = table[idx[inside]]
+    cols = _scan_columns(ns, ctx, q0, n_lo, n_hi, cache_dir)
+    rho, sigma, jay = cols["rho"], cols["sigma"], cols["jay"]
 
     main = sigma * jay
     dev = rho - main
@@ -243,37 +246,71 @@ def exceptional_scan(
         threshold=threshold,
         ratios=ratios,
         per_n=PerNDetail(
-            n=ns, rho=rho, tuple_count=tuples, sigma=sigma, jay=jay,
-            ratio=ratio, flagged=flagged,
+            n=ns, rho=rho, tuple_count=cols["tuple_count"], sigma=sigma,
+            jay=jay, ratio=ratio, flagged=flagged,
         ),
     )
 
 
-def _sigma_batch_cached(
-    ns: np.ndarray, ctx: ProblemContext, q0: int, cache_dir: Optional[str]
-) -> np.ndarray:
-    if cache_dir is None:
-        values, _ = sigma_batch(ns, ctx, q0)
-        return values
-    key = {
-        "kind": "sigma-batch",
+_SCAN_COLUMNS = ("rho", "tuple_count", "sigma", "jay")
+
+
+def _compute_columns(
+    ns: np.ndarray, ctx: ProblemContext, q0: int, n_lo: int, n_hi: int
+) -> dict[str, np.ndarray]:
+    rho, tuples = rho_scan(ns, ctx)
+    sigma, _ = sigma_batch(ns, ctx, q0)
+    offset, table = j_array(ctx, n_lo, n_hi)
+    jay = np.zeros(ns.size)
+    idx = ns - offset
+    inside = (idx >= 0) & (idx < table.size)
+    jay[inside] = table[idx[inside]]
+    return {"rho": rho, "tuple_count": tuples, "sigma": sigma, "jay": jay}
+
+
+def _scan_key(ns: np.ndarray, ctx: ProblemContext, q0: int, n_lo: int, n_hi: int) -> dict:
+    """Everything that picks the bits of the scan's columns: [n_lo, n_hi]
+    is the integer window j is computed over, the targets lie in it."""
+    first, last = int(ns[0]), int(ns[-1])
+    return {
         "k": ctx.k,
         "s": ctx.s,
+        "x": ctx.x,
+        "y": ctx.y,
         "q0": int(q0),
-        "n_lo": int(ns[0]),
-        "n_hi": int(ns[-1]),
+        "window": [int(n_lo), int(n_hi)],
+        "n_lo": first,
+        "n_hi": last,
         "count": int(ns.size),
         "floor": singular_series._PARTIAL_FLOOR,
+        "rho_route": rho_route(ctx, first, last),
+        "j_route": j_route(ctx),
+        "numpy": np.__version__,
     }
+
+
+def _scan_columns(
+    ns: np.ndarray,
+    ctx: ProblemContext,
+    q0: int,
+    n_lo: int,
+    n_hi: int,
+    cache_dir: Optional[str],
+) -> dict[str, np.ndarray]:
+    """rho, tuple_count, sigma and jay at the targets; read from the
+    `scan` cache entry when one with the same key and targets exists."""
+    if cache_dir is None:
+        return _compute_columns(ns, ctx, q0, n_lo, n_hi)
+    key = _scan_key(ns, ctx, q0, n_lo, n_hi)
     try:
-        hit = cache.load(cache_dir, "sigbatch", key)
-        if np.array_equal(hit["n"], ns):
-            return hit["sigma"]
+        hit = cache.load(cache_dir, "scan", key)
+        if set(hit) == {"n", *_SCAN_COLUMNS} and np.array_equal(hit["n"], ns):
+            return {name: hit[name] for name in _SCAN_COLUMNS}
     except (cache.CacheMiss, cache.CacheVersionMismatch):
         pass
-    values, _ = sigma_batch(ns, ctx, q0)
-    cache.store(cache_dir, "sigbatch", key, {"n": ns, "sigma": values})
-    return values
+    cols = _compute_columns(ns, ctx, q0, n_lo, n_hi)
+    cache.store(cache_dir, "scan", key, {"n": ns, **cols})
+    return cols
 
 
 def minor_arc_moment(

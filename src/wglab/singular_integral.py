@@ -54,6 +54,13 @@ _MAX_DOUBLINGS = 18
 _REFRESH = 1 << 10  # recurrence length before an exact phase re-anchor
 
 
+def _power_window(ctx: ProblemContext) -> tuple[int, int]:
+    """(lo, hi): the image window [ceil((x-y)^k), floor((x+y)^k)], lo >= 1."""
+    lo = math.ceil((ctx.x - ctx.y) ** ctx.k)
+    hi = math.floor((ctx.x + ctx.y) ** ctx.k)
+    return max(lo, 1), hi
+
+
 @dataclass(eq=False)
 class WeightSeq:
     """Density weights c_m on the image window [lo, hi]."""
@@ -71,9 +78,7 @@ class WeightSeq:
 
     @classmethod
     def from_context(cls, ctx: ProblemContext) -> "WeightSeq":
-        lo = math.ceil((ctx.x - ctx.y) ** ctx.k)
-        hi = math.floor((ctx.x + ctx.y) ** ctx.k)
-        lo = max(lo, 1)
+        lo, hi = _power_window(ctx)
         if hi < lo:
             raise EmptyWindow(
                 f"power window [({ctx.x}-{ctx.y})^{ctx.k}, ({ctx.x}+{ctx.y})^{ctx.k}] "
@@ -162,6 +167,12 @@ def wrapped_convolution(w: np.ndarray, s: int, a: int, b: int) -> np.ndarray:
     return np.fft.irfft(spec, L)[a : b + 1].copy()
 
 
+def j_route(ctx: ProblemContext) -> str:
+    """"direct" or "fft": the route `j_array` takes for this context."""
+    lo, hi = _power_window(ctx)
+    return "direct" if hi - lo + 1 <= _DIRECT_CONV_LIMIT else "fft"
+
+
 # the most recent windows' tables; the oldest is dropped first
 _CONV_CACHE_CAP = 4
 _conv_cache: dict[tuple[int, int, int, int, int, int], np.ndarray] = {}
@@ -175,7 +186,7 @@ def _convolution(ctx: ProblemContext, ws: WeightSeq, a: int, b: int) -> tuple[in
     """
     R = len(ws)
     S = ctx.s * (R - 1)
-    direct = R <= _DIRECT_CONV_LIMIT
+    direct = j_route(ctx) == "direct"
     if direct:
         a, b = 0, S
     key = (ctx.k, ctx.s, ws.lo, ws.hi, a, b)

@@ -3,9 +3,13 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wglab.cli import main
+from wglab.arith import ProblemContext
+from wglab.cli import csv_lines, main, per_n_table
+from wglab.config import format_float
+from wglab.experiment import exceptional_scan
 
 GOLDEN = Path(__file__).parent / "golden"
 W = ["--x", "10", "--y", "4", "--k", "2", "--s", "2"]
@@ -80,7 +84,7 @@ class TestConfigMerge:
         monkeypatch.setenv("WGLAB_CACHE_DIR", str(tmp_path))
         assert main(["exceptional", "--q0", "20", *W]) == 0
         capsys.readouterr()
-        assert glob.glob(str(tmp_path / "sigbatch-*"))
+        assert glob.glob(str(tmp_path / "scan-*"))
 
     def test_cache_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         env_dir = tmp_path / "env"
@@ -92,8 +96,8 @@ class TestConfigMerge:
             ["exceptional", "--q0", "20", *W, "--cache-dir", str(flag_dir)]
         ) == 0
         capsys.readouterr()
-        assert glob.glob(str(flag_dir / "sigbatch-*"))
-        assert not glob.glob(str(env_dir / "sigbatch-*"))
+        assert glob.glob(str(flag_dir / "scan-*"))
+        assert not glob.glob(str(env_dir / "scan-*"))
 
     def test_report_over_truncated_cache(self, tmp_path, capsys):
         argv = ["report", "--q0", "50", *W]
@@ -101,7 +105,7 @@ class TestConfigMerge:
         cold = capsys.readouterr().out
         assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        (path,) = tmp_path.glob("sigbatch-*.wgc")
+        (path,) = tmp_path.glob("scan-*.wgc")
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
@@ -203,3 +207,55 @@ class TestReportArtifacts:
         assert len(lines) == 1001
         labels = {l.rsplit(",", 1)[1] for l in lines[1:]}
         assert labels == {"major", "minor"}
+
+
+def _csv_lines_by_row(header, rows):
+    """The per-row renderer the column renderer replaced, kept as its oracle."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return format_float(v)
+        return str(v)
+
+    out = [",".join(header)]
+    out.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(out) + "\n"
+
+
+class TestColumnRenderer:
+    def test_per_n_matches_row_oracle(self):
+        rep = exceptional_scan(ProblemContext.from_parts(3, 4, 20.0, 8.0), 40)
+        d = rep.per_n
+        # signed zeros and an infinity beside the scan's own values
+        d.rho[0] = -0.0
+        d.sigma[1] = -0.0
+        d.jay[2] = -1.5e-300
+        d.ratio[3] = np.inf
+        d.ratio[4] = -np.inf
+        assert (d.rho == 0).any() and np.isnan(d.ratio).any() and (d.sigma < 0).any()
+        assert d.flagged.any() and not d.flagged.all()
+        header, columns = per_n_table(rep)
+        rows = [
+            [int(d.n[i]), float(d.rho[i]), int(d.tuple_count[i]), float(d.sigma[i]),
+             float(d.jay[i]), float(d.ratio[i]), bool(d.flagged[i])]
+            for i in range(len(d.n))
+        ]
+        want = _csv_lines_by_row(header, rows)
+        assert csv_lines(header, columns) == want
+        assert ",-0," in want and ",nan," in want and ",-inf," in want
+
+    def test_mixed_columns_match_row_oracle(self):
+        # numpy columns beside plain lists, as the plot and flat views pass them
+        columns = [
+            np.array([-0.0, np.nan, 1 / 3]),
+            np.array([3, -4, 0], dtype=np.int64),
+            np.array([True, False, True]),
+            ["minor", None, "major"],
+            [1.0, float("-inf"), 7],
+        ]
+        rows = [list(r) for r in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                         for c in columns))]
+        header = ["a", "b", "c", "d", "e"]
+        assert csv_lines(header, columns) == _csv_lines_by_row(header, rows)
+        assert csv_lines(header, [[] for _ in header]) == "a,b,c,d,e\n"

@@ -200,15 +200,15 @@ class TestExceptionalScan:
 
         ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
         exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
-        assert len(glob.glob(str(tmp_path / "sigbatch-*.wgc"))) == 1
+        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == 1
         monkeypatch.setattr(ss, "_PARTIAL_FLOOR", 1e-6)
         exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
-        assert len(glob.glob(str(tmp_path / "sigbatch-*.wgc"))) == 2
+        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == 2
 
     def test_sigma_cache_round_trip(self, tmp_path):
         ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
         cold = exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
-        assert glob.glob(str(tmp_path / "sigbatch-*"))
+        assert glob.glob(str(tmp_path / "scan-*"))
         warm = exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
         assert cold.per_n.sigma.tolist() == warm.per_n.sigma.tolist()
         bare = exceptional_scan(ctx, q0=40)
@@ -219,12 +219,71 @@ class TestExceptionalScan:
 
         cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path))
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("sigma_batch recomputed on a warm scan")
+        for name in ("rho_scan", "sigma_batch", "j_array"):
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} recomputed on a warm scan")
 
-        monkeypatch.setattr(experiment, "sigma_batch", refuse)
+            monkeypatch.setattr(experiment, name, refuse)
         warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path))
-        assert warm.per_n.sigma.tobytes() == cold.per_n.sigma.tobytes()
+        for col in ("rho", "tuple_count", "sigma", "jay"):
+            got, want = getattr(warm.per_n, col), getattr(cold.per_n, col)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "change", ["x", "y", "window", "q0", "floor", "rho_route", "j_route", "numpy"]
+    )
+    def test_scan_key_change_misses(self, tmp_path, monkeypatch, change):
+        # every input that picks the columns' bits is in the key: a change
+        # misses and writes a second entry beside the first
+        import dataclasses
+
+        import wglab.representations as reps
+        import wglab.singular_integral as si
+        import wglab.singular_series as ss
+
+        ctx, q0 = SCAN_CTX, 40
+        cold = exceptional_scan(ctx, q0=q0, cache_dir=str(tmp_path))
+        if change == "x":
+            ctx = dataclasses.replace(ctx, x=ctx.x + 1e-9)  # same window
+        elif change == "y":
+            ctx = dataclasses.replace(ctx, y=ctx.y + 1e-9)
+        elif change == "window":
+            # 4800 and 5400 are inadmissible: one step down keeps the targets
+            ctx = dataclasses.replace(ctx, N=ctx.N - 1)
+        elif change == "q0":
+            q0 = 41
+        elif change == "floor":
+            monkeypatch.setattr(ss, "_PARTIAL_FLOOR", 1e-6)
+        elif change == "rho_route":
+            assert reps.rho_route(ctx, ctx.N, ctx.N + 600) == "mitm"
+            monkeypatch.setattr(reps, "_lattice_pays", lambda ctx, plan: plan is not None)
+        elif change == "j_route":
+            assert si.j_route(ctx) == "direct"
+            monkeypatch.setattr(si, "_DIRECT_CONV_LIMIT", 0)
+        else:
+            monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        other = exceptional_scan(ctx, q0=q0, cache_dir=str(tmp_path))
+        assert other.per_n.n.tobytes() == cold.per_n.n.tobytes()
+        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == 2
+
+    def test_entry_with_other_targets_is_recomputed(self, tmp_path):
+        import wglab.experiment as experiment
+
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        (path,) = tmp_path.glob("scan-*.wgc")
+        raw = path.read_bytes()
+        # same key, shifted targets and doubled columns: never served
+        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
+        cache.store(tmp_path, "scan", key, {
+            "n": cold.n + 1, "rho": 2 * cold.rho, "tuple_count": 2 * cold.tuple_count,
+            "sigma": 2 * cold.sigma, "jay": 2 * cold.jay,
+        })
+        assert path.read_bytes() != raw
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        for col in ("rho", "tuple_count", "sigma", "jay"):
+            assert getattr(warm, col).tobytes() == getattr(cold, col).tobytes()
+        assert path.read_bytes() == raw
 
 
 class TestMinorArcMoment:
@@ -273,7 +332,7 @@ SCAN_CTX = ProblemContext.from_parts(2, 3, 40.0, 15.0)
 
 
 class TestArtifactCache:
-    """`wglab.cache` store/load and the sigma-batch read-through over it."""
+    """`wglab.cache` store/load and the scan read-through over it."""
 
     def test_round_trip_is_bitwise(self, tmp_path):
         arrays = {
@@ -389,7 +448,7 @@ class TestArtifactCache:
     )
     def test_garbled_file_is_rejected_then_rewritten(self, tmp_path, corrupt):
         cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        (path,) = tmp_path.glob("sigbatch-*.wgc")
+        (path,) = tmp_path.glob("scan-*.wgc")
         raw = path.read_bytes()
         damage = getattr(self, corrupt)
 
