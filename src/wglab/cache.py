@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CacheMiss, CacheVersionMismatch, ParameterDomain
 
-VERSION = 2
+VERSION = 3  # 3: rho's lattice FFTs run on the step g of the prime powers
 
 _META = "__meta__"
 

@@ -3,10 +3,11 @@ the exceptional-set scan, and minor-arc moment diagnostics.
 
 The headline object is the exceptional-set report for a window
 (N, N + x^(k-1) y]: every admissible n in the window gets its exact
-weighted representation count rho(n) (one meet-in-the-middle join or one
-wrapped lattice FFT, whichever the cost rule in `representations` finds
-cheaper), its main-term prediction sigma(n, Q0) * j(n), and a two-sided
-deviation flag at threshold y^(s-1) x^(1-k) / log x.
+weighted representation count rho(n) (one meet-in-the-middle join or two
+wrapped FFTs on the lattice of the prime powers, whichever the cost rule
+in `representations` finds cheaper), its main-term prediction
+sigma(n, Q0) * j(n), and a two-sided deviation flag at threshold
+y^(s-1) x^(1-k) / log x.
 
 With a cache directory the scan keeps its computed columns (n, rho,
 tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`.  The key
@@ -187,8 +188,8 @@ def exceptional_scan(
 ) -> ExceptionalReport:
     """Scan every admissible n in (N, N + x^(k-1) y] for main-term failure.
 
-    rho comes from `rho_scan` over the whole window (one join or one
-    lattice FFT), sigma from the vectorized singular-series batch, jay
+    rho comes from `rho_scan` over the whole window (one join or two
+    lattice FFTs), sigma from the vectorized singular-series batch, jay
     from the convolution table of the window; with cache_dir all four
     columns are read from, or written to, one `scan` cache entry.  Flags
     use the two-sided threshold; the one-sided count (excess only) is

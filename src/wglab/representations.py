@@ -12,19 +12,23 @@ powers sum to n.  Three routes are provided:
   Table values are int64, or Python ints in an object array once the
   sums can reach 2^62; the same code serves both.
 * the lattice route - rho is the s-fold convolution of the weights
-  log p placed at p^k on the lattice [p_min^k, p_max^k], and the tuple
-  count that of the 0/1 indicator of the same points.  One wrapped FFT
-  each (`singular_integral.wrapped_convolution`) gives both over the
-  targets' span; counts are rounded under an a-priori error estimate
-  and an a-posteriori check on the computed counts.
+  log p placed at p^k, and the tuple count that of the 0/1 indicator of
+  the same points.  Every p^k lies in the class p_min^k (mod g), g the
+  gcd of the p^k - p_min^k (24 at k = 2 once every prime is >= 5), so
+  the points sit on the lattice of step g from p_min^k to p_max^k.  One
+  wrapped FFT each (`singular_integral.wrapped_convolution`) on that
+  lattice gives both over the targets' span; a target off the lattice
+  counts zero.  Counts are rounded under an a-priori error estimate and
+  an a-posteriori check on the computed counts.
 
 `rho_scan` takes a sorted target array and picks between the last two
 by one cost rule: the lattice when the estimated join pairs
 m^s (b - a + 1) / (s(R - 1) + 1) exceed L log2 L, where m is the number
-of primes, R the lattice length, [a, b] the targets' offsets from
-s p_min^k and L the wrapped FFT length; meet-in-the-middle otherwise.
-Dense lattices (k = 2 at x = 1000 and up) take the FFT; sparse ones
-(k >= 3, or small windows such as N = 800,000) keep the join.
+of primes, R the lattice length, [a, b] the lattice indices of the
+targets' span and L the wrapped FFT length, all in steps of g;
+meet-in-the-middle otherwise.  At k = 2 every ladder window from
+N = 800,000 up takes the FFT; k = 3 at x = 60 (g = 2) and the
+three-prime window of the x = 10 goldens keep the join.
 
 All routes count ordered tuples; they must agree exactly up to float
 associativity, and the tests pin that.
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,27 +208,54 @@ def rho_mitm(n_values, ctx: ProblemContext) -> list[RepresentationRecord]:
     return [RepresentationRecord(n, *found.get(n, (0.0, 0))) for n in ns]
 
 
-def _lattice_window(ctx: ProblemContext, n_lo: int, n_hi: int):
-    """(pk, logs, a, b, L) for targets in [n_lo, n_hi] on the prime-power
-    lattice, or None when no target lies in [s p_min^k, s p_max^k]."""
+class _LatticePlan(NamedTuple):
+    """The lattice of step g that holds every p^k - p_min^k, and the
+    targets' offsets n - s p_min^k as a..b of that step."""
+
+    pk: list[int]
+    logs: list[float]
+    g: int  # gcd of the p^k - p_min^k; 1 for a single prime
+    R: int  # lattice length, (p_max^k - p_min^k)/g + 1
+    a: int  # first and last lattice index of the targets' span
+    b: int
+    L: int  # wrapped FFT length for a..b
+
+
+def _lattice_window(ctx: ProblemContext, n_lo: int, n_hi: int) -> _LatticePlan | None:
+    """The lattice plan for targets in [n_lo, n_hi], or None when no
+    lattice point lies between them.
+
+    Every p^k lies in the class p_min^k (mod g), g = gcd(p^k - p_min^k);
+    at k = 2, g = 24 once every prime is >= 5, and g = 1 when the window
+    holds 2 or 3.  The weights sit at (p^k - p_min^k)/g on a vector of
+    length R = (p_max^k - p_min^k)/g + 1, whose s-fold convolution puts
+    the sums at (n - s p_min^k)/g.  The targets' offsets [a0, b0] from
+    s p_min^k, clipped to [0, s (p_max^k - p_min^k)], become the lattice
+    indices a = ceil(a0/g)..b = floor(b0/g), and L = `wrap_length`(R, s,
+    a, b).  A target whose offset g does not divide has no
+    representation.
+    """
     pk, logs = _window_powers(ctx)
     base = ctx.s * pk[0]
     S = ctx.s * (pk[-1] - pk[0])
-    a, b = max(n_lo - base, 0), min(n_hi - base, S)
+    g = math.gcd(*(v - pk[0] for v in pk)) or 1
+    a = -(-max(n_lo - base, 0) // g)
+    b = min(n_hi - base, S) // g
     if a > b:
         return None
-    return pk, logs, a, b, wrap_length(pk[-1] - pk[0] + 1, ctx.s, a, b)
+    R = (pk[-1] - pk[0]) // g + 1
+    return _LatticePlan(pk, logs, g, R, a, b, wrap_length(R, ctx.s, a, b))
 
 
-def _lattice_pays(ctx: ProblemContext, plan) -> bool:
-    """The cost rule of the module docstring on a `_lattice_window` plan."""
+def _lattice_pays(ctx: ProblemContext, plan: _LatticePlan | None) -> bool:
+    """The cost rule of the module docstring on a `_lattice_window` plan,
+    with R, a, b and L all counted in steps of g."""
     if plan is None:
         return False
-    pk, _, a, b, L = plan
-    support = ctx.s * (pk[-1] - pk[0]) + 1
-    # compared in logs, since m^s can overflow a float
-    log_pairs = ctx.s * math.log(len(pk)) + math.log((b - a + 1) / support)
-    return log_pairs > math.log(max(L * math.log2(L), 1.0))
+    share = (plan.b - plan.a + 1) / (ctx.s * (plan.R - 1) + 1)
+    # m^s can overflow a float, so the pair count is compared in logs
+    log_pairs = ctx.s * math.log(len(plan.pk)) + math.log(share)
+    return log_pairs > math.log(max(plan.L * math.log2(plan.L), 1.0))
 
 
 def rho_route(ctx: ProblemContext, n_lo: int, n_hi: int) -> str:
@@ -233,11 +265,15 @@ def rho_route(ctx: ProblemContext, n_lo: int, n_hi: int) -> str:
     return "lattice" if _lattice_pays(ctx, plan) else "mitm"
 
 
-def _rho_lattice(ns: np.ndarray, ctx: ProblemContext, plan) -> tuple[np.ndarray, np.ndarray]:
+def _rho_lattice(
+    ns: np.ndarray, ctx: ProblemContext, plan: _LatticePlan
+) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts) of rho at sorted int64 targets by two wrapped FFTs
     over a `_lattice_window` plan of their span.
 
-    The counts are the rounded FFT convolution of the 0/1 lattice.  Two
+    Both FFTs run on the lattice of step g, entries a..b; a target off
+    that lattice gets rho = 0.0 and count 0 without a lookup.  The
+    counts are the rounded FFT convolution of the 0/1 lattice.  Two
     checks guard the rounding.  The a-priori one is an estimate derived
     from the radix-2 complex FFT: for a nonnegative vector w with sum W
     and 2-norm |w|, the computed s-fold power of its length-L DFT,
@@ -256,7 +292,7 @@ def _rho_lattice(ns: np.ndarray, ctx: ProblemContext, plan) -> tuple[np.ndarray,
     `_COUNT_GAP` = 1e-3 from an integer.  rho is set to exactly 0.0
     wherever the count is 0.
     """
-    pk, logs, a, b, L = plan
+    pk, logs, g, R, a, b, L = plan
     m, s = len(pk), ctx.s
     log2_bound = (
         math.log2((8 * s + 5) * np.finfo(float).eps * max(math.log2(L), 1.0))
@@ -270,11 +306,11 @@ def _rho_lattice(ns: np.ndarray, ctx: ProblemContext, plan) -> tuple[np.ndarray,
     require_conv_budget(L)
     values = np.zeros(ns.size)
     counts = np.zeros(ns.size, dtype=np.int64)
-    idx = ns - (s * pk[0] + a)
-    inside = (idx >= 0) & (idx <= b - a)
-    idx = idx[inside]
-    w = np.zeros(pk[-1] - pk[0] + 1)
-    spots = np.array(pk, dtype=np.int64) - pk[0]
+    off = ns - (s * pk[0] + g * a)
+    inside = (off >= 0) & (off <= g * (b - a)) & (off % g == 0)
+    idx = off[inside] // g
+    w = np.zeros(R)
+    spots = (np.array(pk, dtype=np.int64) - pk[0]) // g
     w[spots] = 1.0
     raw = wrapped_convolution(w, s, a, b)
     rounded = np.rint(raw)

@@ -16,9 +16,11 @@ through `wrapped_convolution`, which returns only the entries [a, b] of
 the s-fold self-convolution from one cyclic real FFT of the shortest
 5-smooth length that aliases nothing into [a, b]: the whole support when
 no target window is given, about 0.56 of it for a scan's window.  The
-same helper computes rho over a scan window in `representations`, which
-takes it over the meet-in-the-middle join when the join's estimated pair
-count m^s (b - a + 1) / (s(R - 1) + 1) exceeds the FFT's L log2 L.
+same helper computes rho over a scan window in `representations`, on the
+lattice of step g = gcd(p^k - p_min^k) that holds the prime powers (24
+at k = 2), and takes it over the meet-in-the-middle join when the join's
+estimated pair count m^s (b - a + 1) / (s(R - 1) + 1), counted in steps
+of g, exceeds the FFT's L log2 L.
 Tables are cached per (k, s, window, target entries) for the few most
 recent requests, and every FFT checks a byte budget before allocating.
 

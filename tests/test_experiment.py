@@ -285,6 +285,27 @@ class TestExceptionalScan:
             assert getattr(warm, col).tobytes() == getattr(cold, col).tobytes()
         assert path.read_bytes() == raw
 
+    def test_version_2_entry_is_recomputed(self, tmp_path, monkeypatch):
+        # VERSION 2 entries hold rho from the unit-step lattice: one under
+        # the same key is a miss, recomputed and rewritten
+        import wglab.experiment as experiment
+
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        (path,) = tmp_path.glob("scan-*.wgc")
+        raw = path.read_bytes()
+        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
+        with monkeypatch.context() as old:
+            old.setattr(cache, "VERSION", 2)
+            cache.store(tmp_path, "scan", key, {
+                "n": cold.n, "rho": 2 * cold.rho, "tuple_count": cold.tuple_count,
+                "sigma": cold.sigma, "jay": cold.jay,
+            })
+        with pytest.raises(CacheVersionMismatch, match="version 2"):
+            cache.load(tmp_path, "scan", key)
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        assert warm.rho.tobytes() == cold.rho.tobytes()
+        assert path.read_bytes() == raw
+
 
 class TestMinorArcMoment:
     def test_full_grid_matches_even_moment(self):

@@ -240,7 +240,7 @@ class TestLatticeRoute:
         "ctx,route",
         [
             (ProblemContext.from_parts(2, 2, 10.0, 4.0), "mitm"),  # x = 10 goldens
-            (ProblemContext.from_scale(2, 5, 0.8, 800_000), "mitm"),
+            (ProblemContext.from_scale(2, 5, 0.8, 800_000), "lattice"),
             (ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3), "mitm"),
             (ProblemContext.from_scale(2, 5, 0.8, 5 * 1000 ** 2), "lattice"),
         ],
@@ -253,24 +253,24 @@ class TestLatticeRoute:
 
     def test_scan_follows_the_route(self):
         # rho_scan on the join side returns the join's numbers exactly
-        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        ctx = ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3)
         ns = _scan_targets(ctx)
+        assert rho_route(ctx, int(ns[0]), int(ns[-1])) == "mitm"
         values, counts = rho_scan(ns, ctx)
         recs = rho_mitm(ns, ctx)
         assert values.tolist() == [rec.value for rec in recs]
         assert counts.tolist() == [rec.tuple_count for rec in recs]
 
     def test_rounding_certificate_refuses_before_allocating(self):
-        # 30 primes in (900, 1100] at s = 12: m^(s - 1/2) = 1e17 puts the
-        # count error bound far past 1/2, while the FFT (four real arrays
-        # of 8 L = 19 MB each) fits the budget
-        ctx = ProblemContext.from_parts(2, 12, 1000.0, 100.0)
-        pk = [p ** 2 for p in prime_window(ctx.x, ctx.y).primes]
-        assert len(pk) == 30
+        # 115 primes in (4500, 5500] at s = 12: m^(s - 1/2) = 5e23 puts
+        # the count error bound far past 1/2, while the FFT on the step-24
+        # lattice (four real arrays of 8 L = 20 MB each) fits the budget
+        ctx = ProblemContext.from_parts(2, 12, 5000.0, 500.0)
+        assert len(prime_window(ctx.x, ctx.y).primes) == 115
         lo = math.floor(ctx.N) + 1
-        a = lo - 12 * pk[0]
-        L = wrap_length(pk[-1] - pk[0] + 1, 12, a, a + 1000)
-        assert 8 * L > 16 * 2 ** 20 and 32 * L < 2 ** 30
+        plan = _lattice_window(ctx, lo, lo + 1000)
+        assert plan.g == 24
+        assert 8 * plan.L > 16 * 2 ** 20 and 32 * plan.L < 2 ** 30
         ns = np.arange(lo, lo + 1001, dtype=np.int64)
         tracemalloc.start()
         try:
@@ -280,6 +280,51 @@ class TestLatticeRoute:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_step_one_matches_naive(self):
+        # the window (1, 7] holds 2 and 3, so the lattice has step 1
+        ctx = ProblemContext.from_parts(2, 3, 4.0, 3.0)
+        ns = np.arange(3 * 4 - 2, 3 * 49 + 3, dtype=np.int64)
+        assert _lattice_window(ctx, int(ns[0]), int(ns[-1])).g == 1
+        values, counts = _forced_lattice(ns, ctx)
+        assert counts.sum() == 4 ** 3
+        for n, v, c in zip(ns.tolist(), values.tolist(), counts.tolist()):
+            ref = rho_naive(n, ctx)
+            assert c == ref.tuple_count
+            assert v == pytest.approx(ref.value, rel=1e-12)
+            assert (v == 0.0) == (c == 0)
+
+    def test_step_two_matches_mitm_sampled_k3_x60(self):
+        ctx = ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3)
+        ns = _scan_targets(ctx)
+        assert _lattice_window(ctx, int(ns[0]), int(ns[-1])).g == 2
+        rng = np.random.default_rng(60)
+        sample = np.sort(rng.choice(ns, size=300, replace=False))
+        _assert_matches_mitm(sample, ctx)
+
+    @pytest.mark.parametrize(
+        "ctx,g",
+        [
+            (ProblemContext.from_parts(2, 3, 4.0, 3.0), 1),  # 2 and 3
+            (ProblemContext.from_parts(2, 2, 10.0, 4.0), 24),  # 7, 11, 13
+            (ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3), 2),
+            (ProblemContext.from_scale(2, 5, 0.8, 5 * 1000 ** 2), 24),
+        ],
+        ids=["k2-x4", "x10", "k3-x60", "k2-x1000"],
+    )
+    def test_plan_step_divides_every_power_gap(self, ctx, g):
+        pk = [p ** ctx.k for p in prime_window(ctx.x, ctx.y).primes]
+        plan = _lattice_window(ctx, ctx.s * pk[0], ctx.s * pk[-1])
+        assert plan.g == g
+        assert all((v - pk[0]) % g == 0 for v in pk)
+
+    def test_step_and_length_at_x1000(self):
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 5 * 1000 ** 2)
+        lo = math.floor(ctx.N) + 1
+        hi = math.floor(ctx.N + ctx.window_width)
+        plan = _lattice_window(ctx, lo, hi)
+        assert (plan.g, plan.L) == (24, 118_098)
+        assert plan.L == wrap_length(plan.R, 5, plan.a, plan.b)
 
     def test_counts_off_the_integers_are_refused(self, monkeypatch):
         # the a-posteriori check: counts computed 0.01 away from the
