@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CacheMiss, CacheVersionMismatch, ParameterDomain
 
-VERSION = 3  # 3: rho's lattice FFTs run on the step g of the prime powers
+VERSION = 4  # 4: j is inverted on the targets' class only (step g)
 
 _META = "__meta__"
 

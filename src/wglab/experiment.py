@@ -7,7 +7,11 @@ weighted representation count rho(n) (one meet-in-the-middle join or two
 wrapped FFTs on the lattice of the prime powers, whichever the cost rule
 in `representations` finds cheaper), its main-term prediction
 sigma(n, Q0) * j(n), and a two-sided deviation flag at threshold
-y^(s-1) x^(1-k) / log x.
+y^(s-1) x^(1-k) / log x.  j is read from one table over the targets'
+span on their residue class, whose step is the gcd g of the target
+differences (24 at k = 2, 2 at k = 3).  The table also holds entries of
+that class that are no target (k = 3 skips n = 0 mod 9), so each target
+is looked up at (n - offset) / g.
 
 With a cache directory the scan keeps its computed columns (n, rho,
 tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`.  The key
@@ -179,6 +183,13 @@ def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray
     return ns[admissible_rule(ns, ctx.k, ctx.s)]
 
 
+def _sorted_median(v: np.ndarray) -> float:
+    """The median of the sorted, non-empty v, bit for bit as `np.median`
+    gives it, without the `numpy.ma` import that `np.median` pulls in."""
+    h = v.size // 2
+    return float(v[h] if v.size % 2 else (v[h - 1] + v[h]) / 2)
+
+
 def exceptional_scan(
     ctx: ProblemContext,
     q0: int,
@@ -190,7 +201,7 @@ def exceptional_scan(
 
     rho comes from `rho_scan` over the whole window (one join or two
     lattice FFTs), sigma from the vectorized singular-series batch, jay
-    from the convolution table of the window; with cache_dir all four
+    from the convolution table on the targets' class; with cache_dir all four
     columns are read from, or written to, one `scan` cache entry.  Flags
     use the two-sided threshold; the one-sided count (excess only) is
     recorded alongside.
@@ -227,12 +238,10 @@ def exceptional_scan(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(main > 0, rho / main, np.nan)
-    finite = ratio[np.isfinite(ratio)]
+    finite = np.sort(ratio[np.isfinite(ratio)])
     ratios = (
         RatioSummary(
-            min=float(np.min(finite)),
-            median=float(np.median(finite)),
-            max=float(np.max(finite)),
+            min=float(finite[0]), median=_sorted_median(finite), max=float(finite[-1])
         )
         if finite.size
         else None
@@ -256,14 +265,14 @@ def exceptional_scan(
 _SCAN_COLUMNS = ("rho", "tuple_count", "sigma", "jay")
 
 
-def _compute_columns(
-    ns: np.ndarray, ctx: ProblemContext, q0: int, n_lo: int, n_hi: int
-) -> dict[str, np.ndarray]:
+def _compute_columns(ns: np.ndarray, ctx: ProblemContext, q0: int) -> dict[str, np.ndarray]:
     rho, tuples = rho_scan(ns, ctx)
     sigma, _ = sigma_batch(ns, ctx, q0)
-    offset, table = j_array(ctx, n_lo, n_hi)
+    # the targets lie on one class mod g; j is inverted on that class only
+    g = int(np.gcd.reduce(np.diff(ns))) if ns.size > 1 else 1
+    offset, table = j_array(ctx, int(ns[0]), int(ns[-1]), g)
     jay = np.zeros(ns.size)
-    idx = ns - offset
+    idx = (ns - offset) // g
     inside = (idx >= 0) & (idx < table.size)
     jay[inside] = table[idx[inside]]
     return {"rho": rho, "tuple_count": tuples, "sigma": sigma, "jay": jay}
@@ -271,7 +280,8 @@ def _compute_columns(
 
 def _scan_key(ns: np.ndarray, ctx: ProblemContext, q0: int, n_lo: int, n_hi: int) -> dict:
     """Everything that picks the bits of the scan's columns: [n_lo, n_hi]
-    is the integer window j is computed over, the targets lie in it."""
+    is the integer window the targets are drawn from; j is computed on
+    the targets' class over their span."""
     first, last = int(ns[0]), int(ns[-1])
     return {
         "k": ctx.k,
@@ -301,7 +311,7 @@ def _scan_columns(
     """rho, tuple_count, sigma and jay at the targets; read from the
     `scan` cache entry when one with the same key and targets exists."""
     if cache_dir is None:
-        return _compute_columns(ns, ctx, q0, n_lo, n_hi)
+        return _compute_columns(ns, ctx, q0)
     key = _scan_key(ns, ctx, q0, n_lo, n_hi)
     try:
         hit = cache.load(cache_dir, "scan", key)
@@ -309,7 +319,7 @@ def _scan_columns(
             return {name: hit[name] for name in _SCAN_COLUMNS}
     except (cache.CacheMiss, cache.CacheVersionMismatch):
         pass
-    cols = _compute_columns(ns, ctx, q0, n_lo, n_hi)
+    cols = _compute_columns(ns, ctx, q0)
     cache.store(cache_dir, "scan", key, {"n": ns, **cols})
     return cols
 

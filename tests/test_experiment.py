@@ -2,9 +2,13 @@ import glob
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,16 @@ import wglab.cache as cache
 from wglab.arcs import ArcDecomposition, ArcParams
 from wglab.arith import ProblemContext
 from wglab.errors import CacheVersionMismatch, EmptyRegion, EmptyWindow, ParameterDomain
-from wglab.experiment import exceptional_scan, major_arc_rho_numeric, minor_arc_moment, predict
+from wglab.experiment import (
+    _sorted_median,
+    exceptional_scan,
+    major_arc_rho_numeric,
+    minor_arc_moment,
+    predict,
+)
 from wglab.expsums import build_sequence, eval_sum, exact_phase
 from wglab.representations import moment, rho_mitm
-from wglab.singular_integral import gauss_legendre_panels, j_integral
+from wglab.singular_integral import gauss_legendre_panels, j_array, j_integral
 from wglab.singular_series import truncated_sigma
 
 TINY = ProblemContext.from_parts(2, 2, 10.0, 4.0)
@@ -285,6 +295,27 @@ class TestExceptionalScan:
             assert getattr(warm, col).tobytes() == getattr(cold, col).tobytes()
         assert path.read_bytes() == raw
 
+    def test_version_3_entry_is_recomputed(self, tmp_path, monkeypatch):
+        # VERSION 3 entries hold j from the unit-step inverse FFT: one under
+        # the same key is a miss, recomputed and rewritten
+        import wglab.experiment as experiment
+
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        (path,) = tmp_path.glob("scan-*.wgc")
+        raw = path.read_bytes()
+        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
+        with monkeypatch.context() as old:
+            old.setattr(cache, "VERSION", 3)
+            cache.store(tmp_path, "scan", key, {
+                "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
+                "sigma": cold.sigma, "jay": 2 * cold.jay,
+            })
+        with pytest.raises(CacheVersionMismatch, match="version 3"):
+            cache.load(tmp_path, "scan", key)
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        assert warm.jay.tobytes() == cold.jay.tobytes()
+        assert path.read_bytes() == raw
+
     def test_version_2_entry_is_recomputed(self, tmp_path, monkeypatch):
         # VERSION 2 entries hold rho from the unit-step lattice: one under
         # the same key is a miss, recomputed and rewritten
@@ -305,6 +336,58 @@ class TestExceptionalScan:
         warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
         assert warm.rho.tobytes() == cold.rho.tobytes()
         assert path.read_bytes() == raw
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            ProblemContext.from_scale(2, 5, 0.8, 800_000),
+            ProblemContext.from_parts(3, 7, 30.0, 30.0 ** 0.8),
+        ],
+        ids=["k2-N800000", "k3-x30"],
+    )
+    def test_jay_matches_the_unit_step_table(self, ctx):
+        # the scan inverts j on its targets' class only: step 24 at k = 2,
+        # step 2 at k = 3, where the targets skip n = 0 (mod 9), so the
+        # table holds entries that are no target
+        rep = exceptional_scan(ctx, q0=40)
+        ns = rep.per_n.n
+        g = int(np.gcd.reduce(np.diff(ns)))
+        assert g == {2: 24, 3: 2}[ctx.k]
+        assert ((ns[-1] - ns[0]) // g + 1 > ns.size) == (ctx.k == 3)
+        off, tab = j_array(ctx, int(ns[0]), int(ns[-1]))
+        want = tab[ns - off]
+        assert np.all(want > 0)
+        assert np.all(np.abs(rep.per_n.jay - want) <= 1e-13 * want)
+
+    def test_scan_leaves_numpy_ma_unimported(self):
+        # np.median imports numpy.ma, about 15 ms of a warm rerun
+        code = (
+            "import sys\n"
+            "from wglab.arith import ProblemContext\n"
+            "from wglab.experiment import exceptional_scan\n"
+            "rep = exceptional_scan(ProblemContext.from_parts(2, 3, 40.0, 15.0), 40)\n"
+            "assert rep.ratios is not None\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+class TestSortedMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 11, 2011, 2012])
+    def test_matches_np_median_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        for v in (
+            rng.uniform(0.3, 1.5, size),
+            rng.integers(0, 4, size) / 3.0,  # ties
+            np.full(size, 0.1),
+        ):
+            assert _sorted_median(np.sort(v)).hex() == float(np.median(v)).hex()
 
 
 class TestMinorArcMoment:

@@ -252,6 +252,82 @@ class TestWrappedConvolution:
         off, tab = j_array(ctx, off0 + 100, off0 + 200)
         assert off == off0 and tab is full
 
+    def test_stepped_length_rule(self):
+        # L = step M with M the shortest 5-smooth length covering need
+        for R, s, a, b, step in [(300, 4, 1, 1190, 24), (97, 3, 5, 200, 2), (41, 5, 0, 160, 3)]:
+            need = max(b + 1, s * (R - 1) - a + 1)
+            L = wrap_length(R, s, a, b, step)
+            M = L // step
+            assert L == step * M and step * M >= need and _is_5_smooth(M)
+            assert not any(_is_5_smooth(m) for m in range(-(-need // step), M))
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 24])
+    def test_stepped_entries_match_repeated_convolve(self, step):
+        # windows whose start a and length b - a are off the step, windows
+        # touching either end of the support [0, S], and cyclic lengths
+        # L = step M with M both odd and even
+        rng = np.random.default_rng(step)
+        parities = set()
+        for R, s in [(300, 4), (97, 3), (41, 5), (20, 2)]:
+            w = rng.uniform(0.0, 1.0, size=R)
+            full = _linear_power(w, s)
+            S = full.size - 1
+            scale = float(full.max())
+            for a, b in [(0, S), (1, S), (0, S - 1), (S // 3 + 1, 2 * S // 3),
+                         (S - 30, S), (5, 5), (S, S), (7, 7 + step)]:
+                got = wrapped_convolution(w, s, a, b, step)
+                ref = full[a : b + 1 : step]
+                assert got.shape == ref.shape
+                assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+                L = wrap_length(R, s, a, a + step * (ref.size - 1), step)
+                parities.add(L // step % 2)
+        assert parities == {0, 1}
+
+    def test_step_one_keeps_the_unstepped_bits(self):
+        # the unit step is the plain route: rfft, power, irfft, slice
+        w = np.random.default_rng(5).uniform(0.0, 1.0, size=300)
+        for a, b in [(0, 4 * 299), (500, 700), (3, 3)]:
+            L = wrap_length(300, 4, a, b)
+            spec = np.fft.rfft(w, L)
+            spec **= 4
+            want = np.fft.irfft(spec, L)[a : b + 1]
+            assert wrapped_convolution(w, 4, a, b).tobytes() == want.tobytes()
+            assert wrapped_convolution(w, 4, a, b, 1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step", [2, 3, 24])
+    def test_direct_route_step_slices_the_whole_table(self, step):
+        ctx = ProblemContext.from_parts(2, 3, 60.0, 30.0)
+        off0, full = j_array(ctx)
+        for n_lo in (off0 - 7, off0 + 101):
+            off, tab = j_array(ctx, n_lo, n_lo + 500, step)
+            assert (off - n_lo) % step == 0 and off0 <= off < off0 + step
+            assert tab.tobytes() == full[off - off0 :: step].tobytes()
+
+    @pytest.mark.parametrize("step", [2, 3, 24])
+    def test_fft_route_step_matches_unit_step(self, step):
+        ctx = ProblemContext.from_parts(2, 3, 110.0, 30.0)
+        off0, full = j_array(ctx)
+        top = off0 + full.size - 1
+        lo = math.floor(ctx.N) + 1
+        hi = math.floor(ctx.N + ctx.window_width)
+        # the scan window, relative to each entry
+        off, tab = j_array(ctx, lo + 5, hi, step)
+        assert off == lo + 5 and tab.size == (hi - lo - 5) // step + 1
+        ref = full[off - off0 :: step][: tab.size]
+        assert np.all(np.abs(tab - ref) <= 1e-13 * ref)
+        # windows over either end of the support, against its peak
+        scale = float(full.max())
+        for n_lo, n_hi in [(off0 - 5, off0 + 300), (top - 400, top + 9)]:
+            off, tab = j_array(ctx, n_lo, n_hi, step)
+            assert (off - n_lo) % step == 0 and off >= off0
+            ref = full[off - off0 :: step][: tab.size]
+            assert tab.size == ref.size == (min(n_hi, top) - off) // step + 1
+            assert float(np.max(np.abs(tab - ref))) <= 1e-13 * scale
+
+    def test_step_domain(self):
+        with pytest.raises(ParameterDomain):
+            j_array(ProblemContext.from_parts(2, 3, 60.0, 30.0), 0, 10, 0)
+
 
 class TestOscillatoryI:
     def _ctx(self):
