@@ -1,15 +1,12 @@
 """On-disk cache for the columns of an exceptional-set scan.
 
 One entry of kind `scan` holds the arrays n, rho, tuple_count, sigma and
-jay of one scan window (`experiment.exceptional_scan`).  Its key names
-every input that picks their bits: k, s, x, y, q0; the integer window
-and the targets' first, last and count; `singular_series._PARTIAL_FLOOR`;
-the rho route of the
-cost rule (`representations.rho_route`); the j route ("direct" or "fft");
-and numpy's version, since the FFT bits depend on it.  A change to how
-rho, sigma or j is computed must add a key field (or bump VERSION), so a
-cache never serves what an older algorithm computed.  The reader also
-checks that the stored n equals the targets before serving the columns.
+jay of one scan window; its key (`experiment._scan_key`) names every
+input that picks their bits, the rho and j routes and numpy's version
+among them.  A change to how rho, sigma or j is computed must add a key
+field (or bump VERSION), so a cache never serves what an older algorithm
+computed.  The reader also checks that the stored n equals the targets
+before serving the columns.
 
 A cache file is an uncompressed numpy archive (`np.savez`): one `.npy`
 member per named array, plus a `__meta__` member holding the canonical
@@ -41,7 +38,7 @@ import numpy as np
 
 from .errors import CacheMiss, CacheVersionMismatch, ParameterDomain
 
-VERSION = 4  # 4: j is inverted on the targets' class only (step g)
+VERSION = 5  # 5: j from cell integrals, not the exact FFT; no older j is served
 
 _META = "__meta__"
 

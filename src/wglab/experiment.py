@@ -14,13 +14,11 @@ that class that are no target (k = 3 skips n = 0 mod 9), so each target
 is looked up at (n - offset) / g.
 
 With a cache directory the scan keeps its computed columns (n, rho,
-tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`.  The key
-names everything that picks their bits: k, s, x, y, q0, the integer
-window, the targets' first, last and count, the singular-series partial
-floor, the rho route of the cost rule, the j route (direct or FFT) and
-the numpy version.  A
-rerun whose key and stored targets match reads the columns and computes
-no rho, sigma or j; the ratios, flags and summary are derived afresh.
+tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`, keyed by
+everything that picks their bits (`_scan_key`: the window and targets,
+q0, the partial floor, the rho and j routes, numpy's version).  A rerun
+whose key and stored targets match reads the columns and computes no
+rho, sigma or j; the ratios, flags and summary are derived afresh.
 
 The deviation test here is |rho - prediction| >= threshold.  A one-sided
 reading (only an excess counts) is also tallied and reported alongside,
@@ -38,7 +36,7 @@ import numpy as np
 
 from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
-from .arith import ProblemContext, admissible, admissible_rule
+from .arith import ProblemContext, admissible, admissible_rule, modulus_R
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_points
 from .representations import rho_route, rho_scan
@@ -179,7 +177,10 @@ class ExceptionalReport:
 
 
 def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray:
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    """The admissible n in [n_lo, n_hi]: the class s (mod R(k)), less
+    what the rest of `admissible_rule` drops (9 | n at (k, s) = (3, 7))."""
+    R = modulus_R(ctx.k)
+    ns = np.arange(n_lo + (ctx.s - n_lo) % R, n_hi + 1, R, dtype=np.int64)
     return ns[admissible_rule(ns, ctx.k, ctx.s)]
 
 
@@ -268,7 +269,7 @@ _SCAN_COLUMNS = ("rho", "tuple_count", "sigma", "jay")
 def _compute_columns(ns: np.ndarray, ctx: ProblemContext, q0: int) -> dict[str, np.ndarray]:
     rho, tuples = rho_scan(ns, ctx)
     sigma, _ = sigma_batch(ns, ctx, q0)
-    # the targets lie on one class mod g; j is inverted on that class only
+    # the targets lie on one class mod g; j is computed on that class only
     g = int(np.gcd.reduce(np.diff(ns))) if ns.size > 1 else 1
     offset, table = j_array(ctx, int(ns[0]), int(ns[-1]), g)
     jay = np.zeros(ns.size)

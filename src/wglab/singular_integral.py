@@ -10,24 +10,14 @@ density weight c_m = (1/k) m^(1/k - 1).  Two derived quantities matter:
   is the discrete stand-in for the continuous window integral and the
   archimedean factor in the main-term prediction.
 
-j is computed exactly as a convolution.  A window of at most 10^4
-weights is convolved directly with `np.convolve`.  A longer one goes
-through `wrapped_convolution`, which returns only the entries a, a + step,
-..., up to b of the s-fold self-convolution from one cyclic real FFT of
-the shortest length, step times a 5-smooth one, that aliases nothing into
-[a, b]: the whole support when no target window is given, about 0.56 of
-it for a scan's window.  A scan's targets lie in one class mod R(k), so
-it asks for that class alone (step 24 at k = 2, 2 at k = 3): the
-spectrum is folded onto the class and inverted at 1/step of the length.
-The same helper, at step 1, computes rho over a scan window in
-`representations`, on the
-lattice of step g = gcd(p^k - p_min^k) that holds the prime powers (24
-at k = 2), and takes it over the meet-in-the-middle join when the join's
-estimated pair count m^s (b - a + 1) / (s(R - 1) + 1), counted in steps
-of g, exceeds the FFT's L log2 L.
-Tables are cached per (k, s, window, target entries, step) for the few
-most recent requests, and every FFT checks a byte budget before
-allocating.
+Up to 10^4 weights, j is convolved exactly by `np.convolve`.  Past that
+it takes the cell route, which builds no weight vector: cells of width h
+cover [lo - 1/2, hi + 1/2], each cell's weight sum comes from the
+integral of c, one FFT (`wrapped_convolution`, which also serves rho in
+`representations`) convolves the sums s-fold, and j(n) is interpolated
+between them, with h chosen a posteriori so that the estimated error
+stays within 2e-10 relative.  The few most recent tables are cached,
+and every FFT checks a byte budget before allocating.
 
 The oscillatory integral I(beta) over the original window uses composite
 Gauss-Legendre panels with doubling until the change falls below
@@ -54,6 +44,8 @@ from .expsums import exact_phase
 
 _CONV_BYTES = 4 * 2 ** 30
 _DIRECT_CONV_LIMIT = 10 ** 4
+_J_RTOL = 2e-10  # the cell route's error estimate, relative at every entry
+_START_CELLS = 2 ** 16
 _OSC_TOL_FACTOR = 1e-8
 _MAX_DOUBLINGS = 18
 
@@ -63,9 +55,11 @@ _REFRESH = 1 << 10  # recurrence length before an exact phase re-anchor
 
 def _power_window(ctx: ProblemContext) -> tuple[int, int]:
     """(lo, hi): the image window [ceil((x-y)^k), floor((x+y)^k)], lo >= 1."""
-    lo = math.ceil((ctx.x - ctx.y) ** ctx.k)
+    lo = max(math.ceil((ctx.x - ctx.y) ** ctx.k), 1)
     hi = math.floor((ctx.x + ctx.y) ** ctx.k)
-    return max(lo, 1), hi
+    if hi < lo:
+        raise EmptyWindow(f"power window [{lo}, {hi}] of ({ctx.x} -+ {ctx.y})^{ctx.k} is empty")
+    return lo, hi
 
 
 @dataclass(eq=False)
@@ -78,19 +72,12 @@ class WeightSeq:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.hi < self.lo:
-            raise EmptyWindow(f"no integers in [{self.lo}, {self.hi}]")
         if self.weights.shape != (self.hi - self.lo + 1,):
             raise ParameterDomain("weight vector does not match window length")
 
     @classmethod
     def from_context(cls, ctx: ProblemContext) -> "WeightSeq":
         lo, hi = _power_window(ctx)
-        if hi < lo:
-            raise EmptyWindow(
-                f"power window [({ctx.x}-{ctx.y})^{ctx.k}, ({ctx.x}+{ctx.y})^{ctx.k}] "
-                "contains no integers"
-            )
         m = np.arange(lo, hi + 1, dtype=np.int64)
         w = (1.0 / ctx.k) * m.astype(np.float64) ** (1.0 / ctx.k - 1.0)
         return cls(k=ctx.k, lo=int(lo), hi=int(hi), weights=w)
@@ -137,32 +124,25 @@ def _smooth_at_least(need: int) -> int:
     return best
 
 
-def wrap_length(R: int, s: int, a: int, b: int, step: int = 1) -> int:
-    """step * M, M the shortest 5-smooth length with step * M >=
-    max(b + 1, s(R - 1) - a + 1).
+def wrap_length(R: int, s: int, a: int, b: int) -> int:
+    """The shortest 5-smooth L >= max(b + 1, s(R - 1) - a + 1).
 
     Entry i of the cyclic convolution of length L is the sum of the
     linear entries i + tL over integers t.  The linear support is
     [0, s(R - 1)], so entries a..b see only t = 0 exactly when
-    a + L > s(R - 1) and b < L.  The factor step lets the inverse
-    transform run at length M on the class a (mod step).
+    a + L > s(R - 1) and b < L.
     """
-    need = max(b + 1, s * (R - 1) - a + 1)
-    return step * _smooth_at_least(-(-need // step))
+    return _smooth_at_least(max(b + 1, s * (R - 1) - a + 1))
 
 
 def require_conv_budget(L: int) -> None:
     """Refuse a cyclic FFT of length L before any of it is allocated.
 
-    Measured by VmHWM in a fresh process (numpy 2.4.6), a k=2, s=5,
-    theta=0.8 scan's `j_array` raises the peak by 32 L bytes at x = 1000
-    and 26 L at x = 4000 on the unit step, where four real arrays of
-    length L are alive at once inside `irfft`.  The folded route of a
-    step > 1 never inverts at length L and peaks inside `rfft`: 24 L at
-    x = 1000 and 18 L at x = 4000 (step 24), the weights included.  The
-    charge stays 32 L for every step.  The budget is 4 GiB, which admits
-    L up to 1.3e8; the k=2, s=5, theta=0.8 scan window at x = 8000 needs
-    L = 1.15e8.
+    Four real arrays of length L are alive at once inside `irfft`: the
+    charge is 32 L bytes against 4 GiB, which admits L up to 1.3e8.  At
+    k=2, s=5, theta=0.8, x = 16000 rho's lattice needs L = 1.7e7, and a
+    scan's `j_array` raises the peak (VmHWM, numpy 2.4.6) by 75 MB, most
+    of it arrays over the 1.5e6 targets (12 MB at x = 1000).
     """
     need = 32 * L
     if need > _CONV_BYTES:
@@ -172,93 +152,108 @@ def require_conv_budget(L: int) -> None:
         )
 
 
-def wrapped_convolution(w: np.ndarray, s: int, a: int, b: int, step: int = 1) -> np.ndarray:
-    """Entries a, a + step, ..., up to b of the s-fold self-convolution of
-    w, as float64.
-
-    One real FFT of the cyclic length L = `wrap_length(len(w), s, a, last,
-    step)`, last the final entry returned; a = 0, b = s(len(w) - 1),
-    step = 1 is the plain linear convolution.  For step > 1, L = step M and
-    the spectrum X = rfft(w, L)^s is folded onto the class before one
-    inverse FFT of length M: with a = q step + r (0 <= r < step), entry
-    r + step t of the cyclic convolution is irfft(Y, M)[t] / step, where
-
-        Y[f1] = e(f1 r / L) * sum over f2 < step of e(f2 r / step) X[f1 + M f2]
-
-    for f1 <= M/2.  Bins past L/2 are the conjugates of the mirrored ones,
-    so each row of the sum is a slice of the half spectrum, reversed and
-    conjugated where needed; no complex array of length L is built.
-    """
-    T = (b - a) // step + 1
-    L = wrap_length(len(w), s, a, a + step * (T - 1), step)
+def wrapped_convolution(w: np.ndarray, s: int, a: int, b: int) -> np.ndarray:
+    """Entries a..b of the s-fold self-convolution of w, as float64, from
+    one real FFT of the cyclic length `wrap_length(len(w), s, a, b)`;
+    a = 0, b = s(len(w) - 1) is the plain linear convolution."""
+    L = wrap_length(len(w), s, a, b)
     require_conv_budget(L)
     spec = np.fft.rfft(w, L)
     spec **= s
-    if step == 1:
-        return np.fft.irfft(spec, L)[a : b + 1].copy()
-    M = L // step
-    q, r = divmod(a, step)
-    K = M // 2 + 1
-    half = L // 2
-    folded = np.zeros(K, dtype=np.complex128)
-    for f2 in range(step):
-        lo = M * f2  # X[lo + f1] for f1 in [0, K)
-        row = np.empty(K, dtype=np.complex128)
-        direct = min(max(half - lo + 1, 0), K)  # f1 with lo + f1 <= L/2
-        row[:direct] = spec[lo : lo + direct]
-        # X[f] = conj(X[L - f]) past L/2, walking down from L - lo - direct
-        np.conjugate(spec[L - lo - K + 1 : L - lo - direct + 1][::-1], out=row[direct:])
-        if r:
-            row *= np.exp(2j * np.pi * (f2 * r % step) / step)
-        folded += row
-    if r:
-        folded *= np.exp((2j * np.pi * r / L) * np.arange(K))
-    return np.fft.irfft(folded, M)[q : q + T] / step
+    return np.fft.irfft(spec, L)[a : b + 1].copy()
 
 
 def j_route(ctx: ProblemContext) -> str:
-    """"direct" or "fft": the route `j_array` takes for this context."""
+    """"direct" or "cells": the route `j_array` takes for this context."""
     lo, hi = _power_window(ctx)
-    return "direct" if hi - lo + 1 <= _DIRECT_CONV_LIMIT else "fft"
+    return "direct" if hi - lo + 1 <= _DIRECT_CONV_LIMIT else "cells"
+
+
+def _direct_table(ctx: ProblemContext) -> np.ndarray:
+    """The whole s-fold convolution of the weights by `np.convolve`."""
+    ws = WeightSeq.from_context(ctx)
+    # the direct table is as long as the whole-support FFT; same budget
+    require_conv_budget(wrap_length(len(ws), ctx.s, 0, ctx.s * (len(ws) - 1)))
+    acc = ws.weights
+    for _ in range(ctx.s - 1):
+        acc = np.convolve(acc, ws.weights)
+    return acc
+
+
+def _cell_masses(k: int, lo: int, hi: int, h: int) -> np.ndarray:
+    """The sums of c_m over the cells [lo - 1/2 + i h, lo - 1/2 + (i + 1) h),
+    the last cut at hi + 1/2: the integral of c, v^(1/k) - u^(1/k) taken
+    as (v - u) / sum_i v^(i/k) u^((k-1-i)/k) so that nothing cancels, less
+    the midpoint Euler-Maclaurin term (c'(v) - c'(u)) / 24.  At h = 1 they
+    are the weights c_m to rounding."""
+    edges = lo - 0.5 + h * np.arange(-(-(hi - lo + 1) // h) + 1, dtype=np.float64)
+    edges[-1] = hi + 0.5
+    root = edges ** (1.0 / k)
+    u, v = root[:-1], root[1:]
+    den = sum(v ** i * u ** (k - 1 - i) for i in range(k))
+    slope = ((1.0 - k) / k ** 2) * edges ** (1.0 / k - 2.0)  # c'
+    return np.diff(edges) / den - np.diff(slope) / 24
+
+
+def _cells(k: int, s: int, lo: int, hi: int, h: int, a: int, b: int):
+    """n -> j at float offsets n in [a, b] from s lo, from the s-fold
+    convolution of the width-h cell masses: sum I is centred at
+    s(lo - 1/2) + (I + s/2) h, so offset n sits at u = (n + s/2) / h - s/2,
+    and j interpolates the sums at floor(u) and floor(u) + 1, over h."""
+    count = -(-(hi - lo + 1) // h)
+    first = math.floor((a + s / 2) / h - s / 2)
+    last = math.floor((b + s / 2) / h - s / 2) + 1
+    lo_c, hi_c = max(first, 0), min(last, s * (count - 1))
+    require_conv_budget(wrap_length(count, s, lo_c, hi_c))
+    nu = np.zeros(last - first + 1)  # sums outside the support stay 0
+    nu[lo_c - first : hi_c - first + 1] = wrapped_convolution(
+        _cell_masses(k, lo, hi, h), s, lo_c, hi_c
+    )
+    np.maximum(nu, 0.0, out=nu)  # clip FFT noise below true zero
+
+    def at(n: np.ndarray) -> np.ndarray:
+        u = (n + s / 2) / h - s / 2
+        below = np.floor(u)
+        u -= below
+        i = below.astype(np.int64) - first
+        return ((1.0 - u) * nu[i] + u * nu[i + 1]) / h
+
+    return at
+
+
+def _cell_table(ctx: ProblemContext, lo: int, hi: int, a: int, b: int, step: int) -> np.ndarray:
+    """j at offsets a, a + step, ..., b from s lo, from cells of width h.
+
+    h starts at the largest power of two up to R / 2^16 (1 for a window
+    reaching an end of the support, where j tends to 0 and no h > 1
+    holds) and halves until the error estimate, the difference of the
+    tables at h and 2h plus a floor no h removes (s times the masses'
+    relative Euler-Maclaurin remainder (7/5760) |c''''/c| at lo - 1/2),
+    holds 2e-10 relative at a, b and every centre and midpoint of the
+    width-h sums between, where the interpolation error peaks.  These
+    probes do not depend on the step, so neither does j(n).
+    """
+    k, s = ctx.k, ctx.s
+    h = 1 << max(((hi - lo + 1) // _START_CELLS).bit_length() - 1, 0)
+    if a == 0 or b == s * (hi - lo):
+        h = 1
+    floor = s * 7 / 5760 * abs(math.prod(1 / k - i for i in range(1, 5))) / (lo - 0.5) ** 4
+    coarse = _cells(k, s, lo, hi, 2 * h, a, b) if h > 1 else None
+    fine = _cells(k, s, lo, hi, h, a, b)
+    while h > 1:
+        half = np.arange(math.ceil(2 * (a + s / 2) / h), math.floor(2 * (b + s / 2) / h) + 1)
+        probe = np.concatenate(([a, b], half * (h / 2) - s / 2))
+        want = fine(probe)
+        if np.all(np.abs(want - coarse(probe)) <= (_J_RTOL - floor) * want):
+            break
+        coarse, h = fine, h // 2
+        fine = _cells(k, s, lo, hi, h, a, b)
+    return fine(np.arange(a, b + 1, step, dtype=np.float64))
 
 
 # the most recent windows' tables; the oldest is dropped first
 _CONV_CACHE_CAP = 4
 _conv_cache: dict[tuple[int, int, int, int, int, int, int], np.ndarray] = {}
-
-
-def _convolution(
-    ctx: ProblemContext, ws: WeightSeq, a: int, b: int, step: int
-) -> tuple[int, np.ndarray]:
-    """(a', entries a', a' + step, ... of the s-fold convolution) covering
-    the entries of a..b on the class a (mod step).
-
-    A window of at most 10^4 weights gets the whole direct table on that
-    class (a' = a mod step) whatever a..b is asked for; a longer one gets
-    exactly a, a + step, ..., up to b.
-    """
-    R = len(ws)
-    S = ctx.s * (R - 1)
-    direct = j_route(ctx) == "direct"
-    key = (ctx.k, ctx.s, ws.lo, ws.hi) + ((0, S, 1) if direct else (a, b, step))
-    acc = _conv_cache.get(key)
-    if acc is None:
-        if direct:
-            # the direct table is as long as the whole-support FFT; same budget
-            require_conv_budget(wrap_length(R, ctx.s, 0, S))
-            acc = ws.weights
-            for _ in range(ctx.s - 1):
-                acc = np.convolve(acc, ws.weights)
-        else:
-            acc = wrapped_convolution(ws.weights, ctx.s, a, b, step)
-            np.maximum(acc, 0.0, out=acc)  # clip FFT noise below true zero
-        _conv_cache[key] = acc
-        while len(_conv_cache) > _CONV_CACHE_CAP:
-            del _conv_cache[next(iter(_conv_cache))]
-    if not direct:
-        return a, acc
-    a %= step
-    return a, acc if step == 1 else acc[a::step]
 
 
 def j_array(
@@ -270,17 +265,16 @@ def j_array(
     """(offset, table) with j(offset + step i) = table[i].
 
     Without a window the table is the whole support [s lo, s hi] and
-    offset = s lo.  With one, the table covers at least the n = n_lo
-    (mod step) of [n_lo, n_hi] inside the support; a window outside the
-    support gives an empty table.  A step > 1 inverts only that class
-    (`wrapped_convolution`), which is all a scan needs: its targets lie
-    in one class mod R(k).
+    offset = s lo.  With one, it covers at least the n = n_lo (mod step)
+    of [n_lo, n_hi] inside the support (the cell route exactly those,
+    the direct route its whole table's class); a window outside the
+    support gives an empty table.
     """
     if step < 1:
         raise ParameterDomain(f"need step >= 1, got {step}")
-    ws = WeightSeq.from_context(ctx)
-    base = ctx.s * ws.lo
-    S = ctx.s * (len(ws) - 1)
+    lo, hi = _power_window(ctx)
+    base = ctx.s * lo
+    S = ctx.s * (hi - lo)
     a = 0 if n_lo is None else int(n_lo) - base
     if a < 0:
         a %= step  # the first entry of the class inside the support
@@ -288,13 +282,24 @@ def j_array(
     if a > b:
         return base + a, np.zeros(0)
     b -= (b - a) % step
-    a, table = _convolution(ctx, ws, a, b, step)
-    return base + a, table
+    direct = j_route(ctx) == "direct"
+    key = (ctx.k, ctx.s, lo, hi) + ((0, S, 1) if direct else (a, b, step))
+    table = _conv_cache.get(key)
+    if table is None:
+        table = _direct_table(ctx) if direct else _cell_table(ctx, lo, hi, a, b, step)
+        _conv_cache[key] = table
+        while len(_conv_cache) > _CONV_CACHE_CAP:
+            del _conv_cache[next(iter(_conv_cache))]
+    if not direct:
+        return base + a, table
+    a %= step
+    return base + a, table if step == 1 else table[a::step]
 
 
 def j_integral(n: int, ctx: ProblemContext) -> float:
-    """The window convolution j(n); zero outside [s*lo, s*hi]."""
-    offset, conv = j_array(ctx)
+    """The window convolution j(n); zero outside [s*lo, s*hi].  Only n is
+    asked for: the cell route then reads one entry, not the support."""
+    offset, conv = j_array(ctx, n, n)
     i = int(n) - offset
     return float(conv[i]) if 0 <= i < conv.size else 0.0
 

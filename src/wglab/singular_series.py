@@ -34,6 +34,7 @@ from .errors import ImaginaryResidue, NotCoprime, ParameterDomain, RangeTooLarge
 _Q_CEILING = 200_000
 _IMAG_TOL = 1e-8
 _PARTIAL_FLOOR = 1e-12
+_SIGMA_BLOCK = 2 ** 13  # targets per block: 97 columns at q_max = 400 are 6 MiB
 
 
 @lru_cache(maxsize=4096)
@@ -210,10 +211,11 @@ def sigma_batch(
     """sigma(n, q_max) for a vector of targets, with an optional snapshot.
 
     Returns (values, snapshot) where snapshot holds the partial sums at
-    q = checkpoint (None when no checkpoint was requested).  The per-q
-    term for the whole vector is assembled from the same prime-power
-    tables as the scalar route and added in ascending q order, so batch
-    and scalar results agree bit for bit.
+    q = checkpoint (None when no checkpoint was requested).  The targets
+    go in blocks of 2^13; a block gathers one column A(pp, n mod pp) per
+    prime power pp <= q_max, and each q multiplies its columns in
+    `factorize` order, floors the product and adds it in ascending q, as
+    the scalar route does, so batch and scalar results agree bit for bit.
     """
     n_values = np.asarray(n_values, dtype=np.int64)
     if n_values.size and int(n_values.min()) < 0:
@@ -224,17 +226,27 @@ def sigma_batch(
         raise RangeTooLarge(f"q_max={q_max} exceeds modulus ceiling {_Q_CEILING}")
     if checkpoint is not None and not (1 <= checkpoint <= q_max):
         raise ParameterDomain(f"checkpoint must lie in [1, q_max], got {checkpoint}")
+    factors = [[p ** e for p, e in factorize(q)] for q in range(2, q_max + 1)]
+    tables = {pp: _pp_table(pp, ctx.k, ctx.s) for pps in factors for pp in pps}
+    # |term| <= the product of its tables' peaks, (1 + eps) per factor: a q
+    # under half the floor there is floored to 0 at every n, adds nothing
+    peak = {pp: float(np.max(np.abs(t))) for pp, t in tables.items()}
+    live = [math.prod(peak[pp] for pp in pps) > _PARTIAL_FLOOR / 2 for pps in factors]
+    used = {pp for pps, on in zip(factors, live) if on for pp in pps}
     values = np.ones(n_values.size, dtype=np.float64)
-    snapshot = values.copy() if checkpoint == 1 else None
-    for q in range(2, q_max + 1):
-        term = np.ones(n_values.size, dtype=np.float64)
-        for p, e in factorize(q):
-            pp = p ** e
-            term *= _pp_table(pp, ctx.k, ctx.s)[n_values % pp]
-        term[np.abs(term) <= _PARTIAL_FLOOR] = 0.0
-        values = values + term
-        if checkpoint is not None and q == checkpoint:
-            snapshot = values.copy()
+    snapshot = None if checkpoint is None else values.copy()
+    for start in range(0, n_values.size, _SIGMA_BLOCK):
+        block = n_values[start : start + _SIGMA_BLOCK]
+        cols = {pp: tables[pp][block % pp] for pp in used}
+        acc = values[start : start + block.size]
+        for q, pps, on in zip(range(2, q_max + 1), factors, live):
+            if on:
+                # 1 * columns in `factorize` order, as the scalar route; a
+                # term at or under the floor adds exactly 0.0
+                term = math.prod(cols[pp] for pp in pps)
+                np.add(acc, term, out=acc, where=np.abs(term) > _PARTIAL_FLOOR)
+            if q == checkpoint:
+                snapshot[start : start + block.size] = acc
     return values, snapshot
 
 

@@ -316,6 +316,49 @@ class TestExceptionalScan:
         assert warm.jay.tobytes() == cold.jay.tobytes()
         assert path.read_bytes() == raw
 
+    def test_exact_fft_j_entry_is_not_served(self, tmp_path, monkeypatch):
+        # j once came from an exact FFT (j_route "fft", VERSION 4); such an
+        # entry, under the old key or under today's, is never read back
+        import wglab.experiment as experiment
+        import wglab.singular_integral as si
+
+        assert cache.VERSION == 5
+        monkeypatch.setattr(si, "_DIRECT_CONV_LIMIT", 0)  # SCAN_CTX on the cell route
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        (path,) = tmp_path.glob("scan-*.wgc")
+        raw = path.read_bytes()
+        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
+        assert key["j_route"] == "cells"
+        doubled = {
+            "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
+            "sigma": cold.sigma, "jay": 2 * cold.jay,
+        }
+        with monkeypatch.context() as old:
+            old.setattr(cache, "VERSION", 4)
+            cache.store(tmp_path, "scan", {**key, "j_route": "fft"}, doubled)
+            cache.store(tmp_path, "scan", key, doubled)
+        with pytest.raises(CacheVersionMismatch, match="version 4"):
+            cache.load(tmp_path, "scan", key)
+        cache.store(tmp_path, "scan", {**key, "j_route": "fft"}, doubled)
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        assert warm.jay.tobytes() == cold.jay.tobytes()
+        assert path.read_bytes() == raw
+        assert len(list(tmp_path.glob("scan-*.wgc"))) == 2
+
+    @pytest.mark.parametrize("k,s", [(2, 5), (2, 4), (3, 7), (3, 8)])
+    def test_targets_on_their_class_equal_the_mask(self, k, s):
+        # stepping through n = s (mod R(k)) and then the rest of the rule
+        # gives the targets that masking the whole window gives
+        from wglab.arith import admissible_rule
+        from wglab.experiment import _admissible_targets
+
+        for n_lo, n_hi in [(1, 500), (799_990, 801_013), (1_000_003, 1_000_005), (37, 61)]:
+            ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+            want = ns[admissible_rule(ns, k, s)]
+            got = _admissible_targets(ProblemContext.from_parts(k, s, 60.0, 20.0), n_lo, n_hi)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_version_2_entry_is_recomputed(self, tmp_path, monkeypatch):
         # VERSION 2 entries hold rho from the unit-step lattice: one under
         # the same key is a miss, recomputed and rewritten

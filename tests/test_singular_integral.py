@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wglab.singular_integral as si
 from wglab.arith import ProblemContext
 from wglab.errors import (
     ConvolutionTooLarge,
@@ -11,6 +12,7 @@ from wglab.errors import (
     ParameterDomain,
     PrecisionOverflow,
 )
+from wglab.experiment import _admissible_targets
 from wglab.singular_integral import (
     WeightSeq,
     j_array,
@@ -184,6 +186,67 @@ def _is_5_smooth(n):
     return n == 1
 
 
+def _stepped_length(R, s, a, b, step):
+    """step M, M the shortest 5-smooth length with step M >= the unit-step need."""
+    need = max(b + 1, s * (R - 1) - a + 1)
+    M = -(-need // step)
+    while not _is_5_smooth(M):
+        M += 1
+    return step * M
+
+
+def _exact_wrapped(w, s, a, b, step):
+    """Entries a, a + step, ..., up to b of the s-fold self-convolution of
+    w from one real FFT of length L = step M, the spectrum folded onto the
+    class a (mod step) before one inverse FFT of length M: with
+    a = q step + r, entry r + step t of the cyclic convolution is
+    irfft(Y, M)[t] / step, where
+
+        Y[f1] = e(f1 r / L) * sum over f2 < step of e(f2 r / step) X[f1 + M f2]
+
+    for f1 <= M/2, bins past L/2 being the conjugates of the mirrored ones.
+    This is the exact route j took before cell integrals; it is the
+    oracle the cell route is held to."""
+    T = (b - a) // step + 1
+    L = _stepped_length(len(w), s, a, a + step * (T - 1), step)
+    spec = np.fft.rfft(w, L)
+    spec **= s
+    if step == 1:
+        return np.fft.irfft(spec, L)[a : b + 1].copy()
+    M = L // step
+    q, r = divmod(a, step)
+    K = M // 2 + 1
+    half = L // 2
+    folded = np.zeros(K, dtype=np.complex128)
+    for f2 in range(step):
+        lo = M * f2  # X[lo + f1] for f1 in [0, K)
+        row = np.empty(K, dtype=np.complex128)
+        direct = min(max(half - lo + 1, 0), K)  # f1 with lo + f1 <= L/2
+        row[:direct] = spec[lo : lo + direct]
+        # X[f] = conj(X[L - f]) past L/2, walking down from L - lo - direct
+        np.conjugate(spec[L - lo - K + 1 : L - lo - direct + 1][::-1], out=row[direct:])
+        if r:
+            row *= np.exp(2j * np.pi * (f2 * r % step) / step)
+        folded += row
+    if r:
+        folded *= np.exp((2j * np.pi * r / L) * np.arange(K))
+    return np.fft.irfft(folded, M)[q : q + T] / step
+
+
+def _exact_j(ctx, n_lo, n_hi, step):
+    """(offset, j at offset, offset + step, ..., up to n_hi) by the exact
+    oracle, for a window inside the support."""
+    ws = WeightSeq.from_context(ctx)
+    base = ctx.s * ws.lo
+    a, b = n_lo - base, n_hi - base
+    return n_lo, _exact_wrapped(ws.weights, ctx.s, a, b - (b - a) % step, step)
+
+
+def _scan_targets(ctx):
+    ns = _admissible_targets(ctx, math.floor(ctx.N) + 1, math.floor(ctx.N + ctx.window_width))
+    return ns, int(np.gcd.reduce(np.diff(ns)))
+
+
 class TestWrappedConvolution:
     def test_shortest_smooth_length(self):
         for R, s, a, b in [(41, 2, 0, 5), (6, 3, 15, 15), (100, 5, 200, 260), (7, 4, 3, 20)]:
@@ -256,7 +319,7 @@ class TestWrappedConvolution:
         # L = step M with M the shortest 5-smooth length covering need
         for R, s, a, b, step in [(300, 4, 1, 1190, 24), (97, 3, 5, 200, 2), (41, 5, 0, 160, 3)]:
             need = max(b + 1, s * (R - 1) - a + 1)
-            L = wrap_length(R, s, a, b, step)
+            L = _stepped_length(R, s, a, b, step)
             M = L // step
             assert L == step * M and step * M >= need and _is_5_smooth(M)
             assert not any(_is_5_smooth(m) for m in range(-(-need // step), M))
@@ -275,16 +338,17 @@ class TestWrappedConvolution:
             scale = float(full.max())
             for a, b in [(0, S), (1, S), (0, S - 1), (S // 3 + 1, 2 * S // 3),
                          (S - 30, S), (5, 5), (S, S), (7, 7 + step)]:
-                got = wrapped_convolution(w, s, a, b, step)
+                got = _exact_wrapped(w, s, a, b, step)
                 ref = full[a : b + 1 : step]
                 assert got.shape == ref.shape
                 assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
-                L = wrap_length(R, s, a, a + step * (ref.size - 1), step)
+                L = _stepped_length(R, s, a, a + step * (ref.size - 1), step)
                 parities.add(L // step % 2)
         assert parities == {0, 1}
 
     def test_step_one_keeps_the_unstepped_bits(self):
-        # the unit step is the plain route: rfft, power, irfft, slice
+        # the unit step is the plain route: rfft, power, irfft, slice; the
+        # oracle at step 1 is the package's wrapped convolution, bit for bit
         w = np.random.default_rng(5).uniform(0.0, 1.0, size=300)
         for a, b in [(0, 4 * 299), (500, 700), (3, 3)]:
             L = wrap_length(300, 4, a, b)
@@ -292,7 +356,7 @@ class TestWrappedConvolution:
             spec **= 4
             want = np.fft.irfft(spec, L)[a : b + 1]
             assert wrapped_convolution(w, 4, a, b).tobytes() == want.tobytes()
-            assert wrapped_convolution(w, 4, a, b, 1).tobytes() == want.tobytes()
+            assert _exact_wrapped(w, 4, a, b, 1).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("step", [2, 3, 24])
     def test_direct_route_step_slices_the_whole_table(self, step):
@@ -327,6 +391,118 @@ class TestWrappedConvolution:
     def test_step_domain(self):
         with pytest.raises(ParameterDomain):
             j_array(ProblemContext.from_parts(2, 3, 60.0, 30.0), 0, 10, 0)
+
+
+class TestCells:
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            ProblemContext.from_scale(2, 5, 0.8, 800_000),
+            ProblemContext.from_parts(2, 5, 1000.0, 1000.0 ** 0.8),
+            ProblemContext.from_parts(3, 7, 60.0, 60.0 ** 0.8),
+        ],
+        ids=["k2-N800000", "k2-x1000", "k3-s7-x60"],
+    )
+    def test_cells_match_the_exact_oracle(self, ctx):
+        # the scan's targets' class, relative at every entry
+        si._conv_cache.clear()
+        assert si.j_route(ctx) == "cells"
+        ns, g = _scan_targets(ctx)
+        off, tab = j_array(ctx, int(ns[0]), int(ns[-1]), g)
+        want_off, want = _exact_j(ctx, int(ns[0]), int(ns[-1]), g)
+        assert off == want_off and tab.shape == want.shape
+        assert np.all(want > 0)
+        assert float(np.max(np.abs(tab - want) / want)) <= 2e-10
+
+    def test_step_does_not_change_j(self):
+        # the walk probes every centre and midpoint between a and b, not the
+        # entries asked for, so the class table is the unit-step table's
+        # class bit for bit; at x = 700 probing the class alone would pick
+        # h = 8 and probing every entry h = 4
+        ctx = ProblemContext.from_parts(2, 5, 700.0, 700.0 ** 0.8)
+        ns, g = _scan_targets(ctx)
+        off, tab = j_array(ctx, int(ns[0]), int(ns[-1]), g)
+        off1, full = j_array(ctx, int(ns[0]), int(ns[-1]))
+        assert off == off1 and tab.tobytes() == full[::g].tobytes()
+
+    def test_j_integral_asks_for_n_alone(self, monkeypatch):
+        # a whole-support table would walk h down to 1, its ends (j -> 0)
+        # never agreeing; one central n stays at the coarse widths
+        ctx = ProblemContext.from_parts(2, 5, 1000.0, 1000.0 ** 0.8)
+        si._conv_cache.clear()
+        widths = []
+        cells = si._cells
+        monkeypatch.setattr(si, "_cells", lambda *args: (widths.append(args[4]), cells(*args))[1])
+        n = 5 * 1000 ** 2
+        got = j_integral(n, ctx)
+        assert min(widths) > 1
+        _, want = _exact_j(ctx, n, n, 1)
+        assert abs(got - float(want[0])) <= 2e-10 * float(want[0])
+
+    def test_window_at_an_end_starts_at_unit_width(self, monkeypatch):
+        # j tends to 0 at the support's ends, where no h > 1 holds 2e-10
+        # relative: a window reaching either end skips the walk (the start
+        # would be h = 2 here)
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        lo, hi = si._power_window(ctx)
+        assert (hi - lo + 1) // si._START_CELLS >= 2
+        widths = []
+        cells = si._cells
+        monkeypatch.setattr(si, "_cells", lambda *args: (widths.append(args[4]), cells(*args))[1])
+        for n_lo, n_hi in [(None, 5 * lo + 300), (5 * hi - 300, None)]:
+            si._conv_cache.clear()
+            widths.clear()
+            off, tab = j_array(ctx, n_lo, n_hi)
+            assert widths == [1] and tab.size == 301
+
+    def test_masses_at_unit_width_are_the_weights(self):
+        ctx = ProblemContext.from_parts(3, 7, 30.0, 30.0 ** 0.8)
+        ws = WeightSeq.from_context(ctx)
+        mass = si._cell_masses(3, ws.lo, ws.hi, 1)
+        assert float(np.max(np.abs(mass - ws.weights) / ws.weights)) <= 1e-14
+        # a cell of width 8 holds the sum of its eight weights
+        mass = si._cell_masses(3, ws.lo, ws.hi, 8)
+        sums = np.add.reduceat(ws.weights, np.arange(0, len(ws), 8))
+        assert float(np.max(np.abs(mass - sums) / sums)) <= 1e-14
+
+    def test_coarse_start_is_refined(self, monkeypatch):
+        # a start of 2^6 cells is far too coarse: the walk halves h until
+        # the h and 2h tables agree, and the result holds the oracle's 2e-10
+        ctx = ProblemContext.from_parts(2, 5, 1000.0, 1000.0 ** 0.8)
+        ns, g = _scan_targets(ctx)
+        lo, hi = si._power_window(ctx)
+        a, b = int(ns[0]) - 5 * lo, int(ns[-1]) - 5 * lo
+        widths = []
+        cells = si._cells
+
+        def spy(k, s, lo, hi, h, a, b):
+            widths.append(h)
+            return cells(k, s, lo, hi, h, a, b)
+
+        monkeypatch.setattr(si, "_cells", spy)
+        monkeypatch.setattr(si, "_START_CELLS", 2 ** 6)
+        start = 1 << ((hi - lo + 1) // 2 ** 6).bit_length() - 1
+        tab = si._cell_table(ctx, lo, hi, a, b, g)
+        # the walk goes down from the start one halving at a time
+        assert widths[:2] == [2 * start, start] and widths[-1] < start // 8
+        assert widths[1:] == [start >> i for i in range(len(widths) - 1)]
+        _, want = _exact_j(ctx, int(ns[0]), int(ns[-1]), g)
+        assert float(np.max(np.abs(tab - want) / want)) <= 2e-10
+
+    def test_oversized_context_is_refused_before_allocating(self, monkeypatch):
+        # 13201 weights take the cell route at h = 1; s = 20000 needs a
+        # cyclic length near 2.6e8, 7.9 GiB at 32 bytes per entry
+        ctx = ProblemContext.from_parts(2, 20_000, 110.0, 30.0)
+        assert si.j_route(ctx) == "cells"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(si, "_cell_masses", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        with pytest.raises(ConvolutionTooLarge, match="convolution budget"):
+            j_array(ctx)
 
 
 class TestOscillatoryI:

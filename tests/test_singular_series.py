@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wglab.arith import ProblemContext, euler_phi
+import wglab.singular_series as ss
+from wglab.arith import ProblemContext, euler_phi, factorize
 from wglab.errors import NotCoprime, ParameterDomain, RangeTooLarge
 from wglab.singular_series import (
     a_coefficient,
@@ -181,6 +182,22 @@ class TestTruncatedSigma:
             truncated_sigma(5, CTX, 10 ** 9)
 
 
+def _sigma_per_q(n_values, ctx, q_max, checkpoint=None):
+    # one pass over all targets per q: the term is the product of the
+    # prime-power table entries in factorize order, floored, then added
+    values = np.ones(n_values.size)
+    snapshot = values.copy() if checkpoint == 1 else None
+    for q in range(2, q_max + 1):
+        term = np.ones(n_values.size)
+        for p, e in factorize(q):
+            term *= ss._pp_table(p ** e, ctx.k, ctx.s)[n_values % p ** e]
+        term[np.abs(term) <= ss._PARTIAL_FLOOR] = 0.0
+        values = values + term
+        if q == checkpoint:
+            snapshot = values.copy()
+    return values, snapshot
+
+
 class TestSigmaBatch:
     def test_matches_scalar_bitwise(self):
         targets = np.array([29, 53, 54, 77, 101])
@@ -198,6 +215,22 @@ class TestSigmaBatch:
         # the checkpoint must not disturb the final values
         vals2, _ = sigma_batch(targets, CTX, 200)
         assert vals.tolist() == vals2.tolist()
+
+    @pytest.mark.parametrize(
+        "k,s,checkpoint", [(2, 5, None), (2, 5, 37), (3, 7, 1), (3, 7, 60)]
+    )
+    def test_columns_match_the_per_q_oracle(self, k, s, checkpoint):
+        # 20,011 targets of every residue: three blocks of 2^13, the last
+        # one short; values and snapshot byte for byte
+        ctx = ProblemContext.from_parts(k, s, 60.0, 20.0)
+        targets = np.arange(1_000_003, 1_000_003 + 20_011, dtype=np.int64)
+        assert targets.size > 2 * ss._SIGMA_BLOCK
+        vals, snap = sigma_batch(targets, ctx, 120, checkpoint)
+        want_vals, want_snap = _sigma_per_q(targets, ctx, 120, checkpoint)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert (snap is None) == (want_snap is None)
+        if snap is not None:
+            assert snap.tobytes() == want_snap.tobytes()
 
     def test_checkpoint_domain(self):
         with pytest.raises(ParameterDomain):
