@@ -31,12 +31,6 @@ label's records of rungs not run this time.  Each rung runs under an
 address-space limit of MEM_LIMIT_GB, so a scan that outgrows its budget
 fails inside its own process.
 
-A checkout older than `representations.rho_scan` (commit 8234d71 and
-before, where the scan calls `rho_mitm` directly) can be measured by
-copying this script into its `scripts/`: the rho stage then times
-`rho_mitm` and the route reads "mitm".  The `parent-8234d71` entry of
-BENCH_ladder.json was made that way.
-
     python3 scripts/ladder.py --label after
     python3 scripts/ladder.py --label after --extra-x 8000
 """
@@ -92,8 +86,7 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
         setattr(module, name, wrapper)
 
     timed(representations, "prime_window", "prime_window")
-    lattice = hasattr(experiment, "rho_scan")
-    timed(experiment, "rho_scan" if lattice else "rho_mitm", "rho")
+    timed(experiment, "rho_scan", "rho")
     timed(experiment, "sigma_batch", "sigma")
     timed(experiment, "j_array", "j")
 
@@ -115,9 +108,7 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
     payload = canonical_json({"report": rep})
     record.update(
         targets=rep.scanned,
-        route=(
-            representations.rho_route(ctx, int(ns[0]), int(ns[-1])) if lattice else "mitm"
-        ),
+        route=representations.rho_route(ctx, int(ns[0]), int(ns[-1])),
         scan_s=round(scan_s, 3),
         stages_s=stages_s,
         peak_rss_mb=peak_rss_mb,

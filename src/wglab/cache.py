@@ -2,8 +2,8 @@
 
 One entry of kind `scan` holds the arrays n, rho, tuple_count, sigma and
 jay of one scan window; its key (`experiment._scan_key`) names every
-input that picks their bits, the rho and j routes and numpy's version
-among them.  A change to how rho, sigma or j is computed must add a key
+input that picks their bits, the rho route and numpy's version among
+them.  A change to how rho, sigma or j is computed must add a key
 field (or bump VERSION), so a cache never serves what an older algorithm
 computed.  The reader also checks that the stored n equals the targets
 before serving the columns.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CacheMiss, CacheVersionMismatch, ParameterDomain
 
-VERSION = 5  # 5: j from cell integrals, not the exact FFT; no older j is served
+VERSION = 6  # 6: j by the cell route alone; no entry from the np.convolve route is served
 
 _META = "__meta__"
 

@@ -307,10 +307,7 @@ def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list]:
 
 def _cmd_exceptional(cfg, args, y):
     ctx = _context(cfg, y)
-    rep = exceptional_scan(
-        ctx, cfg.Q0, batch_size=cfg.batch_size, threads=cfg.threads,
-        cache_dir=cfg.cache_dir,
-    )
+    rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
     payload = {"context": _ctx_dict(ctx), "summary": _report_summary(rep)}
     return _emit(cfg, payload, per_n_table(rep))
 
@@ -330,10 +327,7 @@ def _cmd_minor_moment(cfg, args, y):
 
 def _cmd_report(cfg, args, y):
     ctx = _context(cfg, y)
-    rep = exceptional_scan(
-        ctx, cfg.Q0, batch_size=cfg.batch_size, threads=cfg.threads,
-        cache_dir=cfg.cache_dir,
-    )
+    rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
     parameters = {
         name: getattr(cfg, name)
         for name in ("k", "s", "theta", "N", "x", "A", "Q0", "grid_size",

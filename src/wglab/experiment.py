@@ -16,7 +16,7 @@ is looked up at (n - offset) / g.
 With a cache directory the scan keeps its computed columns (n, rho,
 tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`, keyed by
 everything that picks their bits (`_scan_key`: the window and targets,
-q0, the partial floor, the rho and j routes, numpy's version).  A rerun
+q0, the partial floor, the rho route, numpy's version).  A rerun
 whose key and stored targets match reads the columns and computes no
 rho, sigma or j; the ratios, flags and summary are derived afresh.
 
@@ -40,7 +40,7 @@ from .arith import ProblemContext, admissible, admissible_rule, modulus_R
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_points
 from .representations import rho_route, rho_scan
-from .singular_integral import gauss_legendre_panels, j_array, j_integral, j_route
+from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
 
 
@@ -194,8 +194,6 @@ def _sorted_median(v: np.ndarray) -> float:
 def exceptional_scan(
     ctx: ProblemContext,
     q0: int,
-    batch_size: int = 4096,
-    threads: int = 1,
     cache_dir: Optional[str] = None,
 ) -> ExceptionalReport:
     """Scan every admissible n in (N, N + x^(k-1) y] for main-term failure.
@@ -206,16 +204,10 @@ def exceptional_scan(
     columns are read from, or written to, one `scan` cache entry.  Flags
     use the two-sided threshold; the one-sided count (excess only) is
     recorded alongside.
-    batch_size and threads must be >= 1 but select nothing: the join
-    runs once, in the calling thread.
 
     Raises empty-window when the window contains no integers at all; a
     window with integers but no admissible ones yields scanned=0.
     """
-    if batch_size < 1:
-        raise ParameterDomain(f"need batch_size >= 1, got {batch_size}")
-    if threads < 1:
-        raise ParameterDomain(f"need threads >= 1, got {threads}")
     N = ctx.N
     n_lo = math.floor(N) + 1
     n_hi = math.floor(N + ctx.window_width)
@@ -296,7 +288,6 @@ def _scan_key(ns: np.ndarray, ctx: ProblemContext, q0: int, n_lo: int, n_hi: int
         "count": int(ns.size),
         "floor": singular_series._PARTIAL_FLOOR,
         "rho_route": rho_route(ctx, first, last),
-        "j_route": j_route(ctx),
         "numpy": np.__version__,
     }
 

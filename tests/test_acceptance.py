@@ -348,7 +348,7 @@ def test_criterion_09_full_circle_quadrature():
 
 def test_criterion_10_desk_scale_experiment():
     ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
-    rep = exceptional_scan(ctx, q0=400, threads=2)
+    rep = exceptional_scan(ctx, q0=400)
     median = rep.ratios.median
     # An exception is read at the criterion's own factor-two tolerance, per
     # target: rho / (sigma j) outside [0.5, 2], or not finite.  The program's
@@ -397,13 +397,11 @@ def test_criterion_11_congruence_layer():
 
 def _clear_shared_caches():
     import wglab.arcs as arcs_mod
-    import wglab.singular_integral as si
     import wglab.singular_series as ss
 
     ss._gauss_row.cache_clear()
     ss._pp_table.cache_clear()
     arcs_mod._phi_partial_sums.cache_clear()
-    si._conv_cache.clear()
 
 
 def _payload_criterion_5() -> str:
@@ -416,7 +414,7 @@ def _payload_criterion_5() -> str:
 
 def _payload_criterion_10() -> str:
     ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
-    rep = exceptional_scan(ctx, q0=400, threads=2)
+    rep = exceptional_scan(ctx, q0=400)
     return canonical_json({"criterion": 10, "report": rep})
 
 

@@ -189,21 +189,6 @@ class TestExceptionalScan:
         assert rep.threshold == pytest.approx(expect, rel=1e-13)
         assert ctx.y ** 4 / ctx.x / math.log(ctx.x) > 0  # formula shape sanity
 
-    def test_threading_stability(self):
-        ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
-        solo = exceptional_scan(ctx, q0=40, threads=1)
-        multi = exceptional_scan(ctx, q0=40, threads=3, batch_size=7)
-        assert solo.per_n.rho.tolist() == multi.per_n.rho.tolist()
-        assert solo.per_n.sigma.tolist() == multi.per_n.sigma.tolist()
-        assert solo.exceptional == multi.exceptional
-
-    def test_knob_domain(self):
-        ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
-        with pytest.raises(ParameterDomain):
-            exceptional_scan(ctx, q0=40, batch_size=0)
-        with pytest.raises(ParameterDomain):
-            exceptional_scan(ctx, q0=40, threads=0)
-
     def test_sigma_cache_key_carries_floor(self, tmp_path, monkeypatch):
         # a changed partial-sum floor must miss the cache and recompute
         import wglab.singular_series as ss
@@ -241,7 +226,7 @@ class TestExceptionalScan:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "change", ["x", "y", "window", "q0", "floor", "rho_route", "j_route", "numpy"]
+        "change", ["x", "y", "window", "q0", "floor", "rho_route", "numpy"]
     )
     def test_scan_key_change_misses(self, tmp_path, monkeypatch, change):
         # every input that picks the columns' bits is in the key: a change
@@ -249,7 +234,6 @@ class TestExceptionalScan:
         import dataclasses
 
         import wglab.representations as reps
-        import wglab.singular_integral as si
         import wglab.singular_series as ss
 
         ctx, q0 = SCAN_CTX, 40
@@ -268,9 +252,6 @@ class TestExceptionalScan:
         elif change == "rho_route":
             assert reps.rho_route(ctx, ctx.N, ctx.N + 600) == "mitm"
             monkeypatch.setattr(reps, "_lattice_pays", lambda ctx, plan: plan is not None)
-        elif change == "j_route":
-            assert si.j_route(ctx) == "direct"
-            monkeypatch.setattr(si, "_DIRECT_CONV_LIMIT", 0)
         else:
             monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
         other = exceptional_scan(ctx, q0=q0, cache_dir=str(tmp_path))
@@ -316,30 +297,29 @@ class TestExceptionalScan:
         assert warm.jay.tobytes() == cold.jay.tobytes()
         assert path.read_bytes() == raw
 
-    def test_exact_fft_j_entry_is_not_served(self, tmp_path, monkeypatch):
-        # j once came from an exact FFT (j_route "fft", VERSION 4); such an
-        # entry, under the old key or under today's, is never read back
+    def test_version_5_entry_is_recomputed(self, tmp_path, monkeypatch):
+        # VERSION 5 entries may hold j from np.convolve (j_route "direct",
+        # up to 10^4 weights); such an entry, under the old key or under
+        # today's, is never read back
         import wglab.experiment as experiment
-        import wglab.singular_integral as si
 
-        assert cache.VERSION == 5
-        monkeypatch.setattr(si, "_DIRECT_CONV_LIMIT", 0)  # SCAN_CTX on the cell route
+        assert cache.VERSION == 6
         cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
         (path,) = tmp_path.glob("scan-*.wgc")
         raw = path.read_bytes()
         key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
-        assert key["j_route"] == "cells"
+        assert "j_route" not in key
         doubled = {
             "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
             "sigma": cold.sigma, "jay": 2 * cold.jay,
         }
         with monkeypatch.context() as old:
-            old.setattr(cache, "VERSION", 4)
-            cache.store(tmp_path, "scan", {**key, "j_route": "fft"}, doubled)
+            old.setattr(cache, "VERSION", 5)
+            cache.store(tmp_path, "scan", {**key, "j_route": "direct"}, doubled)
             cache.store(tmp_path, "scan", key, doubled)
-        with pytest.raises(CacheVersionMismatch, match="version 4"):
+        with pytest.raises(CacheVersionMismatch, match="version 5"):
             cache.load(tmp_path, "scan", key)
-        cache.store(tmp_path, "scan", {**key, "j_route": "fft"}, doubled)
+        cache.store(tmp_path, "scan", {**key, "j_route": "direct"}, doubled)
         warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
         assert warm.jay.tobytes() == cold.jay.tobytes()
         assert path.read_bytes() == raw

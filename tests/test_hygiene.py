@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module imports
-is used somewhere in that module."""
+is used somewhere in that module, and every private module-level name is
+read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -22,18 +23,25 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def _string_names(node: ast.AST) -> set[str]:
+    """The names in a string constant that parses as an expression, such
+    as the annotation "ArcDecomposition"; empty for any other node."""
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return set()
+    try:
+        inner = ast.parse(node.value, mode="eval")
+    except SyntaxError:
+        return set()
+    return {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+
+
 def _used(tree: ast.Module) -> set[str]:
     """Names read anywhere, string annotations ("ArcDecomposition") included."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                inner = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+        used |= _string_names(node)
     return used
 
 
@@ -56,3 +64,63 @@ def test_catches_a_stale_import():
         "    return a\n"
     )
     assert sorted(set(_imported(tree)) - _used(tree)) == ["PrimeWindow", "os"]
+
+
+def _private_defs(tree: ast.Module) -> dict[str, int]:
+    """Module-level private names (one leading underscore) bound by def,
+    class or assignment, with their line numbers."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names, attribute names
+    (`singular_series._PARTIAL_FLOOR`) and names in string annotations;
+    a name only assigned is not read."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        read |= _string_names(node)
+    return read
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    read = set().union(*map(_read, trees.values()))
+    unread = sorted(
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_defs(tree).items()
+        if name not in read
+    )
+    assert not unread, f"private names defined but never read in the package: {', '.join(unread)}"
+
+
+def test_catches_an_unread_private_name():
+    tree = ast.parse(
+        "_CAP = 4\n"
+        "_cache: dict = {}\n"
+        "_LO, _HI = 1, 2\n"
+        "def _helper(a: '_Table'):\n"
+        "    _cache[a] = _LO\n"
+        "class _Table:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper\n"
+    )
+    assert sorted(set(_private_defs(tree)) - _read(tree)) == ["_CAP", "_HI"]

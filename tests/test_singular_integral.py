@@ -115,12 +115,6 @@ class TestJIntegral:
             )
             assert j_integral(n, ctx) == pytest.approx(expect, rel=1e-12)
 
-    def test_array_form_matches_scalar(self):
-        ctx = ProblemContext.from_parts(2, 3, 100.0, 5.0)
-        off, tab = j_array(ctx)
-        for n in (off, off + 1234, off + tab.size - 1):
-            assert j_integral(n, ctx) == tab[n - off]
-
     def test_positivity(self):
         ctx = ProblemContext.from_parts(2, 3, 100.0, 5.0)
         _, tab = j_array(ctx)
@@ -135,36 +129,38 @@ class TestJIntegral:
         assert 0.90 < ratio < 1.0
 
     def test_fft_route_matches_direct_convolution(self):
-        # window length 13201 exceeds the direct-route cutoff of 10^4
+        # the whole support, 13201 weights at unit width
         ctx = ProblemContext.from_parts(2, 2, 110.0, 30.0)
         ws = WeightSeq.from_context(ctx)
-        assert len(ws) > 10 ** 4
         off, tab = j_array(ctx)
         oracle = np.convolve(ws.weights, ws.weights)
         assert tab.shape == oracle.shape
         scale = float(oracle.max())
         assert float(np.max(np.abs(tab - oracle))) <= 1e-12 * scale
 
-    def test_direct_route_matches_repeated_convolve(self):
-        ctx = ProblemContext.from_parts(2, 3, 60.0, 30.0)
+    @pytest.mark.parametrize(
+        "parts",
+        [(2, 3, 60.0, 60.0), (3, 3, 30.0, 28.0), (2, 3, 60.0, 30.0)],
+        ids=["k2-theta1", "k3-x30-y28", "k2-x60-y30"],
+    )
+    def test_wide_window_j_matches_the_exact_convolution(self, parts):
+        # wide windows reach down to lo = 1 (theta = 1) and lo = 8, where
+        # unit cells that held the integral of c, not the weights, were
+        # off by 1.9e-4 and 4.5e-8 relative at the targets
+        ctx = ProblemContext.from_parts(*parts)
         ws = WeightSeq.from_context(ctx)
-        assert len(ws) <= 10 ** 4
-        _, tab = j_array(ctx)
-        oracle = np.convolve(np.convolve(ws.weights, ws.weights), ws.weights)
-        assert np.array_equal(tab, oracle)
-
-    def test_convolution_cache_is_bounded(self):
-        # cap + 1 distinct windows: the oldest is dropped, the newest is
-        # served from the cache
-        import wglab.singular_integral as si
-
-        si._conv_cache.clear()
-        cap = si._CONV_CACHE_CAP
-        ctxs = [ProblemContext.from_parts(2, 2, 30.0 + i, 3.0) for i in range(cap + 1)]
-        tabs = [j_array(ctx)[1] for ctx in ctxs]
-        assert len(si._conv_cache) == cap
-        assert j_array(ctxs[-1])[1] is tabs[-1]
-        assert j_array(ctxs[0])[1] is not tabs[0]
+        n_lo, n_hi = math.floor(ctx.N) + 1, math.floor(ctx.N + ctx.window_width)
+        base = ctx.s * ws.lo
+        want = _convolve_window(ws.weights, ctx.s, n_lo - base, n_hi - base)
+        off, tab = j_array(ctx, n_lo, n_hi)
+        assert off == n_lo and tab.size == want.size
+        assert float(np.max(np.abs(tab - want) / want)) <= 2e-10
+        # j at the targets, from the table on their class
+        ns, g = _scan_targets(ctx)
+        off, tab = j_array(ctx, int(ns[0]), int(ns[-1]), g)
+        got = tab[(ns - off) // g]
+        want = want[ns - n_lo]
+        assert float(np.max(np.abs(got - want) / want)) <= 2e-10
 
     def test_convolution_ceiling(self):
         ctx = ProblemContext.from_parts(2, 100_000, 100.0, 10.0)
@@ -177,6 +173,19 @@ def _linear_power(w, s):
     for _ in range(s - 1):
         acc = np.convolve(acc, w)
     return acc
+
+
+def _convolve_window(w, s, a, b):
+    """Entries a..b of the s-fold self-convolution of w by repeated
+    np.convolve: each stage keeps the entries up to b, the only ones the
+    window reads, and the last computes a..b alone ("valid" over a
+    zero-padded prefix)."""
+    w = w[: b + 1]
+    acc = w
+    for _ in range(s - 2):
+        acc = np.convolve(acc, w)[: b + 1]
+    pad = np.concatenate((np.zeros(w.size - 1), acc))
+    return np.convolve(pad[a : b + w.size], w, "valid")
 
 
 def _is_5_smooth(n):
@@ -291,29 +300,22 @@ class TestWrappedConvolution:
             require_conv_budget(2 ** 27 + 1)
 
     def test_window_matches_full_table(self):
-        # an FFT-route window (13201 weights): the scan-window table
-        # against the whole-support one
-        ctx = ProblemContext.from_parts(2, 3, 110.0, 30.0)
-        assert len(WeightSeq.from_context(ctx)) > 10 ** 4
-        off0, full = j_array(ctx)
-        lo = math.floor(ctx.N) + 1
-        hi = math.floor(ctx.N + ctx.window_width)
-        off, tab = j_array(ctx, lo, hi)
-        assert off == lo and tab.size == hi - lo + 1
-        ref = full[off - off0 : off - off0 + tab.size]
-        assert np.all(np.abs(tab - ref) <= 1e-13 * ref)
-        # a window running past the support is clipped to it
-        top = off0 + full.size - 1
-        off, tab = j_array(ctx, top - 5, top + 50)
-        assert (off, tab.size) == (top - 5, 6)
-        assert j_array(ctx, top + 1, top + 9)[1].size == 0
-
-    def test_direct_route_window_is_the_whole_table(self):
-        # up to 10^4 weights the window is served from the direct table
-        ctx = ProblemContext.from_parts(2, 3, 60.0, 30.0)
-        off0, full = j_array(ctx)
-        off, tab = j_array(ctx, off0 + 100, off0 + 200)
-        assert off == off0 and tab is full
+        # the scan-window table against the whole-support one, at 13201
+        # and at 2001 weights
+        for parts in [(2, 3, 110.0, 30.0), (2, 3, 100.0, 5.0)]:
+            ctx = ProblemContext.from_parts(*parts)
+            off0, full = j_array(ctx)
+            lo = math.floor(ctx.N) + 1
+            hi = math.floor(ctx.N + ctx.window_width)
+            off, tab = j_array(ctx, lo, hi)
+            assert off == lo and tab.size == hi - lo + 1
+            ref = full[off - off0 : off - off0 + tab.size]
+            assert np.all(np.abs(tab - ref) <= 1e-13 * ref)
+            # a window running past the support is clipped to it
+            top = off0 + full.size - 1
+            off, tab = j_array(ctx, top - 5, top + 50)
+            assert (off, tab.size) == (top - 5, 6)
+            assert j_array(ctx, top + 1, top + 9)[1].size == 0
 
     def test_stepped_length_rule(self):
         # L = step M with M the shortest 5-smooth length covering need
@@ -359,15 +361,6 @@ class TestWrappedConvolution:
             assert _exact_wrapped(w, 4, a, b, 1).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("step", [2, 3, 24])
-    def test_direct_route_step_slices_the_whole_table(self, step):
-        ctx = ProblemContext.from_parts(2, 3, 60.0, 30.0)
-        off0, full = j_array(ctx)
-        for n_lo in (off0 - 7, off0 + 101):
-            off, tab = j_array(ctx, n_lo, n_lo + 500, step)
-            assert (off - n_lo) % step == 0 and off0 <= off < off0 + step
-            assert tab.tobytes() == full[off - off0 :: step].tobytes()
-
-    @pytest.mark.parametrize("step", [2, 3, 24])
     def test_fft_route_step_matches_unit_step(self, step):
         ctx = ProblemContext.from_parts(2, 3, 110.0, 30.0)
         off0, full = j_array(ctx)
@@ -405,8 +398,6 @@ class TestCells:
     )
     def test_cells_match_the_exact_oracle(self, ctx):
         # the scan's targets' class, relative at every entry
-        si._conv_cache.clear()
-        assert si.j_route(ctx) == "cells"
         ns, g = _scan_targets(ctx)
         off, tab = j_array(ctx, int(ns[0]), int(ns[-1]), g)
         want_off, want = _exact_j(ctx, int(ns[0]), int(ns[-1]), g)
@@ -429,7 +420,6 @@ class TestCells:
         # a whole-support table would walk h down to 1, its ends (j -> 0)
         # never agreeing; one central n stays at the coarse widths
         ctx = ProblemContext.from_parts(2, 5, 1000.0, 1000.0 ** 0.8)
-        si._conv_cache.clear()
         widths = []
         cells = si._cells
         monkeypatch.setattr(si, "_cells", lambda *args: (widths.append(args[4]), cells(*args))[1])
@@ -450,16 +440,19 @@ class TestCells:
         cells = si._cells
         monkeypatch.setattr(si, "_cells", lambda *args: (widths.append(args[4]), cells(*args))[1])
         for n_lo, n_hi in [(None, 5 * lo + 300), (5 * hi - 300, None)]:
-            si._conv_cache.clear()
             widths.clear()
             off, tab = j_array(ctx, n_lo, n_hi)
             assert widths == [1] and tab.size == 301
 
     def test_masses_at_unit_width_are_the_weights(self):
-        ctx = ProblemContext.from_parts(3, 7, 30.0, 30.0 ** 0.8)
-        ws = WeightSeq.from_context(ctx)
-        mass = si._cell_masses(3, ws.lo, ws.hi, 1)
-        assert float(np.max(np.abs(mass - ws.weights) / ws.weights)) <= 1e-14
+        # the same bits, also at lo = 1 (theta = 1), where the integral of
+        # c less its Euler-Maclaurin term is 1.2e-2 off the weight
+        for parts in [(2, 3, 60.0, 60.0), (3, 7, 30.0, 30.0 ** 0.8)]:
+            ctx = ProblemContext.from_parts(*parts)
+            ws = WeightSeq.from_context(ctx)
+            mass = si._cell_masses(ctx.k, ws.lo, ws.hi, 1)
+            assert mass.tobytes() == ws.weights.tobytes()
+            assert (ws.lo == 1) == (ctx.k == 2)
         # a cell of width 8 holds the sum of its eight weights
         mass = si._cell_masses(3, ws.lo, ws.hi, 8)
         sums = np.add.reduceat(ws.weights, np.arange(0, len(ws), 8))
@@ -490,10 +483,9 @@ class TestCells:
         assert float(np.max(np.abs(tab - want) / want)) <= 2e-10
 
     def test_oversized_context_is_refused_before_allocating(self, monkeypatch):
-        # 13201 weights take the cell route at h = 1; s = 20000 needs a
-        # cyclic length near 2.6e8, 7.9 GiB at 32 bytes per entry
+        # 13201 weights at h = 1; s = 20000 needs a cyclic length near
+        # 2.6e8, 7.9 GiB at 32 bytes per entry
         ctx = ProblemContext.from_parts(2, 20_000, 110.0, 30.0)
-        assert si.j_route(ctx) == "cells"
 
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the budget check")
