@@ -115,6 +115,17 @@ class TestJIntegral:
             )
             assert j_integral(n, ctx) == pytest.approx(expect, rel=1e-12)
 
+    def test_array_form_matches_scalar(self):
+        # j_integral transforms a one-entry window, the table the whole
+        # support; the two FFTs differ in length, so entries agree to
+        # round-off, and exactly at the ends of the support
+        ctx = ProblemContext.from_parts(2, 3, 100.0, 5.0)
+        off, tab = j_array(ctx)
+        for n in (off, off + 1234, off + tab.size - 1):
+            assert abs(j_integral(n, ctx) - tab[n - off]) <= 1e-13 * tab[n - off]
+        assert j_integral(off, ctx) == tab[0]
+        assert j_integral(off + tab.size - 1, ctx) == tab[-1]
+
     def test_positivity(self):
         ctx = ProblemContext.from_parts(2, 3, 100.0, 5.0)
         _, tab = j_array(ctx)
