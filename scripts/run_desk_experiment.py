@@ -22,7 +22,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wglab.arcs import ArcParams
 from wglab.arith import ProblemContext
-from wglab.cli import csv_lines, emit_plot_data, per_n_table
+from wglab.cli import (
+    arc_profile_table,
+    csv_lines,
+    partial_sums_table,
+    per_n_table,
+    ratio_histogram_table,
+)
 from wglab.config import canonical_json
 from wglab.experiment import exceptional_scan
 from wglab.expsums import arc_profile
@@ -96,21 +102,18 @@ def main(argv=None) -> int:
         canonical_json({"kind": "exceptional_scan", "q0": args.q0, "report": rep})
     )
     (out / "per_n.csv").write_text(csv_lines(*per_n_table(rep)))
-    emit_plot_data(rep, "ratio_histogram", str(out / "ratio_histogram.csv"))
+    (out / "ratio_histogram.csv").write_text(csv_lines(*ratio_histogram_table(rep)))
 
     params = ArcParams.from_context(ctx)
     profile = arc_profile(ctx, params, args.grid_size)
-    emit_plot_data(profile, "arc_profile", str(out / "arc_profile.csv"))
+    (out / "arc_profile.csv").write_text(csv_lines(*arc_profile_table(profile)))
 
     # partial-sum trajectory for the scanned target nearest the window center
     if rep.per_n is not None and rep.scanned:
         mid = rep.window[0] + (rep.window[1] - rep.window[0]) // 2
         n_star = int(rep.per_n.n[np.argmin(np.abs(rep.per_n.n - mid))])
-        emit_plot_data(
-            truncated_sigma(n_star, ctx, args.q0),
-            "partial_sums",
-            str(out / "partial_sums.csv"),
-        )
+        table = partial_sums_table(truncated_sigma(n_star, ctx, args.q0))
+        (out / "partial_sums.csv").write_text(csv_lines(*table))
 
     pngs = render_pngs(out, rep, profile)
 

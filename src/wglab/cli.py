@@ -7,7 +7,8 @@ directory can also come from the WGLAB_CACHE_DIR environment variable.
 Flag precedence: explicit flag > environment > config file > default.
 
 Exit status: 0 on success, 1 on domain errors (printed as
-"error[<code>]: <message>" on stderr), 2 on usage errors.
+"error[<code>]: <message>" on stderr) and on file errors (as
+"error[io]: <message>"), 2 on usage errors.
 
 All floats are printed with 12 significant digits so golden outputs are
 stable across platforms.
@@ -26,7 +27,7 @@ import numpy as np
 from .arcs import ArcDecomposition, ArcParams
 from .arith import ProblemContext, admissible, modulus_R, sieve_interval
 from .config import RunConfig, canonical_json, format_float, parse_config
-from .errors import ParameterDomain, UnsupportedKind, WglabError
+from .errors import ParameterDomain, WglabError
 from .experiment import ExceptionalReport, exceptional_scan, minor_arc_moment
 from .expsums import ArcProfile, arc_profile, build_sequence, dichotomy_report, sup_scan
 from .representations import moment, rho_mitm
@@ -350,62 +351,51 @@ def _cmd_report(cfg, args, y):
     if args.plot:
         if not args.plot_out:
             raise ParameterDomain("--plot needs --plot-out")
-        source = _plot_source(rep, ctx, cfg, args)
-        emit_plot_data(source, args.plot, args.plot_out)
+        if args.plot == "ratio_histogram":
+            table = ratio_histogram_table(rep)
+        elif args.plot == "partial_sums":
+            if args.plot_n is not None:
+                n = args.plot_n
+            elif rep.per_n is not None and rep.scanned:
+                n = int(rep.per_n.n[0])
+            else:
+                raise ParameterDomain("no scanned n to plot; give --plot-n")
+            table = partial_sums_table(truncated_sigma(n, ctx, cfg.Q0))
+        else:  # arc_profile
+            params = ArcParams.from_context(ctx, A=cfg.A)
+            table = arc_profile_table(arc_profile(ctx, params, cfg.grid_size))
+        with open(args.plot_out, "w", encoding="utf-8") as fh:
+            fh.write(csv_lines(*table))
     return canonical_json(payload)
-
-
-def _plot_source(rep: ExceptionalReport, ctx, cfg, args):
-    if args.plot == "ratio_histogram":
-        return rep
-    if args.plot == "partial_sums":
-        if args.plot_n is not None:
-            n = args.plot_n
-        elif rep.per_n is not None and rep.scanned:
-            n = int(rep.per_n.n[0])
-        else:
-            raise ParameterDomain("no scanned n to plot; give --plot-n")
-        return truncated_sigma(n, ctx, cfg.Q0)
-    if args.plot == "arc_profile":
-        params = ArcParams.from_context(ctx, A=cfg.A)
-        return arc_profile(ctx, params, cfg.grid_size)
-    raise UnsupportedKind(f"unknown plot kind {args.plot!r}")
 
 
 # -------------------------------------------------------------- plot data
 
 
-def emit_plot_data(report, kind: str, path: str) -> None:
-    """Write one plot-ready CSV: |f| profile, ratio histogram, or the
-    singular-series partial-sum trajectory, depending on kind."""
-    if kind not in PLOT_KINDS:
-        raise UnsupportedKind(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
-    if kind == "arc_profile":
-        if not isinstance(report, ArcProfile):
-            raise UnsupportedKind("arc_profile needs an ArcProfile source")
-        header = ["alpha", "abs_f", "label"]
-        columns = [report.alphas, report.magnitudes, report.labels]
-    elif kind == "ratio_histogram":
-        if not isinstance(report, ExceptionalReport):
-            raise UnsupportedKind("ratio_histogram needs an ExceptionalReport source")
-        header = ["bin_lo", "bin_hi", "count"]
-        columns = [[], [], []]
-        if report.per_n is not None and report.scanned:
-            finite = report.per_n.ratio[np.isfinite(report.per_n.ratio)]
-            if finite.size:
-                counts, edges = np.histogram(finite, bins=20)
-                columns = [edges[:-1], edges[1:], counts]
-    else:  # partial_sums
-        if not isinstance(report, SeriesTruncation):
-            raise UnsupportedKind("partial_sums needs a SeriesTruncation source")
-        header = ["q", "a_q", "partial_sum"]
-        columns = [
-            [q for q, _ in report.partials],
-            [a for _, a in report.partials],
-            [acc for _, acc in report.trajectory()],
-        ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_lines(header, columns))
+def ratio_histogram_table(rep: ExceptionalReport) -> tuple[list[str], list]:
+    """(header, columns) of a 20-bin histogram of a scan's finite
+    count/main-term ratios; no rows when there are none."""
+    header = ["bin_lo", "bin_hi", "count"]
+    if rep.per_n is not None and rep.scanned:
+        finite = rep.per_n.ratio[np.isfinite(rep.per_n.ratio)]
+        if finite.size:
+            counts, edges = np.histogram(finite, bins=20)
+            return header, [edges[:-1], edges[1:], counts]
+    return header, [[], [], []]
+
+
+def partial_sums_table(tr: SeriesTruncation) -> tuple[list[str], list]:
+    """(header, columns) of the singular series' kept terms and running sums."""
+    return ["q", "a_q", "partial_sum"], [
+        [q for q, _ in tr.partials],
+        [a for _, a in tr.partials],
+        [acc for _, acc in tr.trajectory()],
+    ]
+
+
+def arc_profile_table(profile: ArcProfile) -> tuple[list[str], list]:
+    """(header, columns) of |f| over the grid, each point labelled by arc."""
+    return ["alpha", "abs_f", "label"], [profile.alphas, profile.magnitudes, profile.labels]
 
 
 # ---------------------------------------------------------------- parser
@@ -509,15 +499,18 @@ def main(argv=None) -> int:
     try:
         cfg, y = _merge_config(args)
         text = _HANDLERS[args.command](cfg, args, y)
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except WglabError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error[io]: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -75,7 +75,3 @@ class CacheMiss(WglabError):
 
 class CacheVersionMismatch(WglabError):
     code = "cache-version"
-
-
-class UnsupportedKind(WglabError):
-    code = "unsupported-kind"

@@ -10,14 +10,15 @@ and the arithmetic coefficient attached to a target n is
 
 The truncated singular series sigma(n, Q0) is the partial sum of A(q, n)
 over q <= Q0 (the q = 1 term is 1).  A(q, n) is multiplicative in q, so
-the batch path assembles values from prime-power tables.
+each term is a product of prime-power table columns.  One route computes
+the terms, for one target (`truncated_sigma`) or many (`sigma_batch`).
 
 Computation uses the discrete Fourier transform twice: the row
 (S(q, a))_a is the conjugate DFT of the histogram of b^k mod q over
 units, and the row (A(q, n mod q))_n is a DFT of the masked s-th powers
-of that row.  Everything is cached per (q, k) and (q, k, s).  A direct
-summation route (`a_coefficient_direct`) is kept alongside the table
-route; the two must agree and the test suite holds them to that.
+of that row.  Everything is cached per (q, k) and (q, k, s).  Direct
+summation over the unit group (`a_coefficient_direct`) remains the
+oracle; the test suite holds the table route to it.
 """
 
 from __future__ import annotations
@@ -141,20 +142,6 @@ def _pp_table(pp: int, k: int, s: int) -> np.ndarray:
     return vals.real.copy()
 
 
-def a_coefficient(q: int, n: int, k: int, s: int) -> float:
-    """A(q, n) assembled multiplicatively from prime-power tables."""
-    q, n = int(q), int(n)
-    if q < 1:
-        raise ParameterDomain(f"need q >= 1, got {q}")
-    if q > _Q_CEILING:
-        raise RangeTooLarge(f"q={q} exceeds modulus ceiling {_Q_CEILING}")
-    out = 1.0
-    for p, e in factorize(q):
-        pp = p ** e
-        out *= float(_pp_table(pp, k, s)[n % pp])
-    return out
-
-
 @dataclass(frozen=True)
 class SeriesTruncation:
     """sigma(n, q0) together with the partial terms that were kept."""
@@ -176,30 +163,72 @@ class SeriesTruncation:
         return out
 
 
-def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation:
-    """Partial singular series sum over q <= q_max, ascending in q.
-
-    Terms with |A(q, n)| <= 1e-12 are dropped from the records and from
-    the sum, keeping the scalar path and the batch path summing exactly
-    the same floats in the same order.
-    """
-    n = int(n)
-    if n < 0:
-        raise ParameterDomain(f"need n >= 0, got {n}")
+def _live_q(q_max: int, k: int, s: int) -> list[tuple[int, list[int]]]:
+    """(q, its prime powers in `factorize` order) for each 2 <= q <= q_max
+    whose term can pass the floor at some n, ascending in q."""
     if q_max < 1:
         raise ParameterDomain(f"need q_max >= 1, got {q_max}")
     if q_max > _Q_CEILING:
         raise RangeTooLarge(f"q_max={q_max} exceeds modulus ceiling {_Q_CEILING}")
+    factors = [[p ** e for p, e in factorize(q)] for q in range(2, q_max + 1)]
+    pp_all = {pp for pps in factors for pp in pps}
+    peak = {pp: float(np.max(np.abs(_pp_table(pp, k, s)))) for pp in pp_all}
+    # |term| <= the product of its tables' peaks, (1 + eps) per factor: a q
+    # under half the floor there is floored to 0 at every n
+    return [
+        (q, pps)
+        for q, pps in enumerate(factors, start=2)
+        if math.prod(peak[pp] for pp in pps) > _PARTIAL_FLOOR / 2
+    ]
+
+
+def _terms(block: np.ndarray, live: list[tuple[int, list[int]]], k: int, s: int):
+    """Yield (q, A(q, n) over the block) for each live q: the product of
+    its columns A(pp, n mod pp) in `factorize` order.  Each distinct pp's
+    column is gathered once per block."""
+    used = {pp for _, pps in live for pp in pps}
+    cols = {pp: _pp_table(pp, k, s)[block % pp] for pp in used}
+    for q, pps in live:
+        yield q, math.prod(cols[pp] for pp in pps)
+
+
+def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation:
+    """Partial singular series sum over q <= q_max, ascending in q.
+
+    Terms with |A(q, n)| <= 1e-12 are dropped from the records and from
+    the sum.  The terms are `sigma_batch`'s on a block of one target, so
+    the value equals `sigma_batch([n], ctx, q_max)` bit for bit.
+    """
+    n = int(n)
+    if n < 0:
+        raise ParameterDomain(f"need n >= 0, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise RangeTooLarge(f"n={n} exceeds the int64 range")
+    live = _live_q(q_max, ctx.k, ctx.s)
     partials: list[tuple[int, float]] = [(1, 1.0)]
     value = 1.0
-    for q in range(2, q_max + 1):
-        a = a_coefficient(q, n, ctx.k, ctx.s)
+    for q, term in _terms(np.array([n], dtype=np.int64), live, ctx.k, ctx.s):
+        a = float(term[0])
         if abs(a) > _PARTIAL_FLOOR:
             partials.append((q, a))
             value += a
     return SeriesTruncation(
         n=n, k=ctx.k, s=ctx.s, q0=int(q_max), value=value, partials=tuple(partials)
     )
+
+
+def _sigma_sum(
+    n_values: np.ndarray, live: list[tuple[int, list[int]]], k: int, s: int
+) -> np.ndarray:
+    """1 plus the live terms over the targets, in blocks of 2^13."""
+    values = np.ones(n_values.size, dtype=np.float64)
+    for start in range(0, n_values.size, _SIGMA_BLOCK):
+        block = n_values[start : start + _SIGMA_BLOCK]
+        acc = values[start : start + block.size]
+        for _, term in _terms(block, live, k, s):
+            # a term at or under the floor adds exactly 0.0
+            np.add(acc, term, out=acc, where=np.abs(term) > _PARTIAL_FLOOR)
+    return values
 
 
 def sigma_batch(
@@ -212,55 +241,18 @@ def sigma_batch(
 
     Returns (values, snapshot) where snapshot holds the partial sums at
     q = checkpoint (None when no checkpoint was requested).  The targets
-    go in blocks of 2^13; a block gathers one column A(pp, n mod pp) per
-    prime power pp <= q_max, and each q multiplies its columns in
-    `factorize` order, floors the product and adds it in ascending q, as
-    the scalar route does, so batch and scalar results agree bit for bit.
+    go in blocks of 2^13, and each live q's term is added in ascending q,
+    as `truncated_sigma` does, so the two agree bit for bit.  The snapshot
+    is the sum at q_max = checkpoint: the same terms in the same order.
     """
     n_values = np.asarray(n_values, dtype=np.int64)
     if n_values.size and int(n_values.min()) < 0:
         raise ParameterDomain("targets must be nonnegative")
-    if q_max < 1:
-        raise ParameterDomain(f"need q_max >= 1, got {q_max}")
-    if q_max > _Q_CEILING:
-        raise RangeTooLarge(f"q_max={q_max} exceeds modulus ceiling {_Q_CEILING}")
     if checkpoint is not None and not (1 <= checkpoint <= q_max):
         raise ParameterDomain(f"checkpoint must lie in [1, q_max], got {checkpoint}")
-    factors = [[p ** e for p, e in factorize(q)] for q in range(2, q_max + 1)]
-    tables = {pp: _pp_table(pp, ctx.k, ctx.s) for pps in factors for pp in pps}
-    # |term| <= the product of its tables' peaks, (1 + eps) per factor: a q
-    # under half the floor there is floored to 0 at every n, adds nothing
-    peak = {pp: float(np.max(np.abs(t))) for pp, t in tables.items()}
-    live = [math.prod(peak[pp] for pp in pps) > _PARTIAL_FLOOR / 2 for pps in factors]
-    used = {pp for pps, on in zip(factors, live) if on for pp in pps}
-    values = np.ones(n_values.size, dtype=np.float64)
-    snapshot = None if checkpoint is None else values.copy()
-    for start in range(0, n_values.size, _SIGMA_BLOCK):
-        block = n_values[start : start + _SIGMA_BLOCK]
-        cols = {pp: tables[pp][block % pp] for pp in used}
-        acc = values[start : start + block.size]
-        for q, pps, on in zip(range(2, q_max + 1), factors, live):
-            if on:
-                # 1 * columns in `factorize` order, as the scalar route; a
-                # term at or under the floor adds exactly 0.0
-                term = math.prod(cols[pp] for pp in pps)
-                np.add(acc, term, out=acc, where=np.abs(term) > _PARTIAL_FLOOR)
-            if q == checkpoint:
-                snapshot[start : start + block.size] = acc
-    return values, snapshot
-
-
-def sigma_tail_sample(n: int, ctx: ProblemContext, q_max: int, stride: int = 7) -> float:
-    """Heuristic tail gauge: stride-sampled sum of |A(q, n)| over
-    q_max < q <= 2 q_max, scaled back up by the stride.
-
-    This is a diagnostic, not a bound.
-    """
-    if stride < 1:
-        raise ParameterDomain(f"need stride >= 1, got {stride}")
-    if 2 * q_max > _Q_CEILING:
-        raise RangeTooLarge(f"2*q_max={2 * q_max} exceeds modulus ceiling")
-    acc = 0.0
-    for q in range(q_max + 1, 2 * q_max + 1, stride):
-        acc += abs(a_coefficient(q, n, ctx.k, ctx.s))
-    return acc * stride
+    live = _live_q(q_max, ctx.k, ctx.s)
+    values = _sigma_sum(n_values, live, ctx.k, ctx.s)
+    if checkpoint is None:
+        return values, None
+    early = [(q, pps) for q, pps in live if q <= checkpoint]
+    return values, _sigma_sum(n_values, early, ctx.k, ctx.s)

@@ -135,6 +135,24 @@ class TestExitCodes:
         assert main(["report", *W, "--plot", "sparkline"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--config", "{tmp}/missing.cfg"],
+            ["--out", "{tmp}/no-dir/report.json"],
+            ["--plot", "ratio_histogram", "--plot-out", "{tmp}/no-dir/hist.csv"],
+            ["--cache-dir", "{tmp}/a-file/cache"],
+        ],
+        ids=["config", "out", "plot-out", "cache-dir"],
+    )
+    def test_file_error_is_one(self, flags, tmp_path, capsys):
+        (tmp_path / "a-file").write_text("")
+        argv = ["report", "--q0", "50", *W, *(f.format(tmp=tmp_path) for f in flags)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ")
+        assert "Traceback" not in err
+
 
 class TestReportArtifacts:
     def test_per_n_stream_sibling(self, tmp_path, capsys):

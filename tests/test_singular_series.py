@@ -10,11 +10,9 @@ import wglab.singular_series as ss
 from wglab.arith import ProblemContext, euler_phi, factorize
 from wglab.errors import NotCoprime, ParameterDomain, RangeTooLarge
 from wglab.singular_series import (
-    a_coefficient,
     a_coefficient_direct,
     gauss_sum,
     sigma_batch,
-    sigma_tail_sample,
     truncated_sigma,
 )
 
@@ -75,20 +73,30 @@ class TestGaussSum:
             assert s2 == pytest.approx(s1.conjugate(), abs=1e-12)
 
 
+def _table_term(q, n):
+    # A(q, n) at k=2, s=5 as the table route records it in the partials; a
+    # q it leaves out must be one the oracle puts at or under the floor
+    kept = dict(truncated_sigma(n, CTX, q).partials)
+    if q in kept:
+        return kept[q]
+    assert abs(a_coefficient_direct(q, n, 2, 5)) <= 1e-12
+    return 0.0
+
+
 class TestACoefficient:
     def test_unit_modulus(self):
-        assert a_coefficient(1, 10, 2, 5) == 1.0
+        assert _table_term(1, 10) == 1.0
         assert a_coefficient_direct(1, 10, 2, 5) == 1.0
 
     def test_modulus_two_parity(self):
         # A(2, n) = (-1)^(n + s) for k = 2
-        assert a_coefficient(2, 5, 2, 5) == pytest.approx(1.0)
-        assert a_coefficient(2, 4, 2, 5) == pytest.approx(-1.0)
+        assert _table_term(2, 5) == pytest.approx(1.0)
+        assert _table_term(2, 4) == pytest.approx(-1.0)
 
     def test_table_matches_direct(self):
         for q in (2, 3, 4, 8, 9, 12, 25, 49, 60, 81):
             for n in (0, 5, 53, 54):
-                assert a_coefficient(q, n, 2, 5) == pytest.approx(
+                assert _table_term(q, n) == pytest.approx(
                     a_coefficient_direct(q, n, 2, 5), abs=1e-9
                 )
 
@@ -137,7 +145,7 @@ class TestACoefficient:
             )
             cap = phi ** (1 - s) * smax ** s + 1e-9
             for n in (1, 13, 54):
-                assert abs(a_coefficient(q, n, 2, s)) <= cap
+                assert abs(_table_term(q, n)) <= cap
 
 
 class TestTruncatedSigma:
@@ -180,6 +188,8 @@ class TestTruncatedSigma:
             truncated_sigma(5, CTX, 0)
         with pytest.raises(RangeTooLarge):
             truncated_sigma(5, CTX, 10 ** 9)
+        with pytest.raises(RangeTooLarge):
+            truncated_sigma(2 ** 63, CTX, 10)
 
 
 def _sigma_per_q(n_values, ctx, q_max, checkpoint=None):
@@ -200,11 +210,17 @@ def _sigma_per_q(n_values, ctx, q_max, checkpoint=None):
 
 class TestSigmaBatch:
     def test_matches_scalar_bitwise(self):
-        targets = np.array([29, 53, 54, 77, 101])
-        vals, snap = sigma_batch(targets, CTX, 200)
-        assert snap is None
-        for n, v in zip(targets.tolist(), vals.tolist()):
-            assert v == truncated_sigma(n, CTX, 200).value
+        cases = [
+            (CTX, [29, 53, 54, 77, 101]),
+            # 27, 54, 81 and 1,512,009 are 0 mod 9, which the (3, 7) rule excludes
+            (ProblemContext.from_parts(3, 7, 60.0, 20.0), [27, 53, 54, 81, 1_512_001, 1_512_009]),
+        ]
+        for ctx, targets in cases:
+            vals, snap = sigma_batch(np.array(targets), ctx, 200)
+            assert snap is None
+            for n, v in zip(targets, vals.tolist()):
+                assert v == truncated_sigma(n, ctx, 200).value
+                assert sigma_batch(np.array([n]), ctx, 200)[0][0] == v
 
     def test_checkpoint_snapshot(self):
         targets = np.array([53, 54])
@@ -217,7 +233,7 @@ class TestSigmaBatch:
         assert vals.tolist() == vals2.tolist()
 
     @pytest.mark.parametrize(
-        "k,s,checkpoint", [(2, 5, None), (2, 5, 37), (3, 7, 1), (3, 7, 60)]
+        "k,s,checkpoint", [(2, 5, None), (2, 5, 37), (2, 5, 16), (3, 7, 1), (3, 7, 60)]
     )
     def test_columns_match_the_per_q_oracle(self, k, s, checkpoint):
         # 20,011 targets of every residue: three blocks of 2^13, the last
@@ -225,6 +241,10 @@ class TestSigmaBatch:
         ctx = ProblemContext.from_parts(k, s, 60.0, 20.0)
         targets = np.arange(1_000_003, 1_000_003 + 20_011, dtype=np.int64)
         assert targets.size > 2 * ss._SIGMA_BLOCK
+        if checkpoint in (16, 60):
+            # a checkpoint with no live term: the snapshot is the sum up to
+            # the last live q below it, as the per-q loop leaves it
+            assert checkpoint not in [q for q, _ in ss._live_q(120, k, s)]
         vals, snap = sigma_batch(targets, ctx, 120, checkpoint)
         want_vals, want_snap = _sigma_per_q(targets, ctx, 120, checkpoint)
         assert vals.tobytes() == want_vals.tobytes()
@@ -238,16 +258,3 @@ class TestSigmaBatch:
         with pytest.raises(ParameterDomain):
             sigma_batch(np.array([-3]), CTX, 100)
 
-
-class TestTailSample:
-    def test_smoke(self):
-        val = sigma_tail_sample(53, CTX, 200)
-        assert val >= 0.0
-        assert math.isfinite(val)
-
-    def test_stride_one_dominates(self):
-        # the full tail sum upper-bounds itself sampled at stride 1
-        full = sigma_tail_sample(53, CTX, 60, stride=1)
-        assert full >= 0.0
-        with pytest.raises(ParameterDomain):
-            sigma_tail_sample(53, CTX, 60, stride=0)
