@@ -327,6 +327,13 @@ def _cmd_minor_moment(cfg, args, y):
 
 
 def _cmd_report(cfg, args, y):
+    # refuse plot flags that do not fit together before any scan or write
+    if args.plot and not args.plot_out:
+        raise ParameterDomain("--plot needs --plot-out")
+    if args.plot_out and not args.plot:
+        raise ParameterDomain("--plot-out needs --plot")
+    if args.plot_n is not None and args.plot != "partial_sums":
+        raise ParameterDomain("--plot-n needs --plot partial_sums")
     ctx = _context(cfg, y)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
     parameters = {
@@ -349,8 +356,6 @@ def _cmd_report(cfg, args, y):
         "per_n_stream": stream_name,
     }
     if args.plot:
-        if not args.plot_out:
-            raise ParameterDomain("--plot needs --plot-out")
         if args.plot == "ratio_histogram":
             table = ratio_histogram_table(rep)
         elif args.plot == "partial_sums":

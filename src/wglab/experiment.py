@@ -38,7 +38,14 @@ from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule, modulus_R
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
-from .expsums import PhasePowers, build_sequence, eval_sums, grid_points
+from .expsums import (
+    PhasePowers,
+    build_sequence,
+    eval_sums,
+    grid_points,
+    grid_sums,
+    require_grid_budget,
+)
 from .representations import rho_route, rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
@@ -325,8 +332,9 @@ def minor_arc_moment(
 ) -> float:
     """Riemann estimate of the integral of |f|^t over the minor arcs.
 
-    region="full" integrates over the whole grid instead (used to
-    calibrate the grid against the exact even moments).  When no grid
+    f is taken by `grid_sums` at the exact rationals j/grid_size of the
+    region.  region="full" integrates over the whole grid instead (used
+    to calibrate the grid against the exact even moments).  When no grid
     point is minor and the arc family provably blankets the circle, the
     minor contribution is 0; an uncovered empty grid raises empty-region.
     """
@@ -337,12 +345,13 @@ def minor_arc_moment(
     if region not in ("minor", "full"):
         raise ParameterDomain(f"unknown region {region!r}")
     seq = build_sequence(ctx, "prime_log")
-    alphas = grid_points(params, region, grid_size)
+    require_grid_budget(grid_size, len(seq))
+    idx = grid_points(params, region, grid_size)
     # scalar abs and ** summed left to right; array forms differ in the last bit
     acc = 0.0
-    for f in eval_sums(seq, ctx.k, alphas):
+    for f in grid_sums(seq, ctx.k, grid_size, idx):
         acc += abs(f) ** t
-    if not alphas:
+    if not idx.size:
         try:
             covered = major_measure(params) >= 0.999
         except OverlapDetected:

@@ -12,9 +12,10 @@ Phase accuracy
 --------------
 Evaluating e(alpha * n^k) naively in doubles loses all phase information
 once alpha * n^k reaches 2^52, which happens immediately at the scales of
-interest (n^k ~ 10^12 and beyond).  Phases are therefore reduced exactly:
-n^k is carried in base-2^26 limbs L_j, and frac(alpha * n^k) is assembled
-limb by limb with integer arithmetic modulo 2^53 plus a float tail.  The
+interest (n^k ~ 10^12 and beyond).  Off the circle grid (see below),
+phases are therefore reduced exactly: n^k is carried in base-2^26 limbs
+L_j, and frac(alpha * n^k) is assembled limb by limb with integer
+arithmetic modulo 2^53 plus a float tail.  The
 result is the true fractional part up to ~2^-53 regardless of the size of
 alpha * n^k, and every evaluation is bit-reproducible.  `exact_phase`
 gives the scalar e(alpha * m) from the big-integer oracle
@@ -32,11 +33,22 @@ one-row case.
 
 Circle points
 -------------
-`grid_points` lists the grid points j/G of a region and `eval_sums`
-returns f at a sequence of alphas, building phases for blocks of about
-2^13 entries and reducing each row with `np.dot`.  Every caller that
-needs f at many points (`sup_scan`, `arc_profile`, `minor_arc_moment`,
-the arc quadrature) goes through these two.  Major/minor labels of the
+`grid_points` lists the indices j of the grid points j/G in a region, and
+`grid_sums` returns f at those points.  At alpha = j/G the phase is exact
+in integers: frac(alpha * n^k) = (j * R(n) mod G)/G with R(n) = n^k mod G,
+so the phases are gathered from one table E[r] = e(r/G) at
+(j * R) mod G, and no limb loop runs.  The table and one index block
+must fit a byte budget (`require_grid_budget`), which also keeps j * R
+inside int64.  At a
+power-of-two G the limb route gives exactly r/G and E applies the same
+expression to it, so the two routes agree bit for bit; elsewhere
+`grid_sums` evaluates the exact rational j/G, not its float.
+`eval_sums` takes f at arbitrary float alphas (the arc quadrature, the
+pointwise reports) through `PhasePowers`.  Both build phases for blocks
+of about 2^13 entries and reduce each block with `_reduce`, left to right
+over the support columns, every row at once, which is the pointwise
+left-to-right sum bit for bit.  `sup_scan`, `arc_profile` and
+`minor_arc_moment` take f from `grid_sums`.  Major/minor labels of the
 grid come from `major_mask`: the index ranges of the arcs
 |alpha - a/q| <= 1/(qQ), q <= floor(P), with `classify` consulted only
 within 2 indices of an arc's float edge.
@@ -53,14 +65,15 @@ import numpy as np
 from . import arith
 from .arcs import ArcDecomposition, ArcParams, RationalPoint, classify, dirichlet_approx, w_k
 from .arith import ProblemContext
-from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge
+from .errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain, RangeTooLarge
 
 _M26 = (1 << 26) - 1
 _M53 = (1 << 53) - 1
 
 SEQUENCE_KINDS = ("prime_log", "integer_log", "unit")
 
-_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums
+_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and grid_sums
+_GRID_BYTES = 4 * 2 ** 30  # grid phase table plus one block, see require_grid_budget
 
 
 class PhasePowers:
@@ -233,23 +246,85 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
     return WeightedSequence(support=support, weights=weights, kind=kind)
 
 
+def _reduce(w: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum over j of w[j] * B[j], left to right, for every column of B.
+
+    B holds one row of phases per support point, one column per alpha;
+    each column's sum is the pointwise left-to-right sum bit for bit.
+    """
+    if not w.size:
+        return np.zeros(B.shape[1], dtype=np.complex128)
+    acc = w[0] * B[0]
+    for j in range(1, w.size):
+        acc += w[j] * B[j]
+    return acc
+
+
 def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
     """f(alpha) for each alpha in order, as complex128.
 
-    Phases are built for blocks of about _BLOCK_PHASES entries at a
-    time; each row is then reduced with np.dot(w, row), which is the
-    pointwise f(alpha) bit for bit (a matrix-vector product is not: its
-    summation order differs in the last bits).
+    Phases come from `PhasePowers` for blocks of about _BLOCK_PHASES
+    entries at a time, each block reduced by `_reduce`.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.zeros(alphas.size, dtype=np.complex128)
     pw = seq.powers(k)
-    w = seq.weights
     rows = max(1, _BLOCK_PHASES // max(pw.size, 1))
     for start in range(0, alphas.size, rows):
         block = pw.phases(alphas[start : start + rows])
-        for i, row in enumerate(block, start):
-            out[i] = np.dot(w, row)
+        out[start : start + block.shape[0]] = _reduce(seq.weights, block.T)
+    return out
+
+
+def require_grid_budget(grid_size: int, support_size: int) -> int:
+    """Refuse a grid scan before any of it is allocated; returns the
+    rows per block of `grid_sums`.
+
+    The charge is the phase table and f at up to every grid point (16 +
+    16 bytes per point; the 8-byte fractions the table is built from are
+    freed before f is allocated) plus one block's indices and phases
+    (8 + 16 bytes per entry) and two rows of sums (16 bytes per point
+    each) against 4 GiB, which admits grid sizes up to
+    1.3e8: 2^26 fits, 2^27 does not.  Every index j and residue n^k mod G
+    is then below 2^27, so their product stays below 2^54 < 2^63.
+    """
+    rows = max(1, _BLOCK_PHASES // max(support_size, 1))
+    need = 32 * grid_size + rows * (24 * support_size + 32)
+    if need > _GRID_BYTES:
+        raise MemoryBudgetExceeded(
+            f"a grid of {grid_size} points needs {need / 2 ** 30:.1f} GiB, "
+            f"over the {_GRID_BYTES / 2 ** 30:.0f} GiB grid budget"
+        )
+    return rows
+
+
+def grid_sums(seq: WeightedSequence, k: int, grid_size: int, idx) -> np.ndarray:
+    """f(j / grid_size) for each grid index j in idx, in order, as complex128.
+
+    The phase e(j n^k / G) is E[(j * R) mod G] with R = n^k mod G and
+    E[r] = e(r/G), so every point is the exact rational j/G.  Raises
+    memory-budget before allocating when the table E and one index
+    block exceed the grid budget.
+    """
+    G = int(grid_size)
+    if G < 1:
+        raise ParameterDomain(f"need grid_size >= 1, got {grid_size}")
+    if k < 1:
+        raise ParameterDomain(f"need k >= 1, got {k}")
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= G):
+        raise ParameterDomain(f"grid indices must lie in [0, {G})")
+    rows = require_grid_budget(G, len(seq))
+    table = (2j * np.pi) * (np.arange(G) / G)
+    np.exp(table, out=table)
+    base = seq.support % G
+    R = base
+    for _ in range(k - 1):
+        R = (R * base) % G
+    out = np.zeros(idx.size, dtype=np.complex128)
+    for start in range(0, idx.size, rows):
+        j = idx[start : start + rows]
+        out[start : start + j.size] = _reduce(seq.weights, table[(R[:, None] * j) % G])
     return out
 
 
@@ -294,17 +369,15 @@ def major_mask(params: ArcParams, grid_size: int) -> np.ndarray:
     return major
 
 
-def grid_points(params: ArcParams, region: str, grid_size: int) -> list[float]:
-    """The grid points j/grid_size in a region, ascending; membership is
-    that of `classify` (see `major_mask`), except that "full" keeps
-    every point."""
+def grid_points(params: ArcParams, region: str, grid_size: int) -> np.ndarray:
+    """The indices j of the grid points j/grid_size in a region, ascending,
+    as int64; membership is that of `classify` (see `major_mask`), except
+    that "full" keeps every point."""
     if region not in ("major", "minor", "full"):
         raise ParameterDomain(f"unknown region {region!r}")
-    alphas = [j / grid_size for j in range(grid_size)]
     if region == "full":
-        return alphas
-    keep = major_mask(params, grid_size) == (region == "major")
-    return [alphas[j] for j in np.flatnonzero(keep).tolist()]
+        return np.arange(grid_size, dtype=np.int64)
+    return np.flatnonzero(major_mask(params, grid_size) == (region == "major"))
 
 
 @dataclass(frozen=True)
@@ -331,26 +404,29 @@ def sup_scan(
     Region membership is that of `arcs.classify` on the decomposition's
     parameters, i.e. of the minimal Dirichlet witness; `major_mask`
     reads it off the arcs' index ranges and asks `classify` only near
-    their float edges.  The reported witness is the rational point
-    attached to the argmax.
+    their float edges.  f is taken by `grid_sums` at the exact rational
+    j/grid_size; the reported argmax is its float j/grid_size, and the
+    witness is the rational point attached to it.
 
     Raises empty-region when no grid point falls in the region.
     """
     if grid_size < 2:
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
-    alphas = grid_points(arcs.params, region, grid_size)
-    if not alphas:
+    require_grid_budget(grid_size, len(seq))
+    idx = grid_points(arcs.params, region, grid_size)
+    if not idx.size:
         raise EmptyRegion(f"no grid points in region {region!r}")
     # abs per element: array np.abs can differ from scalar abs in the last bit
-    mags = [abs(f) for f in eval_sums(seq, k, alphas)]
+    mags = [abs(f) for f in grid_sums(seq, k, grid_size, idx)]
     best = mags.index(max(mags))  # first maximum
+    alpha = int(idx[best]) / grid_size
     return SupScanReport(
         region=region,
         grid_size=grid_size,
-        points_in_region=len(alphas),
+        points_in_region=int(idx.size),
         sup_abs=float(mags[best]),
-        argmax_alpha=alphas[best],
-        nearest_rational=dirichlet_approx(alphas[best], arcs.params.Q),
+        argmax_alpha=alpha,
+        nearest_rational=dirichlet_approx(alpha, arcs.params.Q),
     )
 
 
@@ -364,15 +440,17 @@ class ArcProfile:
 
 
 def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
-    """|f| at every grid point j/grid_size with its `classify` label
-    (from `major_mask`)."""
+    """|f| at every grid point j/grid_size, taken by `grid_sums` at the
+    exact rational j/grid_size, with its `classify` label (from
+    `major_mask`); `alphas` holds the floats j/grid_size."""
     if grid_size < 2:
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
     seq = build_sequence(ctx, "prime_log")
-    alphas = grid_points(params, "full", grid_size)
-    mags = np.array([abs(f) for f in eval_sums(seq, ctx.k, alphas)])
+    require_grid_budget(grid_size, len(seq))
+    idx = grid_points(params, "full", grid_size)
+    mags = np.array([abs(f) for f in grid_sums(seq, ctx.k, grid_size, idx)])
     labels = tuple("major" if m else "minor" for m in major_mask(params, grid_size).tolist())
-    return ArcProfile(alphas=np.array(alphas), magnitudes=mags, labels=labels)
+    return ArcProfile(alphas=idx / grid_size, magnitudes=mags, labels=labels)
 
 
 def _t_exponent(k: int) -> int:

@@ -37,6 +37,9 @@ _IMAG_TOL = 1e-8
 _PARTIAL_FLOOR = 1e-12
 _SIGMA_BLOCK = 2 ** 13  # targets per block: 97 columns at q_max = 400 are 6 MiB
 
+# the live moduli: (q, its prime powers in `factorize` order), ascending in q
+Live = tuple[tuple[int, tuple[int, ...]], ...]
+
 
 @lru_cache(maxsize=4096)
 def _unit_mask(q: int) -> np.ndarray:
@@ -163,26 +166,28 @@ class SeriesTruncation:
         return out
 
 
-def _live_q(q_max: int, k: int, s: int) -> list[tuple[int, list[int]]]:
+@lru_cache(maxsize=64)
+def _live_q(q_max: int, k: int, s: int) -> Live:
     """(q, its prime powers in `factorize` order) for each 2 <= q <= q_max
-    whose term can pass the floor at some n, ascending in q."""
+    whose term can pass the floor at some n, ascending in q.  Memoised,
+    so a loop of `truncated_sigma` calls builds it once."""
     if q_max < 1:
         raise ParameterDomain(f"need q_max >= 1, got {q_max}")
     if q_max > _Q_CEILING:
         raise RangeTooLarge(f"q_max={q_max} exceeds modulus ceiling {_Q_CEILING}")
-    factors = [[p ** e for p, e in factorize(q)] for q in range(2, q_max + 1)]
+    factors = [tuple(p ** e for p, e in factorize(q)) for q in range(2, q_max + 1)]
     pp_all = {pp for pps in factors for pp in pps}
     peak = {pp: float(np.max(np.abs(_pp_table(pp, k, s)))) for pp in pp_all}
     # |term| <= the product of its tables' peaks, (1 + eps) per factor: a q
     # under half the floor there is floored to 0 at every n
-    return [
+    return tuple(
         (q, pps)
         for q, pps in enumerate(factors, start=2)
         if math.prod(peak[pp] for pp in pps) > _PARTIAL_FLOOR / 2
-    ]
+    )
 
 
-def _terms(block: np.ndarray, live: list[tuple[int, list[int]]], k: int, s: int):
+def _terms(block: np.ndarray, live: Live, k: int, s: int):
     """Yield (q, A(q, n) over the block) for each live q: the product of
     its columns A(pp, n mod pp) in `factorize` order.  Each distinct pp's
     column is gathered once per block."""
@@ -217,9 +222,7 @@ def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation
     )
 
 
-def _sigma_sum(
-    n_values: np.ndarray, live: list[tuple[int, list[int]]], k: int, s: int
-) -> np.ndarray:
+def _sigma_sum(n_values: np.ndarray, live: Live, k: int, s: int) -> np.ndarray:
     """1 plus the live terms over the targets, in blocks of 2^13."""
     values = np.ones(n_values.size, dtype=np.float64)
     for start in range(0, n_values.size, _SIGMA_BLOCK):
@@ -254,5 +257,5 @@ def sigma_batch(
     values = _sigma_sum(n_values, live, ctx.k, ctx.s)
     if checkpoint is None:
         return values, None
-    early = [(q, pps) for q, pps in live if q <= checkpoint]
+    early = tuple((q, pps) for q, pps in live if q <= checkpoint)
     return values, _sigma_sum(n_values, early, ctx.k, ctx.s)

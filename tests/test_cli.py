@@ -154,6 +154,29 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--plot", "ratio_histogram"],
+            ["--plot-n", "218"],
+            ["--plot-out", "{tmp}/plot.csv"],
+            ["--plot", "ratio_histogram", "--plot-n", "218", "--plot-out", "{tmp}/plot.csv"],
+        ],
+        ids=["plot-without-out", "plot-n-without-plot", "plot-out-without-plot",
+             "plot-n-with-other-kind"],
+    )
+    def test_plot_flags_refused_before_the_scan(self, flags, tmp_path, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("exceptional_scan ran")
+
+        monkeypatch.setattr("wglab.cli.exceptional_scan", no_scan)
+        argv = ["report", "--q0", "50", *W, "--out", str(tmp_path / "rep.json"),
+                *(f.format(tmp=tmp_path) for f in flags)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error[parameter-domain]: --plot")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReportArtifacts:
     def test_per_n_stream_sibling(self, tmp_path, capsys):
         dest = tmp_path / "rep.json"

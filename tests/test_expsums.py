@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
-from wglab.errors import EmptyRegion, EmptyWindow, ParameterDomain
+from wglab.errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain
 from wglab.experiment import minor_arc_moment
 from wglab.expsums import (
+    _GRID_BYTES,
     _M26,
     _M53,
     PhasePowers,
@@ -21,8 +24,10 @@ from wglab.expsums import (
     eval_sums,
     exact_phase,
     grid_points,
+    grid_sums,
     major_mask,
     phase_fraction_exact,
+    require_grid_budget,
     sup_scan,
 )
 
@@ -55,6 +60,16 @@ def _fractions_scalar(pw, alpha):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def _sum_left_to_right(weights, phases):
+    """sum of w * e over the support, one Python complex at a time."""
+    w = weights.tolist()
+    e = phases.tolist()
+    acc = w[0] * e[0]
+    for wj, ej in zip(w[1:], e[1:]):
+        acc += wj * ej
+    return acc
 
 
 # the N = 800,000 scale context (k=2, s=5, theta=0.8)
@@ -218,7 +233,7 @@ class TestBatchedPhases:
         rng = np.random.default_rng(5)
         alphas = np.concatenate([np.arange(700) / 700, rng.random(300)])
         got = eval_sums(seq, 2, alphas)
-        want = np.array([np.dot(seq.weights, pw.phases(float(a))) for a in alphas])
+        want = np.array([_sum_left_to_right(seq.weights, pw.phases(float(a))) for a in alphas])
         assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -272,10 +287,11 @@ class TestCircleGrid:
     def test_grid_points_split_the_full_grid(self):
         _, _, params = self._setup()
         full = grid_points(params, "full", 1000)
-        assert full == [j / 1000 for j in range(1000)]
-        major = grid_points(params, "major", 1000)
-        minor = grid_points(params, "minor", 1000)
-        assert sorted(major + minor) == full
+        assert full.dtype == np.int64
+        assert full.tolist() == list(range(1000))
+        major = grid_points(params, "major", 1000).tolist()
+        minor = grid_points(params, "minor", 1000).tolist()
+        assert sorted(major + minor) == full.tolist()
         assert major == sorted(major) and minor == sorted(minor)
         with pytest.raises(ParameterDomain):
             grid_points(params, "everything", 1000)
@@ -307,10 +323,10 @@ class TestCircleGrid:
         # minimal witness q in 6..9 stay minor; at (5, 6) none is left
         seq = build_sequence(CTX_800K, "prime_log")
         params = ArcParams.explicit(5.0, 9.0, ctx=CTX_800K)
-        minor = [j / 4096 for j in range(4096) if classify(j / 4096, params)[0] == "minor"]
-        assert grid_points(params, "minor", 4096) == minor
+        minor = [j for j in range(4096) if classify(j / 4096, params)[0] == "minor"]
+        assert grid_points(params, "minor", 4096).tolist() == minor
         want = 0.0
-        for f in eval_sums(seq, 2, minor):
+        for f in eval_sums(seq, 2, [j / 4096 for j in minor]):
             want += abs(f) ** 4
         assert minor_arc_moment(CTX_800K, params, 4, 4096) == want / 4096
         blanket = ArcParams.explicit(5.0, 6.0, ctx=CTX_800K)
@@ -324,6 +340,86 @@ class TestCircleGrid:
             rep = sup_scan(seq, 2, arcs, region, 1000)
             assert prof.labels.count(region) == rep.points_in_region
         assert max(prof.magnitudes) == sup_scan(seq, 2, arcs, "full", 1000).sup_abs
+
+
+class TestGridSums:
+    @pytest.mark.parametrize("G", [4096, 32768])
+    def test_dyadic_grid_matches_limb_route(self, G):
+        # j/G is exact in doubles, so the limb route's fraction is r/G
+        # exactly and both routes take the same e(r/G)
+        seq = build_sequence(CTX_800K, "prime_log")
+        idx = np.arange(G)
+        got = grid_sums(seq, 2, G, idx)
+        assert np.array_equal(_bits(got), _bits(eval_sums(seq, 2, idx / G)))
+        R = seq.support ** 2 % G
+        table = np.exp((2j * np.pi) * (np.arange(G) / G))
+        for j in (1, 3, G // 3, G - 1):
+            assert np.array_equal(_bits(table[j * R % G]), _bits(seq.powers(2).phases(j / G)))
+
+    @pytest.mark.parametrize("G", [200, 1000, 5000, 12347])
+    def test_matches_big_integer_oracle(self, G):
+        seq = build_sequence(CTX_800K, "prime_log")
+        got = grid_sums(seq, 2, G, np.arange(G))
+        ns = seq.support.tolist()
+        ws = seq.weights.tolist()
+        f0 = math.fsum(ws)
+        worst = 0.0
+        for j in range(G):
+            terms = [w * cmath.exp(2j * math.pi * ((j * n ** 2) % G) / G) for n, w in zip(ns, ws)]
+            want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            worst = max(worst, abs(complex(got[j]) - want))
+        assert worst <= 1e-14 * f0
+
+    def test_order_and_domain(self):
+        seq = build_sequence(_window_ctx(100.0, 30.0), "prime_log")
+        idx = np.array([7, 0, 999, 7])
+        got = grid_sums(seq, 3, 1000, idx)
+        assert got.tolist() == [grid_sums(seq, 3, 1000, [j])[0] for j in idx.tolist()]
+        assert grid_sums(seq, 3, 1000, []).shape == (0,)
+        for bad in ([-1], [1000]):
+            with pytest.raises(ParameterDomain):
+                grid_sums(seq, 3, 1000, bad)
+        with pytest.raises(ParameterDomain):
+            grid_sums(seq, 0, 1000, [1])
+
+    def test_budget_covers_the_measured_peak(self):
+        seq = build_sequence(CTX_800K, "prime_log")
+        G = 2 ** 18
+        rows = require_grid_budget(G, len(seq))
+        idx = np.arange(G)
+        tracemalloc.start()
+        try:
+            grid_sums(seq, 2, G, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the charge, give or take a few interpreter objects
+        assert 32 * G < peak <= 32 * G + rows * (24 * len(seq) + 32) + 2 ** 12
+
+    def test_budget_refuses_before_allocating(self):
+        # 2^27 points need a 2 GiB table and 2 GiB for f, over the budget
+        # with the block; 2^26 fit, and the largest grid admitted keeps
+        # every index product j * (n^k mod G) inside int64
+        seq = build_sequence(CTX_800K, "prime_log")
+        params = ArcParams.from_context(CTX_800K)
+        arcs = ArcDecomposition.build(params)
+        G = 2 ** 27
+        assert require_grid_budget(G // 2, len(seq)) >= 1
+        assert (_GRID_BYTES // 32) ** 2 < 2 ** 63
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded, match="grid budget"):
+                grid_sums(seq, 2, G, [1])
+            with pytest.raises(MemoryBudgetExceeded):
+                sup_scan(seq, 2, arcs, "minor", G)
+            with pytest.raises(MemoryBudgetExceeded):
+                arc_profile(CTX_800K, params, G)
+            with pytest.raises(MemoryBudgetExceeded):
+                minor_arc_moment(CTX_800K, params, 2, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestDichotomy:

@@ -22,3 +22,14 @@ def test_desk_experiment_writes_its_artifacts(tmp_path):
     }
     for name, header in headers.items():
         assert (tmp_path / name).read_text().splitlines()[0] == header
+
+
+def test_explore_minor_arcs_reports_the_minor_sup():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "explore_minor_arcs.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    sup = [l for l in proc.stdout.splitlines() if l.startswith("sup over ")]
+    assert len(sup) == 1
+    assert " minor grid points: |f| = " in sup[0]

@@ -252,6 +252,19 @@ class TestSigmaBatch:
         if snap is not None:
             assert snap.tobytes() == want_snap.tobytes()
 
+    def test_live_moduli_built_once(self):
+        # memoised: a loop of truncated_sigma calls reuses one tuple, and
+        # the values stay those of sigma_batch
+        ss._live_q.cache_clear()
+        live = ss._live_q(200, CTX.k, CTX.s)
+        assert isinstance(live, tuple) and all(isinstance(pps, tuple) for _, pps in live)
+        for n in (53, 54, 1_000_003):
+            assert truncated_sigma(n, CTX, 200).value == sigma_batch(np.array([n]), CTX, 200)[0][0]
+        assert ss._live_q(200, CTX.k, CTX.s) is live
+        assert ss._live_q.cache_info().misses == 1
+        with pytest.raises(ParameterDomain):
+            ss._live_q(0, CTX.k, CTX.s)
+
     def test_checkpoint_domain(self):
         with pytest.raises(ParameterDomain):
             sigma_batch(np.array([5]), CTX, 100, checkpoint=101)
