@@ -37,17 +37,17 @@ Circle points
 `grid_sums` returns f at those points.  At alpha = j/G the phase is exact
 in integers: frac(alpha * n^k) = (j * R(n) mod G)/G with R(n) = n^k mod G,
 so the phases are gathered from one table E[r] = e(r/G) at
-(j * R) mod G, and no limb loop runs.  The table and one index block
-must fit a byte budget (`require_grid_budget`), which also keeps j * R
-inside int64.  At a
+(j * R) mod G, and no limb loop runs.  The table, f, the grid indices
+and one block must fit a byte budget (`require_grid_budget`), which
+also keeps j * R inside int64.  At a
 power-of-two G the limb route gives exactly r/G and E applies the same
 expression to it, so the two routes agree bit for bit; elsewhere
 `grid_sums` evaluates the exact rational j/G, not its float.
 `eval_sums` takes f at arbitrary float alphas (the arc quadrature, the
 pointwise reports) through `PhasePowers`.  Both build phases for blocks
-of about 2^13 entries and reduce each block with `_reduce`, left to right
-over the support columns, every row at once, which is the pointwise
-left-to-right sum bit for bit.  `sup_scan`, `arc_profile` and
+of about 2^13 entries and reduce each block with `_reduce`: one
+`np.add.accumulate` along the support axis, strictly left to right, so
+every f is the pointwise left-to-right sum bit for bit.  `sup_scan`, `arc_profile` and
 `minor_arc_moment` take f from `grid_sums`.  Major/minor labels of the
 grid come from `major_mask`: the index ranges of the arcs
 |alpha - a/q| <= 1/(qQ), q <= floor(P), with `classify` consulted only
@@ -73,7 +73,7 @@ _M53 = (1 << 53) - 1
 SEQUENCE_KINDS = ("prime_log", "integer_log", "unit")
 
 _BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and grid_sums
-_GRID_BYTES = 4 * 2 ** 30  # grid phase table plus one block, see require_grid_budget
+_GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
 
 
 class PhasePowers:
@@ -247,17 +247,19 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
 
 
 def _reduce(w: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum over j of w[j] * B[j], left to right, for every column of B.
+    """sum over j of w[j] * B[i, j], left to right, for every row i of B.
 
-    B holds one row of phases per support point, one column per alpha;
-    each column's sum is the pointwise left-to-right sum bit for bit.
+    B holds one row of phases per alpha, one column per support point,
+    and is scaled in place.  `np.add.accumulate` adds strictly left to
+    right whatever the shape, so each row's sum is the pointwise
+    left-to-right sum bit for bit; `np.add.reduce` sums a contiguous
+    axis pairwise, which differs.  A block costs three numpy calls at
+    any support size.
     """
     if not w.size:
-        return np.zeros(B.shape[1], dtype=np.complex128)
-    acc = w[0] * B[0]
-    for j in range(1, w.size):
-        acc += w[j] * B[j]
-    return acc
+        return np.zeros(B.shape[0], dtype=np.complex128)
+    B *= w
+    return np.add.accumulate(B, axis=1)[:, -1]
 
 
 def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
@@ -272,7 +274,7 @@ def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
     rows = max(1, _BLOCK_PHASES // max(pw.size, 1))
     for start in range(0, alphas.size, rows):
         block = pw.phases(alphas[start : start + rows])
-        out[start : start + block.shape[0]] = _reduce(seq.weights, block.T)
+        out[start : start + block.shape[0]] = _reduce(seq.weights, block)
     return out
 
 
@@ -280,16 +282,21 @@ def require_grid_budget(grid_size: int, support_size: int) -> int:
     """Refuse a grid scan before any of it is allocated; returns the
     rows per block of `grid_sums`.
 
-    The charge is the phase table and f at up to every grid point (16 +
-    16 bytes per point; the 8-byte fractions the table is built from are
-    freed before f is allocated) plus one block's indices and phases
-    (8 + 16 bytes per entry) and two rows of sums (16 bytes per point
-    each) against 4 GiB, which admits grid sizes up to
-    1.3e8: 2^26 fits, 2^27 does not.  Every index j and residue n^k mod G
-    is then below 2^27, so their product stays below 2^54 < 2^63.
+    The charge, against 4 GiB, is 40 bytes per grid point: the phase
+    table and f at up to every point (16 bytes each; the 8-byte
+    fractions the table is built from are freed before f is allocated)
+    and the caller's int64 grid indices.  One block's phases and their
+    running sums add 32 bytes per entry (its 8-byte gather indices are
+    freed first), and n^k mod G 16 bytes per support point.  The scans'
+    other per-point arrays are never live next to the table and fit
+    under the same charge: `major_mask` needs at most 18 bytes per
+    point, and `arc_profile`'s alphas, magnitudes and labels 24.
+    This admits grid sizes up to 1.07e8: 2^26 fits, 2^27 does not.
+    Every index j and residue n^k mod G is then below 2^27, so their
+    product stays below 2^54 < 2^63.
     """
     rows = max(1, _BLOCK_PHASES // max(support_size, 1))
-    need = 32 * grid_size + rows * (24 * support_size + 32)
+    need = 40 * grid_size + 32 * rows * support_size + 16 * support_size
     if need > _GRID_BYTES:
         raise MemoryBudgetExceeded(
             f"a grid of {grid_size} points needs {need / 2 ** 30:.1f} GiB, "
@@ -324,7 +331,7 @@ def grid_sums(seq: WeightedSequence, k: int, grid_size: int, idx) -> np.ndarray:
     out = np.zeros(idx.size, dtype=np.complex128)
     for start in range(0, idx.size, rows):
         j = idx[start : start + rows]
-        out[start : start + j.size] = _reduce(seq.weights, table[(R[:, None] * j) % G])
+        out[start : start + j.size] = _reduce(seq.weights, table[(j[:, None] * R) % G])
     return out
 
 
@@ -417,14 +424,17 @@ def sup_scan(
     if not idx.size:
         raise EmptyRegion(f"no grid points in region {region!r}")
     # abs per element: array np.abs can differ from scalar abs in the last bit
-    mags = [abs(f) for f in grid_sums(seq, k, grid_size, idx)]
-    best = mags.index(max(mags))  # first maximum
+    best, sup = 0, -1.0
+    for i, f in enumerate(grid_sums(seq, k, grid_size, idx)):
+        mag = abs(f)
+        if mag > sup:  # first maximum
+            best, sup = i, mag
     alpha = int(idx[best]) / grid_size
     return SupScanReport(
         region=region,
         grid_size=grid_size,
         points_in_region=int(idx.size),
-        sup_abs=float(mags[best]),
+        sup_abs=float(sup),
         argmax_alpha=alpha,
         nearest_rational=dirichlet_approx(alpha, arcs.params.Q),
     )
@@ -448,7 +458,9 @@ def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcPr
     seq = build_sequence(ctx, "prime_log")
     require_grid_budget(grid_size, len(seq))
     idx = grid_points(params, "full", grid_size)
-    mags = np.array([abs(f) for f in grid_sums(seq, ctx.k, grid_size, idx)])
+    mags = np.fromiter(
+        (abs(f) for f in grid_sums(seq, ctx.k, grid_size, idx)), dtype=np.float64, count=idx.size
+    )
     labels = tuple("major" if m else "minor" for m in major_mask(params, grid_size).tolist())
     return ArcProfile(alphas=idx / grid_size, magnitudes=mags, labels=labels)
 

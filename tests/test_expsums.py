@@ -236,6 +236,23 @@ class TestBatchedPhases:
         want = np.array([_sum_left_to_right(seq.weights, pw.phases(float(a))) for a in alphas])
         assert np.array_equal(_bits(got), _bits(want))
 
+    @pytest.mark.parametrize("x, y", [(1e5, 1e4), (1e6, 7e4)], ids=["1.7k-primes", "10k-primes"])
+    def test_wide_windows_sum_left_to_right(self, x, y):
+        # blocks of a few rows or of one row (past 2^13 primes), where a
+        # pairwise reduction of the contiguous support axis would differ
+        seq = build_sequence(_window_ctx(x, y), "prime_log")
+        pw = seq.powers(2)
+        alphas = [0.1, 1 / 3, 0.5, 0.7071067811865476, 0.9]
+        want = np.array([_sum_left_to_right(seq.weights, pw.phases(a)) for a in alphas])
+        assert np.array_equal(_bits(eval_sums(seq, 2, alphas)), _bits(want))
+        assert np.array_equal(_bits(eval_sum(seq, 2, alphas[1])), _bits(want[1]))
+        G = 12347
+        js = [1, 5000, G - 1]
+        R = seq.support ** 2 % G
+        table = np.exp((2j * np.pi) * (np.arange(G) / G))
+        want = np.array([_sum_left_to_right(seq.weights, table[j * R % G]) for j in js])
+        assert np.array_equal(_bits(grid_sums(seq, 2, G, js)), _bits(want))
+
 
 class TestSupScan:
     def _setup(self):
@@ -383,29 +400,41 @@ class TestGridSums:
             grid_sums(seq, 0, 1000, [1])
 
     def test_budget_covers_the_measured_peak(self):
+        # every grid scan, its index array included, peaks within the
+        # charge (give or take a few interpreter objects) and above 36
+        # of its 40 bytes per point
         seq = build_sequence(CTX_800K, "prime_log")
+        params = ArcParams.from_context(CTX_800K)
+        arcs = ArcDecomposition.build(params)
         G = 2 ** 18
-        rows = require_grid_budget(G, len(seq))
-        idx = np.arange(G)
-        tracemalloc.start()
-        try:
-            grid_sums(seq, 2, G, idx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the charge, give or take a few interpreter objects
-        assert 32 * G < peak <= 32 * G + rows * (24 * len(seq) + 32) + 2 ** 12
+        m = len(seq)
+        rows = require_grid_budget(G, m)
+        charge = 40 * G + 32 * rows * m + 16 * m
+        scans = {
+            "grid_sums": lambda: grid_sums(seq, 2, G, np.arange(G)),
+            "sup_scan": lambda: sup_scan(seq, 2, arcs, "full", G),
+            "arc_profile": lambda: arc_profile(CTX_800K, params, G),
+            "minor_arc_moment": lambda: minor_arc_moment(CTX_800K, params, 4, G, "full"),
+        }
+        for name, scan in scans.items():
+            tracemalloc.start()
+            try:
+                scan()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 36 * G < peak <= charge + 2 ** 13, name
 
     def test_budget_refuses_before_allocating(self):
-        # 2^27 points need a 2 GiB table and 2 GiB for f, over the budget
-        # with the block; 2^26 fit, and the largest grid admitted keeps
+        # 2^27 points need a 2 GiB table, 2 GiB for f and 1 GiB of
+        # indices, over the budget; 2^26 fit, and the largest grid admitted keeps
         # every index product j * (n^k mod G) inside int64
         seq = build_sequence(CTX_800K, "prime_log")
         params = ArcParams.from_context(CTX_800K)
         arcs = ArcDecomposition.build(params)
         G = 2 ** 27
         assert require_grid_budget(G // 2, len(seq)) >= 1
-        assert (_GRID_BYTES // 32) ** 2 < 2 ** 63
+        assert (_GRID_BYTES // 40) ** 2 < 2 ** 63
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetExceeded, match="grid budget"):
