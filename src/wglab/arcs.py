@@ -74,12 +74,12 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class ArcParams:
-    """Cutoff pair (P, Q) for a dissection, optionally tied to a context."""
+    """Cutoff pair (P, Q) for a dissection; A is the exponent of
+    P = (log x)^A when the pair comes from a context, else None."""
 
     P: float
     Q: float
     A: Optional[float] = None
-    ctx: Optional[ProblemContext] = None
 
     def __post_init__(self):
         if not (self.P >= 1):
@@ -95,11 +95,11 @@ class ArcParams:
         if P < 1:
             raise ParameterDomain(f"(log x)^A = {P} < 1; x too small for this A")
         Q = ctx.x * ctx.y ** (ctx.k - 1) / P
-        return cls(P=P, Q=Q, A=float(A), ctx=ctx)
+        return cls(P=P, Q=Q, A=float(A))
 
     @classmethod
-    def explicit(cls, P: float, Q: float, ctx: Optional[ProblemContext] = None) -> "ArcParams":
-        return cls(P=float(P), Q=float(Q), A=None, ctx=ctx)
+    def explicit(cls, P: float, Q: float) -> "ArcParams":
+        return cls(P=float(P), Q=float(Q))
 
 
 def dirichlet_approx(alpha: float, q_bound: float) -> RationalPoint:

@@ -109,7 +109,7 @@ def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> Ar
     if (P is None) != (Q is None):
         raise ParameterDomain("--P and --Q must be given together")
     if P is not None:
-        return ArcParams.explicit(P=P, Q=Q, ctx=ctx)
+        return ArcParams.explicit(P=P, Q=Q)
     return ArcParams.from_context(ctx, A=cfg.A)
 
 

@@ -120,21 +120,22 @@ def format_float(v: float) -> str:
     return f"{v:.12g}"
 
 
-def canonical_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON: sorted keys, floats at 12 significant digits.
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, floats at 12
+    significant digits.
 
     Non-finite floats are rendered as the strings "inf", "-inf", "nan"
     (JSON has no literal for them).  numpy scalars and arrays are
     accepted; dataclasses are serialized by field.
     """
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
-def _render(obj, indent: int, level: int) -> str:
+def _render(obj, level: int) -> str:
     import json as _json
 
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
+    pad = "  " * (level + 1)
+    close = "  " * level
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
@@ -158,13 +159,13 @@ def _render(obj, indent: int, level: int) -> str:
             return "{}"
         items = []
         for key in sorted(obj, key=str):
-            items.append(f"{pad}{_json.dumps(str(key))}: {_render(obj[key], indent, level + 1)}")
+            items.append(f"{pad}{_json.dumps(str(key))}: {_render(obj[key], level + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{close}}}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [f"{pad}{_render(v, indent, level + 1)}" for v in obj]
+        items = [f"{pad}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{close}]"
     if isinstance(obj, complex):
-        return _render({"re": obj.real, "im": obj.imag}, indent, level)
+        return _render({"re": obj.real, "im": obj.imag}, level)
     raise ParameterDomain(f"cannot serialize {type(obj).__name__} to canonical JSON")

@@ -38,14 +38,7 @@ from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule, modulus_R
 from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
-from .expsums import (
-    PhasePowers,
-    build_sequence,
-    eval_sums,
-    grid_points,
-    grid_sums,
-    require_grid_budget,
-)
+from .expsums import PhasePowers, build_sequence, eval_sums, grid_magnitudes
 from .representations import rho_route, rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
@@ -267,7 +260,7 @@ _SCAN_COLUMNS = ("rho", "tuple_count", "sigma", "jay")
 
 def _compute_columns(ns: np.ndarray, ctx: ProblemContext, q0: int) -> dict[str, np.ndarray]:
     rho, tuples = rho_scan(ns, ctx)
-    sigma, _ = sigma_batch(ns, ctx, q0)
+    sigma = sigma_batch(ns, ctx, q0)
     # the targets lie on one class mod g; j is computed on that class only
     g = int(np.gcd.reduce(np.diff(ns))) if ns.size > 1 else 1
     offset, table = j_array(ctx, int(ns[0]), int(ns[-1]), g)
@@ -345,12 +338,11 @@ def minor_arc_moment(
     if region not in ("minor", "full"):
         raise ParameterDomain(f"unknown region {region!r}")
     seq = build_sequence(ctx, "prime_log")
-    require_grid_budget(grid_size, len(seq))
-    idx = grid_points(params, region, grid_size)
-    # scalar abs and ** summed left to right; array forms differ in the last bit
+    idx, mags = grid_magnitudes(seq, ctx.k, params, region, grid_size)
+    # scalar ** summed left to right; the array forms differ in the last bit
     acc = 0.0
-    for f in grid_sums(seq, ctx.k, grid_size, idx):
-        acc += abs(f) ** t
+    for m in mags:
+        acc += m ** t
     if not idx.size:
         try:
             covered = major_measure(params) >= 0.999
@@ -359,4 +351,4 @@ def minor_arc_moment(
         if covered:
             return 0.0
         raise EmptyRegion("no minor grid points; refine the grid")
-    return acc / grid_size
+    return float(acc) / grid_size

@@ -47,8 +47,9 @@ expression to it, so the two routes agree bit for bit; elsewhere
 pointwise reports) through `PhasePowers`.  Both build phases for blocks
 of about 2^13 entries and reduce each block with `_reduce`: one
 `np.add.accumulate` along the support axis, strictly left to right, so
-every f is the pointwise left-to-right sum bit for bit.  `sup_scan`, `arc_profile` and
-`minor_arc_moment` take f from `grid_sums`.  Major/minor labels of the
+every f is the pointwise left-to-right sum bit for bit.  `sup_scan`,
+`arc_profile` and `minor_arc_moment` take the grid indices of their
+region and |f| there from `grid_magnitudes`.  Major/minor labels of the
 grid come from `major_mask`: the index ranges of the arcs
 |alpha - a/q| <= 1/(qQ), q <= floor(P), with `classify` consulted only
 within 2 indices of an arc's float edge.
@@ -57,7 +58,7 @@ within 2 indices of an arc's float edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -184,18 +185,14 @@ def exact_phase(alpha: float, m: int) -> complex:
 
 @dataclass(eq=False)
 class WeightedSequence:
-    """Support points with positive weights and a kind tag."""
+    """Support points, strictly ascending, with positive weights."""
 
     support: np.ndarray
     weights: np.ndarray
-    kind: str
-    _powers: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.kind not in SEQUENCE_KINDS:
-            raise ParameterDomain(f"unknown sequence kind {self.kind!r}")
         if self.support.shape != self.weights.shape or self.support.ndim != 1:
             raise ParameterDomain("support and weights must be equal-length vectors")
         if self.support.size:
@@ -209,11 +206,6 @@ class WeightedSequence:
 
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
-
-    def powers(self, k: int) -> PhasePowers:
-        if k not in self._powers:
-            self._powers[k] = PhasePowers(self.support, k)
-        return self._powers[k]
 
 
 def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
@@ -243,7 +235,7 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
             weights = np.ones(support.size, dtype=np.float64)
     if support.size == 0:
         raise EmptyWindow(f"no {kind} support in ({x - y}, {x + y}]")
-    return WeightedSequence(support=support, weights=weights, kind=kind)
+    return WeightedSequence(support=support, weights=weights)
 
 
 def _reduce(w: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -265,12 +257,13 @@ def _reduce(w: np.ndarray, B: np.ndarray) -> np.ndarray:
 def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
     """f(alpha) for each alpha in order, as complex128.
 
-    Phases come from `PhasePowers` for blocks of about _BLOCK_PHASES
-    entries at a time, each block reduced by `_reduce`.
+    Phases come from one `PhasePowers(seq.support, k)`, built per call,
+    for blocks of about _BLOCK_PHASES entries at a time, each block
+    reduced by `_reduce`.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.zeros(alphas.size, dtype=np.complex128)
-    pw = seq.powers(k)
+    pw = PhasePowers(seq.support, k)
     rows = max(1, _BLOCK_PHASES // max(pw.size, 1))
     for start in range(0, alphas.size, rows):
         block = pw.phases(alphas[start : start + rows])
@@ -290,7 +283,8 @@ def require_grid_budget(grid_size: int, support_size: int) -> int:
     freed first), and n^k mod G 16 bytes per support point.  The scans'
     other per-point arrays are never live next to the table and fit
     under the same charge: `major_mask` needs at most 18 bytes per
-    point, and `arc_profile`'s alphas, magnitudes and labels 24.
+    point, `grid_magnitudes`' |f| 8, and `arc_profile`'s alphas and
+    labels 16 more.
     This admits grid sizes up to 1.07e8: 2^26 fits, 2^27 does not.
     Every index j and residue n^k mod G is then below 2^27, so their
     product stays below 2^54 < 2^63.
@@ -387,6 +381,23 @@ def grid_points(params: ArcParams, region: str, grid_size: int) -> np.ndarray:
     return np.flatnonzero(major_mask(params, grid_size) == (region == "major"))
 
 
+def grid_magnitudes(
+    seq: WeightedSequence, k: int, params: ArcParams, region: str, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, |f|) at the grid points j/grid_size of a region: idx from
+    `grid_points`, f from `grid_sums`.  Refuses a grid over the budget
+    before the indices are listed."""
+    if grid_size < 2:
+        raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
+    require_grid_budget(grid_size, len(seq))
+    idx = grid_points(params, region, grid_size)
+    # abs per element: array np.abs can differ from scalar abs in the last bit
+    mags = np.fromiter(
+        (abs(f) for f in grid_sums(seq, k, grid_size, idx)), dtype=np.float64, count=idx.size
+    )
+    return idx, mags
+
+
 @dataclass(frozen=True)
 class SupScanReport:
     """Grid supremum of |f| over one region of the circle."""
@@ -417,24 +428,16 @@ def sup_scan(
 
     Raises empty-region when no grid point falls in the region.
     """
-    if grid_size < 2:
-        raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
-    require_grid_budget(grid_size, len(seq))
-    idx = grid_points(arcs.params, region, grid_size)
+    idx, mags = grid_magnitudes(seq, k, arcs.params, region, grid_size)
     if not idx.size:
         raise EmptyRegion(f"no grid points in region {region!r}")
-    # abs per element: array np.abs can differ from scalar abs in the last bit
-    best, sup = 0, -1.0
-    for i, f in enumerate(grid_sums(seq, k, grid_size, idx)):
-        mag = abs(f)
-        if mag > sup:  # first maximum
-            best, sup = i, mag
+    best = int(np.argmax(mags))  # the first maximum
     alpha = int(idx[best]) / grid_size
     return SupScanReport(
         region=region,
         grid_size=grid_size,
         points_in_region=int(idx.size),
-        sup_abs=float(sup),
+        sup_abs=float(mags[best]),
         argmax_alpha=alpha,
         nearest_rational=dirichlet_approx(alpha, arcs.params.Q),
     )
@@ -453,14 +456,8 @@ def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcPr
     """|f| at every grid point j/grid_size, taken by `grid_sums` at the
     exact rational j/grid_size, with its `classify` label (from
     `major_mask`); `alphas` holds the floats j/grid_size."""
-    if grid_size < 2:
-        raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
     seq = build_sequence(ctx, "prime_log")
-    require_grid_budget(grid_size, len(seq))
-    idx = grid_points(params, "full", grid_size)
-    mags = np.fromiter(
-        (abs(f) for f in grid_sums(seq, ctx.k, grid_size, idx)), dtype=np.float64, count=idx.size
-    )
+    idx, mags = grid_magnitudes(seq, ctx.k, params, "full", grid_size)
     labels = tuple("major" if m else "minor" for m in major_mask(params, grid_size).tolist())
     return ArcProfile(alphas=idx / grid_size, magnitudes=mags, labels=labels)
 
@@ -513,9 +510,7 @@ def dichotomy_report(ctx: ProblemContext, rho: float, alpha: float) -> Dichotomy
     if hi < lo:
         raise EmptyWindow(f"no integers in ({x}, {x + y}]")
     support = np.arange(lo, hi + 1, dtype=np.int64)
-    seq = WeightedSequence(
-        support=support, weights=np.ones(support.size), kind="unit"
-    )
+    seq = WeightedSequence(support=support, weights=np.ones(support.size))
     observed = abs(eval_sum(seq, k, alpha))
     q_bound = x ** (k - 1) * y ** (1.0 - k * rho)
     pt = dirichlet_approx(alpha, q_bound)

@@ -213,6 +213,8 @@ def _cells(k: int, s: int, lo: int, hi: int, h: int, a: int, b: int):
     np.maximum(nu, 0.0, out=nu)  # clip FFT noise below true zero
 
     def at(n: np.ndarray) -> np.ndarray:
+        if h == 1:  # unit cells: the sums are j itself, u = n exactly
+            return nu[n.astype(np.int64) - first]
         u = (n + s / 2) / h - s / 2
         below = np.floor(u)
         u -= below

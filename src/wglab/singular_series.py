@@ -222,8 +222,19 @@ def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation
     )
 
 
-def _sigma_sum(n_values: np.ndarray, live: Live, k: int, s: int) -> np.ndarray:
-    """1 plus the live terms over the targets, in blocks of 2^13."""
+def sigma_batch(n_values: np.ndarray, ctx: ProblemContext, q_max: int) -> np.ndarray:
+    """sigma(n, q_max) for a vector of targets.
+
+    The targets go in blocks of 2^13, and each live q's term is added in
+    ascending q, as `truncated_sigma` does, so the two agree bit for bit.
+    The partial sums at some q < q_max are `sigma_batch` at q_max = q:
+    the same terms in the same order.
+    """
+    n_values = np.asarray(n_values, dtype=np.int64)
+    if n_values.size and int(n_values.min()) < 0:
+        raise ParameterDomain("targets must be nonnegative")
+    k, s = ctx.k, ctx.s
+    live = _live_q(q_max, k, s)
     values = np.ones(n_values.size, dtype=np.float64)
     for start in range(0, n_values.size, _SIGMA_BLOCK):
         block = n_values[start : start + _SIGMA_BLOCK]
@@ -232,30 +243,3 @@ def _sigma_sum(n_values: np.ndarray, live: Live, k: int, s: int) -> np.ndarray:
             # a term at or under the floor adds exactly 0.0
             np.add(acc, term, out=acc, where=np.abs(term) > _PARTIAL_FLOOR)
     return values
-
-
-def sigma_batch(
-    n_values: np.ndarray,
-    ctx: ProblemContext,
-    q_max: int,
-    checkpoint: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """sigma(n, q_max) for a vector of targets, with an optional snapshot.
-
-    Returns (values, snapshot) where snapshot holds the partial sums at
-    q = checkpoint (None when no checkpoint was requested).  The targets
-    go in blocks of 2^13, and each live q's term is added in ascending q,
-    as `truncated_sigma` does, so the two agree bit for bit.  The snapshot
-    is the sum at q_max = checkpoint: the same terms in the same order.
-    """
-    n_values = np.asarray(n_values, dtype=np.int64)
-    if n_values.size and int(n_values.min()) < 0:
-        raise ParameterDomain("targets must be nonnegative")
-    if checkpoint is not None and not (1 <= checkpoint <= q_max):
-        raise ParameterDomain(f"checkpoint must lie in [1, q_max], got {checkpoint}")
-    live = _live_q(q_max, ctx.k, ctx.s)
-    values = _sigma_sum(n_values, live, ctx.k, ctx.s)
-    if checkpoint is None:
-        return values, None
-    early = tuple((q, pps) for q, pps in live if q <= checkpoint)
-    return values, _sigma_sum(n_values, early, ctx.k, ctx.s)

@@ -176,7 +176,7 @@ def test_criterion_05_singular_series_bracket():
     ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
     rng = np.random.default_rng(2026)
     ns = (5 + 24 * rng.integers(0, 50_000, size=100)).astype(np.int64)
-    vals, snap = sigma_batch(ns, ctx, 400, checkpoint=200)
+    vals, snap = sigma_batch(ns, ctx, 400), sigma_batch(ns, ctx, 200)
     # The bracket is the one the Euler product sigma(n) = prod_p chi_p(n)
     # guarantees at k=2, s=5.  chi_2 (mod 8) and chi_3 are counted directly
     # on the sampled residues (their product is 24 on n = 5 mod 24), and
@@ -408,7 +408,7 @@ def _payload_criterion_5() -> str:
     ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
     rng = np.random.default_rng(2026)
     ns = (5 + 24 * rng.integers(0, 50_000, size=100)).astype(np.int64)
-    vals, snap = sigma_batch(ns, ctx, 400, checkpoint=200)
+    vals, snap = sigma_batch(ns, ctx, 400), sigma_batch(ns, ctx, 200)
     return canonical_json({"criterion": 5, "n": ns, "sigma": vals, "sigma_mid": snap})
 
 

@@ -101,7 +101,7 @@ class TestMajorArcQuadrature:
     def test_major_region_quadrature_converges(self):
         # doubling the node count must not move the major-region value:
         # the integrand is smooth on each short arc
-        params = ArcParams.explicit(4.0, 40.0, ctx=TINY)
+        params = ArcParams.explicit(4.0, 40.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             coarse = major_arc_rho_numeric(218, TINY, params, 256, region="major")
@@ -432,7 +432,7 @@ class TestMinorArcMoment:
         # P just under Q: the major family overlaps and covers every grid
         # point, so the minor contribution is exactly zero
         ctx = ProblemContext.from_parts(2, 5, 1e4, 1e3)
-        params = ArcParams.explicit(1200.0, 1300.0, ctx=ctx)
+        params = ArcParams.explicit(1200.0, 1300.0)
         assert minor_arc_moment(ctx, params, 2, 1000) == 0.0
 
     def test_uncovered_empty_grid_raises(self):
@@ -440,7 +440,7 @@ class TestMinorArcMoment:
         # cover ~60% of the circle: the grid is too coarse to see the
         # minor region and the call must refuse rather than return 0
         ctx = ProblemContext.from_parts(2, 5, 1e4, 1e3)
-        params = ArcParams.explicit(1000.0, 2001.0, ctx=ctx)
+        params = ArcParams.explicit(1000.0, 2001.0)
         with pytest.raises(EmptyRegion):
             minor_arc_moment(ctx, params, 2, 1000)
 

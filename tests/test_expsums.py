@@ -23,6 +23,7 @@ from wglab.expsums import (
     eval_sum,
     eval_sums,
     exact_phase,
+    grid_magnitudes,
     grid_points,
     grid_sums,
     major_mask,
@@ -81,7 +82,6 @@ class TestBuildSequence:
         seq = build_sequence(_window_ctx(10.0, 4.0), "prime_log")
         assert seq.support.tolist() == [7, 11, 13]
         assert np.allclose(seq.weights, np.log([7, 11, 13]))
-        assert seq.kind == "prime_log"
 
     def test_unit_window(self):
         seq = build_sequence(_window_ctx(10.0, 4.0), "unit")
@@ -108,11 +108,11 @@ class TestBuildSequence:
 
     def test_sequence_invariants(self):
         with pytest.raises(ParameterDomain):
-            WeightedSequence(np.array([3, 2]), np.array([1.0, 1.0]), "unit")
+            WeightedSequence(np.array([3, 2]), np.array([1.0, 1.0]))
         with pytest.raises(ParameterDomain):
-            WeightedSequence(np.array([2, 3]), np.array([1.0, 0.0]), "unit")
+            WeightedSequence(np.array([2, 3]), np.array([1.0, 0.0]))
         with pytest.raises(ParameterDomain):
-            WeightedSequence(np.array([2, 3]), np.array([1.0]), "unit")
+            WeightedSequence(np.array([2, 3]), np.array([1.0]))
 
 
 class TestEvalSum:
@@ -229,7 +229,7 @@ class TestBatchedPhases:
     def test_eval_sums_matches_pointwise_dot(self):
         # more points than one block holds, so block edges are crossed
         seq = build_sequence(CTX_800K, "prime_log")
-        pw = seq.powers(2)
+        pw = PhasePowers(seq.support, 2)
         rng = np.random.default_rng(5)
         alphas = np.concatenate([np.arange(700) / 700, rng.random(300)])
         got = eval_sums(seq, 2, alphas)
@@ -241,7 +241,7 @@ class TestBatchedPhases:
         # blocks of a few rows or of one row (past 2^13 primes), where a
         # pairwise reduction of the contiguous support axis would differ
         seq = build_sequence(_window_ctx(x, y), "prime_log")
-        pw = seq.powers(2)
+        pw = PhasePowers(seq.support, 2)
         alphas = [0.1, 1 / 3, 0.5, 0.7071067811865476, 0.9]
         want = np.array([_sum_left_to_right(seq.weights, pw.phases(a)) for a in alphas])
         assert np.array_equal(_bits(eval_sums(seq, 2, alphas)), _bits(want))
@@ -286,6 +286,17 @@ class TestSupScan:
         # the only two grid points, 0 and 1/2, are both major
         with pytest.raises(EmptyRegion):
             sup_scan(seq, 2, arcs, "minor", 2)
+
+    def test_ties_go_to_the_first_maximum(self):
+        # 5 and 9 are 1 (mod 4), so at k = 1 every |f(j/4)| is exactly 3
+        seq = WeightedSequence(np.array([1, 5, 9]), np.ones(3))
+        params = ArcParams.explicit(1.0, 50.0)
+        arcs = ArcDecomposition.build(params)
+        idx, mags = grid_magnitudes(seq, 1, params, "full", 4)
+        assert idx.tolist() == [0, 1, 2, 3] and mags.tolist() == [3.0] * 4
+        assert sup_scan(seq, 1, arcs, "full", 4).argmax_alpha == 0.0
+        # 0 is major at P = 1; the first minor point is 1/4
+        assert sup_scan(seq, 1, arcs, "minor", 4).argmax_alpha == 0.25
 
     def test_domain(self):
         seq, arcs = self._setup()
@@ -339,14 +350,14 @@ class TestCircleGrid:
         # refuses; the grid labels still come out.  At (5, 9) points with
         # minimal witness q in 6..9 stay minor; at (5, 6) none is left
         seq = build_sequence(CTX_800K, "prime_log")
-        params = ArcParams.explicit(5.0, 9.0, ctx=CTX_800K)
+        params = ArcParams.explicit(5.0, 9.0)
         minor = [j for j in range(4096) if classify(j / 4096, params)[0] == "minor"]
         assert grid_points(params, "minor", 4096).tolist() == minor
         want = 0.0
         for f in eval_sums(seq, 2, [j / 4096 for j in minor]):
             want += abs(f) ** 4
         assert minor_arc_moment(CTX_800K, params, 4, 4096) == want / 4096
-        blanket = ArcParams.explicit(5.0, 6.0, ctx=CTX_800K)
+        blanket = ArcParams.explicit(5.0, 6.0)
         assert minor_arc_moment(CTX_800K, blanket, 4, 4096) == 0.0
 
     def test_callers_share_the_grid(self):
@@ -371,7 +382,7 @@ class TestGridSums:
         R = seq.support ** 2 % G
         table = np.exp((2j * np.pi) * (np.arange(G) / G))
         for j in (1, 3, G // 3, G - 1):
-            assert np.array_equal(_bits(table[j * R % G]), _bits(seq.powers(2).phases(j / G)))
+            assert np.array_equal(_bits(table[j * R % G]), _bits(PhasePowers(seq.support, 2).phases(j / G)))
 
     @pytest.mark.parametrize("G", [200, 1000, 5000, 12347])
     def test_matches_big_integer_oracle(self, G):

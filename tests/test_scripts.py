@@ -33,3 +33,19 @@ def test_explore_minor_arcs_reports_the_minor_sup():
     sup = [l for l in proc.stdout.splitlines() if l.startswith("sup over ")]
     assert len(sup) == 1
     assert " minor grid points: |f| = " in sup[0]
+
+
+def test_ladder_rung_records_the_desk_scan(tmp_path):
+    # one rung in this interpreter's stead: k=2, s=5, theta=0.8, x=400
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ladder.py"),
+         "--rung", "2", "5", "0.8", "400", "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["route"] == "lattice"
+    assert record["targets"] == 2011
+    assert abs(record["median_ratio"] - 0.7623) < 5e-5
+    sha = record["report_sha256"]
+    assert len(sha) == 64 and set(sha) <= set("0123456789abcdef")

@@ -216,41 +216,33 @@ class TestSigmaBatch:
             (ProblemContext.from_parts(3, 7, 60.0, 20.0), [27, 53, 54, 81, 1_512_001, 1_512_009]),
         ]
         for ctx, targets in cases:
-            vals, snap = sigma_batch(np.array(targets), ctx, 200)
-            assert snap is None
+            vals = sigma_batch(np.array(targets), ctx, 200)
             for n, v in zip(targets, vals.tolist()):
                 assert v == truncated_sigma(n, ctx, 200).value
-                assert sigma_batch(np.array([n]), ctx, 200)[0][0] == v
-
-    def test_checkpoint_snapshot(self):
-        targets = np.array([53, 54])
-        vals, snap = sigma_batch(targets, CTX, 200, checkpoint=50)
-        assert snap is not None
-        for n, v in zip(targets.tolist(), snap.tolist()):
-            assert v == truncated_sigma(n, CTX, 50).value
-        # the checkpoint must not disturb the final values
-        vals2, _ = sigma_batch(targets, CTX, 200)
-        assert vals.tolist() == vals2.tolist()
+                assert sigma_batch(np.array([n]), ctx, 200)[0] == v
 
     @pytest.mark.parametrize(
         "k,s,checkpoint", [(2, 5, None), (2, 5, 37), (2, 5, 16), (3, 7, 1), (3, 7, 60)]
     )
     def test_columns_match_the_per_q_oracle(self, k, s, checkpoint):
         # 20,011 targets of every residue: three blocks of 2^13, the last
-        # one short; values and snapshot byte for byte
+        # one short; values byte for byte, and the partial sums at q =
+        # checkpoint are sigma_batch with q_max = checkpoint
         ctx = ProblemContext.from_parts(k, s, 60.0, 20.0)
         targets = np.arange(1_000_003, 1_000_003 + 20_011, dtype=np.int64)
         assert targets.size > 2 * ss._SIGMA_BLOCK
-        if checkpoint in (16, 60):
-            # a checkpoint with no live term: the snapshot is the sum up to
-            # the last live q below it, as the per-q loop leaves it
-            assert checkpoint not in [q for q, _ in ss._live_q(120, k, s)]
-        vals, snap = sigma_batch(targets, ctx, 120, checkpoint)
         want_vals, want_snap = _sigma_per_q(targets, ctx, 120, checkpoint)
-        assert vals.tobytes() == want_vals.tobytes()
-        assert (snap is None) == (want_snap is None)
-        if snap is not None:
-            assert snap.tobytes() == want_snap.tobytes()
+        assert sigma_batch(targets, ctx, 120).tobytes() == want_vals.tobytes()
+        if checkpoint is None:
+            return
+        if checkpoint in (16, 60):
+            # a checkpoint with no live term: the partial sum is the sum up
+            # to the last live q below it, as the per-q loop leaves it
+            assert checkpoint not in [q for q, _ in ss._live_q(120, k, s)]
+        snap = sigma_batch(targets, ctx, checkpoint)
+        assert snap.tobytes() == want_snap.tobytes()
+        for n, v in zip(targets[::4001].tolist(), snap[::4001].tolist()):
+            assert v == truncated_sigma(n, ctx, checkpoint).value
 
     def test_live_moduli_built_once(self):
         # memoised: a loop of truncated_sigma calls reuses one tuple, and
@@ -259,15 +251,13 @@ class TestSigmaBatch:
         live = ss._live_q(200, CTX.k, CTX.s)
         assert isinstance(live, tuple) and all(isinstance(pps, tuple) for _, pps in live)
         for n in (53, 54, 1_000_003):
-            assert truncated_sigma(n, CTX, 200).value == sigma_batch(np.array([n]), CTX, 200)[0][0]
+            assert truncated_sigma(n, CTX, 200).value == sigma_batch(np.array([n]), CTX, 200)[0]
         assert ss._live_q(200, CTX.k, CTX.s) is live
         assert ss._live_q.cache_info().misses == 1
         with pytest.raises(ParameterDomain):
             ss._live_q(0, CTX.k, CTX.s)
 
     def test_checkpoint_domain(self):
-        with pytest.raises(ParameterDomain):
-            sigma_batch(np.array([5]), CTX, 100, checkpoint=101)
         with pytest.raises(ParameterDomain):
             sigma_batch(np.array([-3]), CTX, 100)
 
