@@ -303,8 +303,7 @@ def prime_window(x: float, y: float) -> PrimeWindow:
         raise ParameterDomain(f"need 0 < y <= x, got x={x}, y={y}")
     lo = max(1, math.floor(x - y))
     hi = math.floor(x + y)
-    ps = [p for p in sieve_interval(lo, hi)] if hi > lo else []
-    ps = [p for p in ps if x - y < p <= x + y]
+    ps = sieve_interval(lo, hi) if hi > lo else []
     return PrimeWindow(
         x=float(x),
         y=float(y),

@@ -81,7 +81,8 @@ def major_arc_rho_numeric(
     major intervals, "full" over the whole circle [0, 1), "zero_arc" over
     the single glued arc at the origin.  Composite 16-point Gauss-Legendre
     per interval; the nodes of every interval go through one `eval_sums`
-    call, and e(-n alpha) comes from one `PhasePowers` block.  Emits a
+    call, e(-n alpha) comes from one `PhasePowers` block, and f^s e(-n
+    alpha) is one array power and one array product.  Emits a
     warning when the phase of f^s jumps by more than pi/4 between
     adjacent nodes (under-resolution).
 
@@ -109,14 +110,10 @@ def major_arc_rho_numeric(
     panels = max(1, math.ceil(nodes_per_arc / 16))
     quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
     alphas = np.concatenate([pts for _, pts, _ in quads])
-    fs = np.array([complex(f) ** ctx.s for f in eval_sums(seq, ctx.k, alphas)])
+    fs = eval_sums(seq, ctx.k, alphas) ** ctx.s
     # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
     c = PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas)[:, 0].conj()
-    # f^s e(-n alpha) in components, rounded as a scalar complex product;
-    # numpy's array complex multiply differs from it in the last bit
-    vals = np.empty_like(fs)
-    vals.real = fs.real * c.real - fs.imag * c.imag
-    vals.imag = fs.real * c.imag + fs.imag * c.real
+    vals = fs * c
     total = 0.0 + 0.0j
     worst_jump = 0.0
     start = 0
@@ -339,10 +336,6 @@ def minor_arc_moment(
         raise ParameterDomain(f"unknown region {region!r}")
     seq = build_sequence(ctx, "prime_log")
     idx, mags = grid_magnitudes(seq, ctx.k, params, region, grid_size)
-    # scalar ** summed left to right; the array forms differ in the last bit
-    acc = 0.0
-    for m in mags:
-        acc += m ** t
     if not idx.size:
         try:
             covered = major_measure(params) >= 0.999
@@ -351,4 +344,4 @@ def minor_arc_moment(
         if covered:
             return 0.0
         raise EmptyRegion("no minor grid points; refine the grid")
-    return float(acc) / grid_size
+    return float(np.sum(mags ** t)) / grid_size

@@ -391,7 +391,8 @@ def grid_magnitudes(
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
     require_grid_budget(grid_size, len(seq))
     idx = grid_points(params, region, grid_size)
-    # abs per element: array np.abs can differ from scalar abs in the last bit
+    # scalar abs per element: np.abs differs from it in the last bit, and
+    # the scan_sup.json golden's tied maxima pick their argmax by those bits
     mags = np.fromiter(
         (abs(f) for f in grid_sums(seq, k, grid_size, idx)), dtype=np.float64, count=idx.size
     )

@@ -3,7 +3,8 @@ the oscillatory window integral.
 
 The window (x - y, x + y] transported through the k-th power map covers
 the integers m in [ceil((x-y)^k), floor((x+y)^k)], each carrying the
-density weight c_m = (1/k) m^(1/k - 1).  Two derived quantities matter:
+density weight c_m = (1/k) m^(1/k - 1); `density_sequence` returns them
+as an `expsums.WeightedSequence`.  Two derived quantities matter:
 
 * v(beta) = sum c_m e(beta m), the weighted linear exponential sum, and
 * j(n)    = the s-fold convolution of the weights evaluated at n, which
@@ -37,7 +38,6 @@ every period sees at least 16 nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .errors import (
     ParameterDomain,
     PrecisionOverflow,
 )
-from .expsums import exact_phase
+from .expsums import WeightedSequence, exact_phase
 
 _CONV_BYTES = 4 * 2 ** 30
 _J_RTOL = 2e-10  # j's error estimate, relative at every probed entry
@@ -76,48 +76,31 @@ def _weights(k: int, lo: int, hi: int) -> np.ndarray:
     return (1.0 / k) * m ** (1.0 / k - 1.0)
 
 
-@dataclass(eq=False)
-class WeightSeq:
-    """Density weights c_m on the image window [lo, hi]."""
-
-    k: int
-    lo: int
-    hi: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.shape != (self.hi - self.lo + 1,):
-            raise ParameterDomain("weight vector does not match window length")
-
-    @classmethod
-    def from_context(cls, ctx: ProblemContext) -> "WeightSeq":
-        lo, hi = _power_window(ctx)
-        return cls(k=ctx.k, lo=lo, hi=hi, weights=_weights(ctx.k, lo, hi))
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def total(self) -> float:
-        return float(np.sum(self.weights))
+def density_sequence(ctx: ProblemContext) -> WeightedSequence:
+    """The density weights c_m on the image window, m = lo, ..., hi."""
+    lo, hi = _power_window(ctx)
+    return WeightedSequence(np.arange(lo, hi + 1, dtype=np.int64), _weights(ctx.k, lo, hi))
 
 
-def v_eval(ws: WeightSeq, beta: float) -> complex:
-    """v(beta) = sum of c_m e(beta m), phases by blockwise recurrence.
+def v_eval(ctx: ProblemContext, beta: float) -> complex:
+    """v(beta) = sum of c_m e(beta m) over `density_sequence(ctx)`,
+    phases by blockwise recurrence.
 
     Within a block of 2^10 consecutive m the phase advances by repeated
     multiplication with e(beta); each block is re-anchored at an exactly
     reduced phase (integer arithmetic on beta's dyadic ratio), so drift
     stays below ~10^-13 regardless of beta * m magnitude.
     """
+    seq = density_sequence(ctx)
+    lo, R = int(seq.support[0]), len(seq)
     num, den = float(beta).as_integer_ratio()
-    R = len(ws)
     step = np.exp(2j * np.pi * (num % den) / den)
     ladder = step ** np.arange(min(_REFRESH, R))
     total = 0.0 + 0.0j
     for start in range(0, R, _REFRESH):
         stop = min(start + _REFRESH, R)
-        anchor = exact_phase(beta, ws.lo + start)
-        block = ws.weights[start:stop]
+        anchor = exact_phase(beta, lo + start)
+        block = seq.weights[start:stop]
         total += anchor * np.dot(block, ladder[: stop - start])
     return complex(total)
 

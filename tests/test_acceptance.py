@@ -35,8 +35,9 @@ from wglab.arith import (
 )
 from wglab.config import canonical_json
 from wglab.experiment import exceptional_scan, major_arc_rho_numeric
+from wglab.expsums import WeightedSequence
 from wglab.representations import moment, rho_mitm, rho_naive
-from wglab.singular_integral import WeightSeq, j_array, j_integral, oscillatory_I
+from wglab.singular_integral import density_sequence, j_integral, oscillatory_I
 from wglab.singular_series import _gauss_row, gauss_sum, sigma_batch
 
 
@@ -213,14 +214,14 @@ def test_criterion_05_singular_series_bracket():
     assert ok, line
 
 
-def _dict_convolution_oracle(ws: WeightSeq, s: int) -> dict:
+def _dict_convolution_oracle(seq: WeightedSequence, s: int) -> dict:
     table = {0: 1.0}
     for _ in range(s):
         nxt: dict[int, float] = {}
         for v, w in table.items():
-            for i, m in enumerate(range(ws.lo, ws.hi + 1)):
+            for m, c in zip(seq.support.tolist(), seq.weights.tolist()):
                 key = v + m
-                nxt[key] = nxt.get(key, 0.0) + w * float(ws.weights[i])
+                nxt[key] = nxt.get(key, 0.0) + w * c
         table = nxt
     return table
 
@@ -238,21 +239,22 @@ def test_criterion_06_singular_integral():
     worst = 0.0
     for k, s, x, y in instances:
         ctx = ProblemContext.from_parts(k, s, x, y)
-        ws = WeightSeq.from_context(ctx)
-        assert len(ws) ** s <= 10 ** 6
-        oracle = _dict_convolution_oracle(ws, s)
+        seq = density_sequence(ctx)
+        assert len(seq) ** s <= 10 ** 6
+        oracle = _dict_convolution_oracle(seq, s)
         for n, want in oracle.items():
             got = j_integral(n, ctx)
             worst = max(worst, abs(got - want) / want)
-        assert j_integral(s * ws.lo - 1, ctx) == 0.0
-        assert j_integral(s * ws.hi + 1, ctx) == 0.0
+        assert j_integral(s * int(seq.support[0]) - 1, ctx) == 0.0
+        assert j_integral(s * int(seq.support[-1]) + 1, ctx) == 0.0
     # literal tuple enumeration anchors the dict oracle on one instance
     ctx = ProblemContext.from_parts(2, 4, 20.0, 0.35)
-    ws = WeightSeq.from_context(ctx)
-    span = list(range(ws.lo, ws.hi + 1))
+    seq = density_sequence(ctx)
+    span = seq.support.tolist()
+    weight = dict(zip(span, seq.weights.tolist()))
     target = 4 * span[len(span) // 2]
     direct = math.fsum(
-        math.prod(float(ws.weights[m - ws.lo]) for m in tup)
+        math.prod(weight[m] for m in tup)
         for tup in itertools.product(span, repeat=4)
         if sum(tup) == target
     )

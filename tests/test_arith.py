@@ -238,6 +238,22 @@ class TestPrimeWindow:
         with pytest.raises(ParameterDomain):
             prime_window(10.0, 20.0)
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (10.0, 3.0), (12.0, 1.0), (13.0, 2.0), (100.0, 3.0),  # integer ends
+            (6.5, 4.5), (11.5, 0.5), (8.000001, 0.999999),
+            (5.0, 4.5), (3.0, 2.5), (1.5, 1.0), (2.0, 1.5),  # x - y < 1
+            (1.0, 1.0), (2.0, 2.0), (17.0, 17.0), (30.5, 30.5),  # y = x
+        ],
+    )
+    def test_edge_windows_match_a_primality_filter(self, x, y):
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        expect = tuple(n for n in range(1, math.floor(x + y) + 1) if x - y < n and is_prime(n))
+        assert prime_window(x, y).primes == expect
+
     @given(
         st.floats(min_value=20.0, max_value=5000.0),
         st.floats(min_value=1.0, max_value=19.0),

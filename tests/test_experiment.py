@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import wglab.cache as cache
-from wglab.arcs import ArcDecomposition, ArcParams
+from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
 from wglab.errors import CacheVersionMismatch, EmptyRegion, EmptyWindow, ParameterDomain
 from wglab.experiment import (
@@ -420,6 +420,22 @@ class TestMinorArcMoment:
         params = ArcParams.from_context(TINY)
         got = minor_arc_moment(TINY, params, 2, 1024, region="full")
         assert got == pytest.approx(moment(1, TINY).value, rel=1e-10)
+
+    def test_minor_region_matches_per_point_oracle(self):
+        # minor points by `classify`, f by `eval_sum`, |f|^t one point at a time
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        params = ArcParams.from_context(ctx)
+        seq = build_sequence(ctx, "prime_log")
+        G = 4096
+        mags = [
+            abs(eval_sum(seq, ctx.k, j / G))
+            for j in range(G)
+            if classify(j / G, params)[0] == "minor"
+        ]
+        assert 0 < len(mags) < G
+        for t in range(1, 7):
+            want = sum(m ** t for m in mags) / G
+            assert minor_arc_moment(ctx, params, t, G) == pytest.approx(want, rel=1e-13)
 
     def test_minor_below_full(self):
         ctx = ProblemContext.from_parts(2, 5, 1e4, 1e3)

@@ -14,7 +14,7 @@ from wglab.errors import (
 )
 from wglab.experiment import _admissible_targets
 from wglab.singular_integral import (
-    WeightSeq,
+    density_sequence,
     j_array,
     j_integral,
     oscillatory_I,
@@ -25,75 +25,66 @@ from wglab.singular_integral import (
 )
 
 
-class TestWeightSeq:
+class TestDensitySequence:
     def test_window_bounds(self):
-        ws = WeightSeq.from_context(ProblemContext.from_parts(2, 2, 10.0, 2.0))
-        assert (ws.lo, ws.hi) == (64, 144)
-        assert len(ws) == 81
+        seq = density_sequence(ProblemContext.from_parts(2, 2, 10.0, 2.0))
+        assert (seq.support[0], seq.support[-1]) == (64, 144)
+        assert len(seq) == 81
 
     def test_total_tracks_window_length(self):
         # sum of (1/k) m^(1/k - 1) over the image window is a Riemann sum
         # for the integral of the density, which is exactly 2y
         for k, x, y in [(2, 1000.0, 10.0), (3, 400.0, 4.0), (2, 5000.0, 50.0)]:
-            ws = WeightSeq.from_context(ProblemContext.from_parts(k, 2, x, y))
-            assert ws.total() == pytest.approx(2 * y, rel=1e-2)
+            seq = density_sequence(ProblemContext.from_parts(k, 2, x, y))
+            assert seq.total_weight() == pytest.approx(2 * y, rel=1e-2)
 
     def test_empty_power_window(self):
         with pytest.raises(EmptyWindow):
-            WeightSeq.from_context(ProblemContext.from_parts(2, 2, 1.2, 0.01))
-
-    def test_shape_guard(self):
-        with pytest.raises(ParameterDomain):
-            WeightSeq(k=2, lo=10, hi=12, weights=np.ones(5))
+            density_sequence(ProblemContext.from_parts(2, 2, 1.2, 0.01))
 
 
 class TestVEval:
-    def _ws(self):
-        return WeightSeq.from_context(ProblemContext.from_parts(2, 2, 100.0, 10.0))
+    _CTX = ProblemContext.from_parts(2, 2, 100.0, 10.0)
 
     def test_zero_offset_is_total(self):
-        ws = self._ws()
-        val = v_eval(ws, 0.0)
+        val = v_eval(self._CTX, 0.0)
         assert val.imag == 0.0
-        assert val.real == ws.total()
+        assert val.real == density_sequence(self._CTX).total_weight()
         assert val.real == pytest.approx(2 * 10.0, abs=0.1)
 
     def test_conjugate_symmetry(self):
-        ws = self._ws()
         for beta in (1e-6, 3.7e-4, 0.123):
-            assert v_eval(ws, -beta) == pytest.approx(
-                v_eval(ws, beta).conjugate(), abs=1e-10
+            assert v_eval(self._CTX, -beta) == pytest.approx(
+                v_eval(self._CTX, beta).conjugate(), abs=1e-10
             )
 
     def test_triangle_bound(self):
-        ws = self._ws()
-        cap = ws.total() * (1 + 1e-12)
+        cap = density_sequence(self._CTX).total_weight() * (1 + 1e-12)
         rng = np.random.default_rng(11)
         for beta in rng.uniform(-0.5, 0.5, 100):
-            assert abs(v_eval(ws, float(beta))) <= cap
+            assert abs(v_eval(self._CTX, float(beta))) <= cap
 
     def test_matches_exact_scalar_oracle(self):
         # small window, per-term phases reduced through Fraction so the
         # oracle shares no code with the blockwise recurrence
-        ws = WeightSeq.from_context(ProblemContext.from_parts(2, 2, 30.0, 3.0))
+        ctx = ProblemContext.from_parts(2, 2, 30.0, 3.0)
+        seq = density_sequence(ctx)
         beta = 0.123456789
         b_ex = Fraction(beta)
         acc = 0.0 + 0.0j
-        for i, m in enumerate(range(ws.lo, ws.hi + 1)):
+        for c, m in zip(seq.weights, seq.support.tolist()):
             frac = float((b_ex * m) % 1)
-            acc += ws.weights[i] * complex(
-                math.cos(2 * math.pi * frac), math.sin(2 * math.pi * frac)
-            )
-        assert v_eval(ws, beta) == pytest.approx(acc, abs=1e-12 * ws.total())
+            acc += c * complex(math.cos(2 * math.pi * frac), math.sin(2 * math.pi * frac))
+        assert v_eval(ctx, beta) == pytest.approx(acc, abs=1e-12 * seq.total_weight())
 
     def test_recurrence_spans_blocks(self):
         # window longer than one 2^10 re-anchor block
-        ws = WeightSeq.from_context(ProblemContext.from_parts(2, 2, 60.0, 30.0))
-        assert len(ws) == 7201
+        ctx = ProblemContext.from_parts(2, 2, 60.0, 30.0)
+        seq = density_sequence(ctx)
+        assert len(seq) == 7201
         beta = 0.25  # dyadic, so frac(beta * m) cycles through quarters
-        val = v_eval(ws, beta)
-        m = np.arange(ws.lo, ws.hi + 1)
-        expect = complex(np.dot(ws.weights, np.exp(2j * np.pi * ((m % 4) / 4.0))))
+        val = v_eval(ctx, beta)
+        expect = complex(np.dot(seq.weights, np.exp(2j * np.pi * ((seq.support % 4) / 4.0))))
         assert val == pytest.approx(expect, abs=1e-10)
 
 
@@ -142,9 +133,9 @@ class TestJIntegral:
     def test_fft_route_matches_direct_convolution(self):
         # the whole support, 13201 weights at unit width
         ctx = ProblemContext.from_parts(2, 2, 110.0, 30.0)
-        ws = WeightSeq.from_context(ctx)
+        w = density_sequence(ctx).weights
         off, tab = j_array(ctx)
-        oracle = np.convolve(ws.weights, ws.weights)
+        oracle = np.convolve(w, w)
         assert tab.shape == oracle.shape
         scale = float(oracle.max())
         assert float(np.max(np.abs(tab - oracle))) <= 1e-12 * scale
@@ -159,10 +150,10 @@ class TestJIntegral:
         # unit cells that held the integral of c, not the weights, were
         # off by 1.9e-4 and 4.5e-8 relative at the targets
         ctx = ProblemContext.from_parts(*parts)
-        ws = WeightSeq.from_context(ctx)
+        seq = density_sequence(ctx)
         n_lo, n_hi = math.floor(ctx.N) + 1, math.floor(ctx.N + ctx.window_width)
-        base = ctx.s * ws.lo
-        want = _convolve_window(ws.weights, ctx.s, n_lo - base, n_hi - base)
+        base = ctx.s * int(seq.support[0])
+        want = _convolve_window(seq.weights, ctx.s, n_lo - base, n_hi - base)
         off, tab = j_array(ctx, n_lo, n_hi)
         assert off == n_lo and tab.size == want.size
         assert float(np.max(np.abs(tab - want) / want)) <= 2e-10
@@ -256,10 +247,10 @@ def _exact_wrapped(w, s, a, b, step):
 def _exact_j(ctx, n_lo, n_hi, step):
     """(offset, j at offset, offset + step, ..., up to n_hi) by the exact
     oracle, for a window inside the support."""
-    ws = WeightSeq.from_context(ctx)
-    base = ctx.s * ws.lo
+    seq = density_sequence(ctx)
+    base = ctx.s * int(seq.support[0])
     a, b = n_lo - base, n_hi - base
-    return n_lo, _exact_wrapped(ws.weights, ctx.s, a, b - (b - a) % step, step)
+    return n_lo, _exact_wrapped(seq.weights, ctx.s, a, b - (b - a) % step, step)
 
 
 def _scan_targets(ctx):
@@ -460,13 +451,14 @@ class TestCells:
         # c less its Euler-Maclaurin term is 1.2e-2 off the weight
         for parts in [(2, 3, 60.0, 60.0), (3, 7, 30.0, 30.0 ** 0.8)]:
             ctx = ProblemContext.from_parts(*parts)
-            ws = WeightSeq.from_context(ctx)
-            mass = si._cell_masses(ctx.k, ws.lo, ws.hi, 1)
-            assert mass.tobytes() == ws.weights.tobytes()
-            assert (ws.lo == 1) == (ctx.k == 2)
+            seq = density_sequence(ctx)
+            lo, hi = int(seq.support[0]), int(seq.support[-1])
+            mass = si._cell_masses(ctx.k, lo, hi, 1)
+            assert mass.tobytes() == seq.weights.tobytes()
+            assert (lo == 1) == (ctx.k == 2)
         # a cell of width 8 holds the sum of its eight weights
-        mass = si._cell_masses(3, ws.lo, ws.hi, 8)
-        sums = np.add.reduceat(ws.weights, np.arange(0, len(ws), 8))
+        mass = si._cell_masses(3, lo, hi, 8)
+        sums = np.add.reduceat(seq.weights, np.arange(0, len(seq), 8))
         assert float(np.max(np.abs(mass - sums) / sums)) <= 1e-14
 
     def test_coarse_start_is_refined(self, monkeypatch):
