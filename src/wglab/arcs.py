@@ -13,12 +13,15 @@ convergents are scanned in increasing denominator order, so the witness
 returned by `dirichlet_approx` is the one with the smallest denominator,
 deterministically.
 
-Disjointness of the arc family has a sharp criterion.  Two arcs centered
-at Farey neighbours a/q < a'/q' overlap exactly when Q <= q + q', and over
-all neighbouring pairs with denominators <= floor(P) the largest such sum
-is 2*floor(P) - 1.  The family is pairwise disjoint if and only if
-Q > 2*floor(P) - 1; construction enforces this and additionally re-checks
-neighbouring intervals directly.
+Disjointness of the arc family has a sharp criterion, and construction
+enforces it; nothing else checks it.  Consecutive centers a/q < a'/q' of
+the family are Farey neighbours of order floor(P), so a'q - aq' = 1 and
+the gap between them is 1/(qq').  Their arcs, of half-widths 1/(qQ) and
+1/(q'Q), overlap exactly when Q <= q + q'.  Neighbours of order
+floor(P) >= 2 have distinct denominators, both at most floor(P), so the
+largest such sum is 2*floor(P) - 1, reached at 0/1 and 1/floor(P).  The
+family is pairwise disjoint if and only if Q > 2*floor(P) - 1.  At
+floor(P) = 1 the only arcs are the glued halves at 0/1 and 1/1.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from typing import Optional
 
 from .arith import ProblemContext, euler_phi, factorize
 from .errors import OverlapDetected, ParameterDomain
-
-_EXPLICIT_CHECK_LIMIT = 4000  # max floor(P) for the brute-force neighbour check
 
 
 def w_k(k: int, q: int) -> float:
@@ -184,8 +185,6 @@ class ArcDecomposition:
                 if math.gcd(a, q) == 1:
                     arcs.append(MajorArc(q=q, a=a, center=a / q, half_width=hw))
         arcs.sort(key=lambda m: (m.center, m.q))
-        if pmax <= _EXPLICIT_CHECK_LIMIT:
-            _check_neighbours(arcs, params.Q)
         return cls(params=params, intervals=tuple(arcs))
 
     def measure(self) -> float:
@@ -215,19 +214,6 @@ def _require_disjoint(pmax: int, Q: float) -> None:
         raise OverlapDetected(
             f"arcs overlap: Q={Q} <= 2*floor(P)-1 = {2 * pmax - 1}"
         )
-
-
-def _check_neighbours(arcs: list[MajorArc], Q: float) -> None:
-    # exact integer form of center/width comparison between sorted neighbours:
-    # arcs at a/q < a'/q' overlap iff Q*(a'q - aq') <= q + q'
-    for m, m2 in zip(arcs, arcs[1:]):
-        if m.q == 1 and m2.q == 1:
-            continue  # glued halves of the origin arc
-        gap_num = m2.a * m.q - m.a * m2.q
-        if Q * gap_num <= m.q + m2.q:
-            raise OverlapDetected(
-                f"arcs at {m.a}/{m.q} and {m2.a}/{m2.q} overlap at Q={Q}"
-            )
 
 
 @lru_cache(maxsize=256)

@@ -142,15 +142,14 @@ def csv_lines(header: list[str], columns: list) -> str:
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
+    """(name, value) of every leaf of a list-free payload, nested dict
+    keys joined by dots, sorted by key at each level."""
     items: list[tuple[str, object]] = []
     for key in sorted(payload, key=str):
         val = payload[key]
         name = f"{prefix}{key}"
         if isinstance(val, dict):
             items.extend(_flatten(val, prefix=f"{name}."))
-        elif isinstance(val, (list, tuple)):
-            for i, v in enumerate(val):
-                items.append((f"{name}[{i}]", v))
         else:
             items.append((name, val))
     return items

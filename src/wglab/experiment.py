@@ -202,9 +202,13 @@ def exceptional_scan(
     use the two-sided threshold; the one-sided count (excess only) is
     recorded alongside.
 
-    Raises empty-window when the window contains no integers at all; a
-    window with integers but no admissible ones yields scanned=0.
+    Raises parameter-domain when x <= 1, where the threshold's log x is
+    not positive, and empty-window when the window contains no integers
+    at all; a window with integers but no admissible ones yields
+    scanned=0.
     """
+    if not ctx.x > 1:
+        raise ParameterDomain(f"need x > 1 for the threshold's log x, got x={ctx.x}")
     N = ctx.N
     n_lo = math.floor(N) + 1
     n_hi = math.floor(N + ctx.window_width)

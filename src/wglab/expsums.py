@@ -50,9 +50,9 @@ of about 2^13 entries and reduce each block with `_reduce`: one
 every f is the pointwise left-to-right sum bit for bit.  `sup_scan`,
 `arc_profile` and `minor_arc_moment` take the grid indices of their
 region and |f| there from `grid_magnitudes`.  Major/minor labels of the
-grid come from `major_mask`: the index ranges of the arcs
-|alpha - a/q| <= 1/(qQ), q <= floor(P), with `classify` consulted only
-within 2 indices of an arc's float edge.
+grid come from `major_mask`, also on the exact rational j/G: the point is
+on the arc |alpha - a/q| <= 1/(qQ), q <= floor(P), exactly when the
+integer |qj - aG| is at most G/Q, so every arc is an integer index range.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .arcs import ArcDecomposition, ArcParams, RationalPoint, classify, dirichlet_approx, w_k
+from .arcs import ArcDecomposition, ArcParams, RationalPoint, dirichlet_approx, w_k
 from .arith import ProblemContext
 from .errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain, RangeTooLarge
 
@@ -282,7 +282,7 @@ def require_grid_budget(grid_size: int, support_size: int) -> int:
     running sums add 32 bytes per entry (its 8-byte gather indices are
     freed first), and n^k mod G 16 bytes per support point.  The scans'
     other per-point arrays are never live next to the table and fit
-    under the same charge: `major_mask` needs at most 18 bytes per
+    under the same charge: `major_mask` needs at most 17 bytes per
     point, `grid_magnitudes`' |f| 8, and `arc_profile`'s alphas and
     labels 16 more.
     This admits grid sizes up to 1.07e8: 2^26 fits, 2^27 does not.
@@ -335,45 +335,36 @@ def eval_sum(seq: WeightedSequence, k: int, alpha: float) -> complex:
 
 
 def major_mask(params: ArcParams, grid_size: int) -> np.ndarray:
-    """For each grid point j/grid_size, True when `classify` calls it major.
+    """For each grid point j/grid_size, True when the exact rational
+    j/grid_size lies on an arc |alpha - a/q| <= 1/(qQ) with q <= floor(P).
 
-    alpha is major exactly when it lies on an arc |alpha - a/q| <= 1/(qQ)
-    with q <= floor(P) (its minimal Dirichlet witness is then at most
-    that q).  The arcs are listed here, not taken from
-    `ArcDecomposition.build`, so overlapping parameters work too.  Each
-    arc's edges are placed on the grid in floating point; indices more
-    than 2 from every float edge take the arc's label directly, and
-    `classify` decides the few within 2 of one.
+    That is the label `classify` gives the float j/grid_size wherever the
+    float is exact, as at a power-of-two grid_size (its minimal Dirichlet
+    witness is then at most that q).  The arcs are listed here, not taken
+    from `ArcDecomposition.build`, so overlapping parameters work too.
+    With Q = num/den, j/G is on the arc at a/q exactly when the integer
+    |qj - aG| is at most G/Q, i.e. at most T = (G * den) // num, so each
+    arc is the index range ceil((aG - T)/q) .. floor((aG + T)/q).
     """
     G = grid_size
-    Q = params.Q
-    inside = np.zeros(G + 1, dtype=np.int64)  # +1/-1 at starts/ends of sure ranges
-    near_edge = np.zeros(G, dtype=bool)
+    num, den = float(params.Q).as_integer_ratio()
+    T = (G * den) // num
+    inside = np.zeros(G + 1, dtype=np.int64)  # +1/-1 at starts/ends of arc ranges
     for q in range(1, math.floor(params.P) + 1):
-        a = np.arange(q + 1)
-        a = a[np.gcd(a, q) == 1]
-        hw = 1.0 / (q * Q)
-        lo = np.rint(G * (a / q - hw)).astype(np.int64)
-        hi = np.rint(G * (a / q + hw)).astype(np.int64)
-        # |j - edge| <= 2 implies |j - rint(edge)| <= 2
-        for d in range(-2, 3):
-            for edge in (lo + d, hi + d):
-                near_edge[edge[(edge >= 0) & (edge < G)]] = True
-        start = np.clip(lo + 3, 0, G)
-        stop = np.clip(hi - 2, 0, G)
+        a = np.arange(q + 1, dtype=np.int64)
+        aG = a[np.gcd(a, q) == 1] * G
+        start = np.clip(-((T - aG) // q), 0, G)
+        stop = np.clip((aG + T) // q + 1, 0, G)
         keep = start < stop
         np.add.at(inside, start[keep], 1)
         np.add.at(inside, stop[keep], -1)
-    major = np.cumsum(inside[:G]) > 0
-    for j in np.flatnonzero(near_edge & ~major).tolist():
-        major[j] = classify(j / G, params)[0] == "major"
-    return major
+    return np.cumsum(inside[:G]) > 0
 
 
 def grid_points(params: ArcParams, region: str, grid_size: int) -> np.ndarray:
     """The indices j of the grid points j/grid_size in a region, ascending,
-    as int64; membership is that of `classify` (see `major_mask`), except
-    that "full" keeps every point."""
+    as int64; membership is the arc label of the exact rational
+    j/grid_size (see `major_mask`), except that "full" keeps every point."""
     if region not in ("major", "minor", "full"):
         raise ParameterDomain(f"unknown region {region!r}")
     if region == "full":
@@ -420,12 +411,12 @@ def sup_scan(
 ) -> SupScanReport:
     """Scan |f| over the grid points j/grid_size lying in a region.
 
-    Region membership is that of `arcs.classify` on the decomposition's
-    parameters, i.e. of the minimal Dirichlet witness; `major_mask`
-    reads it off the arcs' index ranges and asks `classify` only near
-    their float edges.  f is taken by `grid_sums` at the exact rational
-    j/grid_size; the reported argmax is its float j/grid_size, and the
-    witness is the rational point attached to it.
+    Region membership is the arc label of the exact rational j/grid_size
+    on the decomposition's parameters, read by `major_mask` off the arcs'
+    integer index ranges; it is the label of `arcs.classify`, the minimal
+    Dirichlet witness.  f is taken by `grid_sums` at the same rational;
+    the reported argmax is its float j/grid_size, and the witness is the
+    rational point attached to it.
 
     Raises empty-region when no grid point falls in the region.
     """
@@ -455,8 +446,8 @@ class ArcProfile:
 
 def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
     """|f| at every grid point j/grid_size, taken by `grid_sums` at the
-    exact rational j/grid_size, with its `classify` label (from
-    `major_mask`); `alphas` holds the floats j/grid_size."""
+    exact rational j/grid_size, with that rational's arc label from
+    `major_mask`; `alphas` holds the floats j/grid_size."""
     seq = build_sequence(ctx, "prime_log")
     idx, mags = grid_magnitudes(seq, ctx.k, params, "full", grid_size)
     labels = tuple("major" if m else "minor" for m in major_mask(params, grid_size).tolist())

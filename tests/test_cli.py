@@ -176,6 +176,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error[parameter-domain]: --plot")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["exceptional", "report"])
+    def test_unit_scale_is_a_domain_error(self, command, tmp_path, capsys):
+        # N = 5, s = 5, k = 2 gives x = 1, where the threshold's log x is 0
+        argv = [command, "--N", "5", "--k", "2", "--s", "5", "--theta", "0.8",
+                "--out", str(tmp_path / "rep.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parameter-domain]: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReportArtifacts:
     def test_per_n_stream_sibling(self, tmp_path, capsys):
@@ -265,6 +276,15 @@ def _csv_lines_by_row(header, rows):
 
 
 class TestColumnRenderer:
+    def test_nested_payload_flattens_to_dotted_columns(self, capsys):
+        argv = ["scan-sup", "--region", "full", "--grid-size", "200", *W, "--output", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "argmax_alpha,grid_size,points_in_region,region,sup_abs,"
+            "witness.a,witness.beta,witness.q\n"
+            "0.625,200,200,full,6.90875477932,5,0,8\n"
+        )
+
     def test_per_n_matches_row_oracle(self):
         rep = exceptional_scan(ProblemContext.from_parts(3, 4, 20.0, 8.0), 40)
         d = rep.per_n

@@ -179,6 +179,11 @@ class TestExceptionalScan:
         with pytest.raises(EmptyWindow):
             exceptional_scan(ctx, q0=20)
 
+    def test_unit_scale_is_refused(self):
+        # the threshold divides by log x, and x = (5/5)^(1/2) = 1
+        with pytest.raises(ParameterDomain, match="x > 1"):
+            exceptional_scan(ProblemContext.from_scale(2, 5, 0.8, 5), q0=20)
+
     def test_threshold_formula(self):
         ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
         # threshold must track y^(s-1) x^(1-k) / log x; probe via a direct

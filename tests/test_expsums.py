@@ -345,6 +345,41 @@ class TestCircleGrid:
             want = [classify(j / G, params)[0] == "major" for j in range(G)]
             assert major_mask(params, G).tolist() == want
 
+    def test_major_mask_labels_the_exact_rational(self):
+        # 2/3 is on the closed arc |alpha - 1| <= 1/3; the float 2/3 is not
+        params = ArcParams.explicit(1.0, 3.0)
+        assert major_mask(params, 3).tolist() == [True, True, True]
+        assert classify(2 / 3, params)[0] == "minor"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ArcParams.from_context(CTX_800K),
+            ArcParams.explicit(10.0, 1e4),
+            ArcParams.explicit(5.0, 9.0),
+            ArcParams.explicit(1.0, 3.0),
+        ],
+        ids=["N800000", "explicit-10-1e4", "overlap-5-9", "explicit-1-3"],
+    )
+    def test_major_mask_is_symmetric(self, params):
+        # j/G and (G - j)/G lie on the arcs at a/q and (q - a)/q alike
+        for G in (3, 200, 1000, 5000, 12347):
+            m = major_mask(params, G)
+            assert m[1:].tolist() == m[1:][::-1].tolist()
+
+    def test_major_mask_at_large_P(self):
+        # P = (log x)^3 ~ 907 at x = 16000; j/G is exact at G = 2^16
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 5 * 16000 ** 2)
+        params = ArcParams.from_context(ctx, A=3.0)
+        assert params.P > 900
+        G = 2 ** 16
+        m = major_mask(params, G)
+        js = np.random.default_rng(17).integers(0, G, 2000)
+        js = np.union1d(js, np.flatnonzero(m))
+        assert [bool(m[j]) for j in js.tolist()] == [
+            classify(j / G, params)[0] == "major" for j in js.tolist()
+        ]
+
     def test_minor_moment_on_overlapping_arcs(self):
         # Q <= 2 floor(P) - 1: the arcs overlap, which `ArcDecomposition.build`
         # refuses; the grid labels still come out.  At (5, 9) points with

@@ -1,14 +1,16 @@
-"""Source hygiene checks that need no linter: every name a module imports
-is used somewhere in that module, and every private module-level name is
-read somewhere in the package."""
+"""Source hygiene checks that need no linter: every name a module or
+script imports is used somewhere in that file, and every private
+module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wglab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wglab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -45,7 +47,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
