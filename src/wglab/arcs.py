@@ -83,6 +83,8 @@ class ArcParams:
     A: Optional[float] = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.P) and math.isfinite(self.Q)):
+            raise ParameterDomain(f"need finite P and Q, got P={self.P}, Q={self.Q}")
         if not (self.P >= 1):
             raise ParameterDomain(f"need P >= 1, got P={self.P}")
         if not (self.Q > self.P):

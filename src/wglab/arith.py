@@ -247,8 +247,8 @@ class ProblemContext:
     def from_scale(cls, k: int, s: int, theta: float, N: int) -> "ProblemContext":
         if not (0 < theta <= 1):
             raise ParameterDomain(f"need theta in (0, 1], got {theta}")
-        if N < 1:
-            raise ParameterDomain(f"need N >= 1, got {N}")
+        if not (1 <= N < math.inf):
+            raise ParameterDomain(f"need finite N >= 1, got {N}")
         x = (N / s) ** (1.0 / k)
         y = x ** theta
         return cls(k=int(k), s=int(s), theta=float(theta), N=int(N), x=x, y=y)
@@ -257,10 +257,13 @@ class ProblemContext:
     def from_parts(cls, k: int, s: int, x: float, y: float) -> "ProblemContext":
         # theta here is informational; windows narrower than y = 1 give a
         # nonpositive exponent and remain valid for diagnostics.
-        if x <= 1:
-            raise ParameterDomain(f"need x > 1, got {x}")
+        if not (1 < x < math.inf):
+            raise ParameterDomain(f"need finite x > 1, got {x}")
         theta = math.log(y) / math.log(x) if y > 0 else float("-inf")
-        N = round(s * float(x) ** k)
+        try:
+            N = round(s * float(x) ** k)
+        except OverflowError:
+            raise RangeTooLarge(f"N = s x^k is out of float range at x={x}, k={k}") from None
         return cls(k=int(k), s=int(s), theta=theta, N=int(N), x=float(x), y=float(y))
 
     @property

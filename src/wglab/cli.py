@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Thirteen subcommands map one-to-one onto the package operations, from the
-interval sieve up to the full exceptional-set report.  A run is configured
+The subcommands map one-to-one onto the package operations, from the
+interval sieve up to the full exceptional-set report.  Each is declared
+once, in `build_parser`, with its flags and its `_cmd_*` handler; every
+subcommand takes the common run flags of `_add_common`.  A run is configured
 by a flat key = value file (--config), overridden by flags; the cache
 directory can also come from the WGLAB_CACHE_DIR environment variable.
 Flag precedence: explicit flag > environment > config file > default.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Optional
@@ -27,7 +30,7 @@ import numpy as np
 from .arcs import ArcDecomposition, ArcParams
 from .arith import ProblemContext, admissible, modulus_R, sieve_interval
 from .config import RunConfig, canonical_json, format_float, parse_config
-from .errors import ParameterDomain, WglabError
+from .errors import ParameterDomain, RangeTooLarge, WglabError
 from .experiment import ExceptionalReport, exceptional_scan, minor_arc_moment
 from .expsums import ArcProfile, arc_profile, build_sequence, dichotomy_report, sup_scan
 from .representations import moment, rho_mitm
@@ -87,7 +90,7 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, Optional[float]]
     for key, val in flag_map.items():
         if val is not None:
             values[key] = val
-    y = getattr(args, "y", None)
+    y = args.y
     if y is not None and values["x"] is None:
         raise ParameterDomain("--y needs --x")
     return RunConfig(**values), y
@@ -99,8 +102,16 @@ def _context(cfg: RunConfig, y: Optional[float]) -> ProblemContext:
     return cfg.context()
 
 
-def _ctx_dict(ctx: ProblemContext) -> dict:
-    return {"k": ctx.k, "s": ctx.s, "theta": ctx.theta, "N": ctx.N, "x": ctx.x, "y": ctx.y}
+def _moment_scale(ctx: ProblemContext, t: int) -> float:
+    """y^(t-1) x^(1-k), the size of j at s = t and of the t-th moment of
+    |f|; refused when it leaves the positive floats."""
+    try:
+        scale = ctx.y ** (t - 1) * ctx.x ** (1 - ctx.k)
+    except OverflowError:
+        scale = math.inf
+    if not (0 < scale < math.inf):
+        raise RangeTooLarge(f"scale y^{t - 1} x^{1 - ctx.k} is out of float range at x={ctx.x}")
+    return scale
 
 
 def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> ArcParams:
@@ -207,9 +218,9 @@ def _cmd_sigma(cfg, args, y):
 def _cmd_jay(cfg, args, y):
     ctx = _context(cfg, y)
     val = j_integral(args.n, ctx)
-    scale = ctx.y ** (ctx.s - 1) * ctx.x ** (1 - ctx.k)
+    scale = _moment_scale(ctx, ctx.s)
     payload = {
-        "n": args.n, "context": _ctx_dict(ctx),
+        "n": args.n, "context": dataclasses.asdict(ctx),
         "value": val, "scale": scale, "normalized": val / scale,
     }
     return _emit(cfg, payload, None)
@@ -233,16 +244,13 @@ def _cmd_arcs(cfg, args, y):
     ctx = _context(cfg, y)
     params = _params(cfg, args, ctx)
     decomp = ArcDecomposition.build(params)
-    arcs = [
-        {"q": m.q, "a": m.a, "center": m.center, "half_width": m.half_width}
-        for m in decomp.intervals
-    ]
+    arcs = [dataclasses.asdict(m) for m in decomp.intervals]
     payload = {
         "P": params.P, "Q": params.Q, "A": params.A,
         "arc_count": len(arcs), "measure": decomp.measure(), "arcs": arcs,
     }
     fields = ["q", "a", "center", "half_width"]
-    table = (fields, [[getattr(m, f) for m in decomp.intervals] for f in fields])
+    table = (fields, [[arc[f] for arc in arcs] for f in fields])
     return _emit(cfg, payload, table)
 
 
@@ -252,12 +260,11 @@ def _cmd_scan_sup(cfg, args, y):
     decomp = ArcDecomposition.build(params)
     seq = build_sequence(ctx, "prime_log")
     rep = sup_scan(seq, ctx.k, decomp, args.region, cfg.grid_size)
-    w = rep.nearest_rational
     payload = {
         "region": rep.region, "grid_size": rep.grid_size,
         "points_in_region": rep.points_in_region, "sup_abs": rep.sup_abs,
         "argmax_alpha": rep.argmax_alpha,
-        "witness": {"a": w.a, "q": w.q, "beta": w.beta},
+        "witness": dataclasses.asdict(rep.nearest_rational),
     }
     return _emit(cfg, payload, None)
 
@@ -265,25 +272,11 @@ def _cmd_scan_sup(cfg, args, y):
 def _cmd_dichotomy(cfg, args, y):
     ctx = _context(cfg, y)
     rep = dichotomy_report(ctx, args.rho, args.alpha)
-    approx = (
-        {"a": rep.approx.a, "q": rep.approx.q, "beta": rep.approx.beta}
-        if rep.approx is not None
-        else None
-    )
-    payload = {
-        "alpha": rep.alpha, "rho": rep.rho, "observed": rep.observed,
-        "bound_k1": rep.bound_k1, "bound_k3": rep.bound_k3,
-        "q_bound": rep.q_bound, "approx": approx,
-    }
-    return _emit(cfg, payload, None)
+    return _emit(cfg, dataclasses.asdict(rep), None)
 
 
 def _report_summary(rep: ExceptionalReport) -> dict:
-    ratios = (
-        {"min": rep.ratios.min, "median": rep.ratios.median, "max": rep.ratios.max}
-        if rep.ratios is not None
-        else None
-    )
+    ratios = dataclasses.asdict(rep.ratios) if rep.ratios is not None else None
     return {
         "window": list(rep.window),
         "q0": rep.q0,
@@ -308,7 +301,7 @@ def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list]:
 def _cmd_exceptional(cfg, args, y):
     ctx = _context(cfg, y)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
-    payload = {"context": _ctx_dict(ctx), "summary": _report_summary(rep)}
+    payload = {"context": dataclasses.asdict(ctx), "summary": _report_summary(rep)}
     return _emit(cfg, payload, per_n_table(rep))
 
 
@@ -316,7 +309,7 @@ def _cmd_minor_moment(cfg, args, y):
     ctx = _context(cfg, y)
     params = _params(cfg, args, ctx)
     val = minor_arc_moment(ctx, params, args.t, cfg.grid_size, region=args.region)
-    scale = ctx.y ** (args.t - 1) * ctx.x ** (1 - ctx.k)
+    scale = _moment_scale(ctx, args.t)
     payload = {
         "t": args.t, "region": args.region, "grid_size": cfg.grid_size,
         "P": params.P, "Q": params.Q,
@@ -335,11 +328,8 @@ def _cmd_report(cfg, args, y):
         raise ParameterDomain("--plot-n needs --plot partial_sums")
     ctx = _context(cfg, y)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
-    parameters = {
-        name: getattr(cfg, name)
-        for name in ("k", "s", "theta", "N", "x", "A", "Q0", "grid_size",
-                     "batch_size", "output", "threads")
-    }
+    parameters = dataclasses.asdict(cfg)
+    del parameters["cache_dir"]
     stream_name = None
     if args.out:
         base = args.out[:-5] if args.out.endswith(".json") else args.out
@@ -349,7 +339,7 @@ def _cmd_report(cfg, args, y):
         stream_name = os.path.basename(stream_path)
     payload = {
         "schema_version": 1,
-        "context": _ctx_dict(ctx),
+        "context": dataclasses.asdict(ctx),
         "parameters": parameters,
         "summary": _report_summary(rep),
         "per_n_stream": stream_name,
@@ -405,23 +395,6 @@ def arc_profile_table(profile: ArcProfile) -> tuple[list[str], list]:
 # ---------------------------------------------------------------- parser
 
 
-_HANDLERS = {
-    "sieve": _cmd_sieve,
-    "admissible": _cmd_admissible,
-    "gauss-sum": _cmd_gauss_sum,
-    "sigma": _cmd_sigma,
-    "jay": _cmd_jay,
-    "rho": _cmd_rho,
-    "moment": _cmd_moment,
-    "arcs": _cmd_arcs,
-    "scan-sup": _cmd_scan_sup,
-    "dichotomy": _cmd_dichotomy,
-    "exceptional": _cmd_exceptional,
-    "minor-moment": _cmd_minor_moment,
-    "report": _cmd_report,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wglab",
@@ -429,68 +402,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", help="primes in (lo, hi]")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("sieve", _cmd_sieve, "primes in (lo, hi]")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("admissible", help="congruence admissibility of n")
+    p = command("admissible", _cmd_admissible, "congruence admissibility of n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("gauss-sum", help="complete exponential sum S(q, a)")
+    p = command("gauss-sum", _cmd_gauss_sum, "complete exponential sum S(q, a)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("sigma", help="truncated singular series at n")
+    p = command("sigma", _cmd_sigma, "truncated singular series at n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("jay", help="singular integral at n")
+    p = command("jay", _cmd_jay, "singular integral at n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("rho", help="exact weighted representation count of n")
+    p = command("rho", _cmd_rho, "exact weighted representation count of n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("moment", help="even moment of |f| over the circle")
+    p = command("moment", _cmd_moment, "even moment of |f| over the circle")
     p.add_argument("--t", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("arcs", help="enumerate the major-arc family")
+    p = command("arcs", _cmd_arcs, "enumerate the major-arc family")
     p.add_argument("--P", type=float)
     p.add_argument("--Q", type=float)
-    _add_common(p)
 
-    p = sub.add_parser("scan-sup", help="grid supremum of |f| over a region")
+    p = command("scan-sup", _cmd_scan_sup, "grid supremum of |f| over a region")
     p.add_argument("--region", choices=("major", "minor", "full"), default="minor")
     p.add_argument("--P", type=float)
     p.add_argument("--Q", type=float)
-    _add_common(p)
 
-    p = sub.add_parser("dichotomy", help="short unit sum vs regime bounds at alpha")
+    p = command("dichotomy", _cmd_dichotomy, "short unit sum vs regime bounds at alpha")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("exceptional", help="scan a window for main-term failures")
-    _add_common(p)
+    command("exceptional", _cmd_exceptional, "scan a window for main-term failures")
 
-    p = sub.add_parser("minor-moment", help="Riemann estimate of a minor-arc moment")
+    p = command("minor-moment", _cmd_minor_moment, "Riemann estimate of a minor-arc moment")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--region", choices=("minor", "full"), default="minor")
     p.add_argument("--P", type=float)
     p.add_argument("--Q", type=float)
-    _add_common(p)
 
-    p = sub.add_parser("report", help="full experiment report (JSON + per-n CSV)")
+    p = command("report", _cmd_report, "full experiment report (JSON + per-n CSV)")
     p.add_argument("--plot", choices=PLOT_KINDS)
     p.add_argument("--plot-out")
     p.add_argument("--plot-n", type=int)
-    _add_common(p)
 
+    # after each command's own flags, so --help lists them first
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 
@@ -502,10 +470,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg, y = _merge_config(args)
-        text = _HANDLERS[args.command](cfg, args, y)
-        out = getattr(args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
+        text = args.run(cfg, args, y)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -119,10 +119,9 @@ def major_arc_rho_numeric(
     start = 0
     for half, pts, weights in quads:
         stop = start + pts.size
-        if pts.size > 1:
-            f_arc = fs[start:stop]
-            jumps = np.abs(np.angle(f_arc[1:] * np.conj(f_arc[:-1])))
-            worst_jump = max(worst_jump, float(np.max(jumps)))
+        f_arc = fs[start:stop]
+        jumps = np.abs(np.angle(f_arc[1:] * np.conj(f_arc[:-1])))
+        worst_jump = max(worst_jump, float(np.max(jumps)))
         total += half * np.dot(vals[start:stop], weights)
         start = stop
     if worst_jump > math.pi / 4:

@@ -382,12 +382,11 @@ def grid_magnitudes(
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
     require_grid_budget(grid_size, len(seq))
     idx = grid_points(params, region, grid_size)
-    # scalar abs per element: np.abs differs from it in the last bit, and
-    # the scan_sup.json golden's tied maxima pick their argmax by those bits
-    mags = np.fromiter(
-        (abs(f) for f in grid_sums(seq, k, grid_size, idx)), dtype=np.float64, count=idx.size
-    )
-    return idx, mags
+    # |f| by hypot, the routine Python's abs(complex) uses: np.abs differs
+    # from it in the last bit, and the scan_sup.json golden's tied maxima
+    # pick their argmax by those bits
+    f = grid_sums(seq, k, grid_size, idx)
+    return idx, np.hypot(f.real, f.imag)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import glob
 import json
 import os
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from wglab.arith import ProblemContext
-from wglab.cli import csv_lines, main, per_n_table
+from wglab import cli
+from wglab.cli import build_parser, csv_lines, main, per_n_table
 from wglab.config import format_float
 from wglab.experiment import exceptional_scan
 
@@ -186,6 +188,51 @@ class TestExitCodes:
         assert err.startswith("error[parameter-domain]: ")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["scan-sup", "--P", "2", "--Q", "inf", "--grid-size", "200", *W], "parameter-domain"),
+            (["minor-moment", "--t", "2", "--P", "2", "--Q", "inf", "--grid-size", "1000", *W],
+             "parameter-domain"),
+            (["arcs", "--P", "2", "--Q", "inf"], "parameter-domain"),
+            (["jay", "--n", "218", "--x", "nan", "--y", "4", "--k", "2", "--s", "2"],
+             "parameter-domain"),
+            (["jay", "--n", "218", "--x", "inf", "--y", "4", "--k", "2", "--s", "2"],
+             "parameter-domain"),
+            (["arcs", "--x", "1e200", "--theta", "0.5"], "range-too-large"),
+            (["sigma", "--n", "218", "--N", "inf", "--k", "2", "--s", "2"], "parameter-domain"),
+            (["sigma", "--n", "218", "--N", "nan", "--k", "2", "--s", "2"], "parameter-domain"),
+            (["exceptional", "--N", "inf", "--k", "2", "--s", "5"], "parameter-domain"),
+            (["jay", "--n", "5", "--N", "1e300", "--k", "2", "--s", "5"], "range-too-large"),
+        ],
+        ids=["scan-sup-Q-inf", "minor-moment-Q-inf", "arcs-Q-inf", "jay-x-nan", "jay-x-inf",
+             "arcs-x-overflow", "sigma-N-inf", "sigma-N-nan", "exceptional-N-inf",
+             "jay-scale-overflow"],
+    )
+    def test_non_finite_or_overflowing_input_is_refused(self, argv, code, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCommandRegistry:
+    def _subcommands(self) -> dict:
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_handler_runs_exactly_one_subcommand(self):
+        runs = [p.get_default("run") for p in self._subcommands().values()]
+        assert None not in runs
+        handlers = [name for name in vars(cli) if name.startswith("_cmd_")]
+        assert sorted(f.__name__ for f in runs) == sorted(handlers)
+
+    def test_every_subcommand_takes_the_common_flags(self):
+        for name, p in self._subcommands().items():
+            assert {"--config", "--out", "--cache-dir"} <= set(p._option_string_actions), name
 
 
 class TestReportArtifacts:

@@ -298,6 +298,15 @@ class TestSupScan:
         # 0 is major at P = 1; the first minor point is 1/4
         assert sup_scan(seq, 1, arcs, "minor", 4).argmax_alpha == 0.25
 
+    def test_magnitudes_are_scalar_abs_bit_for_bit(self):
+        # the grid of the N = 800,000 scan, where np.abs would differ in
+        # the last bit at about a third of the points
+        G = 32768
+        seq = build_sequence(CTX_800K, "prime_log")
+        idx, mags = grid_magnitudes(seq, 2, ArcParams.from_context(CTX_800K), "full", G)
+        want = np.array([abs(f) for f in grid_sums(seq, 2, G, idx).tolist()])
+        assert np.array_equal(_bits(mags), _bits(want))
+
     def test_domain(self):
         seq, arcs = self._setup()
         with pytest.raises(ParameterDomain):
