@@ -58,7 +58,7 @@ def render_pngs(out: Path, rep, profile) -> list[str]:
         return []
 
     written = []
-    if rep.per_n is not None and rep.scanned:
+    if rep.scanned:
         finite = rep.per_n.ratio[np.isfinite(rep.per_n.ratio)]
         fig, ax = plt.subplots(figsize=(7, 4))
         ax.hist(finite, bins=40, color="#4878d0", edgecolor="white")
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
     (out / "arc_profile.csv").write_text(csv_lines(*arc_profile_table(profile)))
 
     # partial-sum trajectory for the scanned target nearest the window center
-    if rep.per_n is not None and rep.scanned:
+    if rep.scanned:
         mid = rep.window[0] + (rep.window[1] - rep.window[0]) // 2
         n_star = int(rep.per_n.n[np.argmin(np.abs(rep.per_n.n - mid))])
         table = partial_sums_table(truncated_sigma(n_star, ctx, args.q0))

@@ -3,9 +3,10 @@
 The subcommands map one-to-one onto the package operations, from the
 interval sieve up to the full exceptional-set report.  Each is declared
 once, in `build_parser`, with its flags and its `_cmd_*` handler; every
-subcommand takes the common run flags of `_add_common`.  A run is configured
-by a flat key = value file (--config), overridden by flags; the cache
-directory can also come from the WGLAB_CACHE_DIR environment variable.
+subcommand takes the common run flags of `_add_common`, each flag's dest the
+`RunConfig` field it sets, and every handler takes (cfg, args), --y in args.
+A run is configured by a flat key = value file (--config), overridden by
+flags; the cache directory can also come from the WGLAB_CACHE_DIR variable.
 Flag precedence: explicit flag > environment > config file > default.
 
 Exit status: 0 on success, 1 on domain errors (printed as
@@ -31,7 +32,7 @@ from .arcs import ArcDecomposition, ArcParams
 from .arith import ProblemContext, admissible, modulus_R, sieve_interval
 from .config import RunConfig, canonical_json, format_float, parse_config
 from .errors import ParameterDomain, RangeTooLarge, WglabError
-from .experiment import ExceptionalReport, exceptional_scan, minor_arc_moment
+from .experiment import ExceptionalReport, PerNDetail, exceptional_scan, minor_arc_moment
 from .expsums import ArcProfile, arc_profile, build_sequence, dichotomy_report, sup_scan
 from .representations import moment, rho_mitm
 from .singular_integral import j_integral
@@ -55,7 +56,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--y", type=float, help="window half-width; implies theta = log y/log x")
     g.add_argument("--N", type=float, dest="N")
     g.add_argument("--A", type=float, dest="A")
-    g.add_argument("--q0", type=int)
+    g.add_argument("--q0", type=int, dest="Q0")
     g.add_argument("--grid-size", type=int)
     g.add_argument("--batch-size", type=int)
     g.add_argument("--cache-dir")
@@ -64,7 +65,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--out", help="write results here instead of stdout")
 
 
-def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, Optional[float]]:
+def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Layer flags over environment over config file over defaults."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -75,30 +76,23 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, Optional[float]]
     env_cache = os.environ.get(_ENV_CACHE)
     if env_cache:
         values["cache_dir"] = env_cache
-    flag_map = {
-        "k": args.k, "s": args.s, "theta": args.theta, "N": args.N, "x": args.x,
-        "A": args.A, "Q0": args.q0, "grid_size": args.grid_size,
-        "batch_size": args.batch_size, "cache_dir": args.cache_dir,
-        "output": args.output, "threads": args.threads,
-    }
     if args.N is not None and args.x is not None:
         raise ParameterDomain("--N and --x are mutually exclusive")
     if args.N is not None:
         values["x"] = None
     if args.x is not None:
         values["N"] = None
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
-    y = args.y
-    if y is not None and values["x"] is None:
+    for name in values:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    if args.y is not None and values["x"] is None:
         raise ParameterDomain("--y needs --x")
-    return RunConfig(**values), y
+    return RunConfig(**values)
 
 
-def _context(cfg: RunConfig, y: Optional[float]) -> ProblemContext:
-    if y is not None:
-        return ProblemContext.from_parts(cfg.k, cfg.s, float(cfg.x), float(y))
+def _context(cfg: RunConfig, args: argparse.Namespace) -> ProblemContext:
+    if args.y is not None:
+        return ProblemContext.from_parts(cfg.k, cfg.s, float(cfg.x), float(args.y))
     return cfg.context()
 
 
@@ -115,8 +109,7 @@ def _moment_scale(ctx: ProblemContext, t: int) -> float:
 
 
 def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> ArcParams:
-    P = getattr(args, "P", None)
-    Q = getattr(args, "Q", None)
+    P, Q = args.P, args.Q
     if (P is None) != (Q is None):
         raise ParameterDomain("--P and --Q must be given together")
     if P is not None:
@@ -180,12 +173,12 @@ def _emit(cfg: RunConfig, payload: dict, table: Optional[tuple[list[str], list]]
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_sieve(cfg, args, y):
+def _cmd_sieve(cfg, args):
     primes = sieve_interval(args.lo, args.hi)
     return " ".join(str(p) for p in primes) + "\n"
 
 
-def _cmd_admissible(cfg, args, y):
+def _cmd_admissible(cfg, args):
     ok = admissible(args.n, cfg.k, cfg.s)
     payload = {
         "n": args.n, "k": cfg.k, "s": cfg.s,
@@ -194,7 +187,7 @@ def _cmd_admissible(cfg, args, y):
     return _emit(cfg, payload, None)
 
 
-def _cmd_gauss_sum(cfg, args, y):
+def _cmd_gauss_sum(cfg, args):
     g = gauss_sum(args.q, args.a, cfg.k)
     payload = {
         "q": g.q, "a": g.a, "k": g.k,
@@ -203,10 +196,10 @@ def _cmd_gauss_sum(cfg, args, y):
     return _emit(cfg, payload, None)
 
 
-def _cmd_sigma(cfg, args, y):
+def _cmd_sigma(cfg, args):
     # the truncated series depends on (n, k, s, q0) only; the context's
     # window scale is irrelevant here
-    ctx = _context(cfg, y)
+    ctx = _context(cfg, args)
     tr = truncated_sigma(args.n, ctx, cfg.Q0)
     payload = {
         "n": tr.n, "k": tr.k, "s": tr.s, "q0": tr.q0,
@@ -215,8 +208,8 @@ def _cmd_sigma(cfg, args, y):
     return _emit(cfg, payload, None)
 
 
-def _cmd_jay(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_jay(cfg, args):
+    ctx = _context(cfg, args)
     val = j_integral(args.n, ctx)
     scale = _moment_scale(ctx, ctx.s)
     payload = {
@@ -226,22 +219,20 @@ def _cmd_jay(cfg, args, y):
     return _emit(cfg, payload, None)
 
 
-def _cmd_rho(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_rho(cfg, args):
+    ctx = _context(cfg, args)
     rec = rho_mitm([args.n], ctx)[0]
     payload = {"n": rec.n, "rho": rec.value, "tuple_count": rec.tuple_count}
     return _emit(cfg, payload, None)
 
 
-def _cmd_moment(cfg, args, y):
-    ctx = _context(cfg, y)
-    mv = moment(args.t, ctx)
-    payload = {"t": mv.t, "value": mv.value}
-    return _emit(cfg, payload, None)
+def _cmd_moment(cfg, args):
+    ctx = _context(cfg, args)
+    return _emit(cfg, dataclasses.asdict(moment(args.t, ctx)), None)
 
 
-def _cmd_arcs(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_arcs(cfg, args):
+    ctx = _context(cfg, args)
     params = _params(cfg, args, ctx)
     decomp = ArcDecomposition.build(params)
     arcs = [dataclasses.asdict(m) for m in decomp.intervals]
@@ -254,8 +245,8 @@ def _cmd_arcs(cfg, args, y):
     return _emit(cfg, payload, table)
 
 
-def _cmd_scan_sup(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_scan_sup(cfg, args):
+    ctx = _context(cfg, args)
     params = _params(cfg, args, ctx)
     decomp = ArcDecomposition.build(params)
     seq = build_sequence(ctx, "prime_log")
@@ -269,44 +260,37 @@ def _cmd_scan_sup(cfg, args, y):
     return _emit(cfg, payload, None)
 
 
-def _cmd_dichotomy(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_dichotomy(cfg, args):
+    ctx = _context(cfg, args)
     rep = dichotomy_report(ctx, args.rho, args.alpha)
     return _emit(cfg, dataclasses.asdict(rep), None)
 
 
 def _report_summary(rep: ExceptionalReport) -> dict:
-    ratios = dataclasses.asdict(rep.ratios) if rep.ratios is not None else None
-    return {
-        "window": list(rep.window),
-        "q0": rep.q0,
-        "scanned": rep.scanned,
-        "exceptional": rep.exceptional,
-        "exceptional_one_sided": rep.exceptional_one_sided,
-        "exceptional_fraction": rep.exceptional_fraction(),
-        "threshold": rep.threshold,
-        "ratios": ratios,
-    }
+    """Every report field but ctx and per_n, and the exceptional fraction."""
+    summary = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    del summary["ctx"], summary["per_n"]
+    summary["exceptional_fraction"] = rep.exceptional_fraction()
+    return summary
 
 
 def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list]:
-    """(header, columns) of the per-n detail stream of a scan."""
-    header = ["n", "rho", "tuple_count", "sigma", "jay", "ratio", "flagged"]
-    d = rep.per_n
-    if d is None:
+    """(header, columns) of a scan's per-n stream, one per `PerNDetail` field."""
+    header = [f.name for f in dataclasses.fields(PerNDetail)]
+    if rep.per_n is None:
         return header, [[] for _ in header]
-    return header, [d.n, d.rho, d.tuple_count, d.sigma, d.jay, d.ratio, d.flagged]
+    return header, [getattr(rep.per_n, name) for name in header]
 
 
-def _cmd_exceptional(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_exceptional(cfg, args):
+    ctx = _context(cfg, args)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
     payload = {"context": dataclasses.asdict(ctx), "summary": _report_summary(rep)}
     return _emit(cfg, payload, per_n_table(rep))
 
 
-def _cmd_minor_moment(cfg, args, y):
-    ctx = _context(cfg, y)
+def _cmd_minor_moment(cfg, args):
+    ctx = _context(cfg, args)
     params = _params(cfg, args, ctx)
     val = minor_arc_moment(ctx, params, args.t, cfg.grid_size, region=args.region)
     scale = _moment_scale(ctx, args.t)
@@ -318,7 +302,7 @@ def _cmd_minor_moment(cfg, args, y):
     return _emit(cfg, payload, None)
 
 
-def _cmd_report(cfg, args, y):
+def _cmd_report(cfg, args):
     # refuse plot flags that do not fit together before any scan or write
     if args.plot and not args.plot_out:
         raise ParameterDomain("--plot needs --plot-out")
@@ -326,7 +310,7 @@ def _cmd_report(cfg, args, y):
         raise ParameterDomain("--plot-out needs --plot")
     if args.plot_n is not None and args.plot != "partial_sums":
         raise ParameterDomain("--plot-n needs --plot partial_sums")
-    ctx = _context(cfg, y)
+    ctx = _context(cfg, args)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
     parameters = dataclasses.asdict(cfg)
     del parameters["cache_dir"]
@@ -350,7 +334,7 @@ def _cmd_report(cfg, args, y):
         elif args.plot == "partial_sums":
             if args.plot_n is not None:
                 n = args.plot_n
-            elif rep.per_n is not None and rep.scanned:
+            elif rep.scanned:
                 n = int(rep.per_n.n[0])
             else:
                 raise ParameterDomain("no scanned n to plot; give --plot-n")
@@ -370,7 +354,7 @@ def ratio_histogram_table(rep: ExceptionalReport) -> tuple[list[str], list]:
     """(header, columns) of a 20-bin histogram of a scan's finite
     count/main-term ratios; no rows when there are none."""
     header = ["bin_lo", "bin_hi", "count"]
-    if rep.per_n is not None and rep.scanned:
+    if rep.scanned:
         finite = rep.per_n.ratio[np.isfinite(rep.per_n.ratio)]
         if finite.size:
             counts, edges = np.histogram(finite, bins=20)
@@ -469,8 +453,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg, y = _merge_config(args)
-        text = args.run(cfg, args, y)
+        cfg = _merge_config(args)
+        text = args.run(cfg, args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -13,6 +13,7 @@ fixed (they are, throughout the package).
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -132,8 +133,6 @@ def canonical_json(obj) -> str:
 
 
 def _render(obj, level: int) -> str:
-    import json as _json
-
     pad = "  " * (level + 1)
     close = "  " * level
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -150,16 +149,16 @@ def _render(obj, level: int) -> str:
         return str(obj)
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
-            return _json.dumps(format_float(obj))
+            return json.dumps(format_float(obj))
         return format_float(obj)
     if isinstance(obj, str):
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = []
         for key in sorted(obj, key=str):
-            items.append(f"{pad}{_json.dumps(str(key))}: {_render(obj[key], level + 1)}")
+            items.append(f"{pad}{json.dumps(str(key))}: {_render(obj[key], level + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{close}}}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):

@@ -37,11 +37,14 @@ import numpy as np
 from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule, modulus_R
-from .errors import EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain
+from .errors import (EmptyRegion, EmptyWindow, MemoryBudgetExceeded, OverlapDetected,
+                     ParameterDomain, RangeTooLarge)
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_magnitudes
 from .representations import rho_route, rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
+
+_SCAN_BYTES = 4 * 2 ** 30  # exceptional-scan budget, see _admissible_targets
 
 
 @dataclass(frozen=True)
@@ -174,9 +177,26 @@ class ExceptionalReport:
 
 def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray:
     """The admissible n in [n_lo, n_hi]: the class s (mod R(k)), less
-    what the rest of `admissible_rule` drops (9 | n at (k, s) = (3, 7))."""
+    what the rest of `admissible_rule` drops (9 | n at (k, s) = (3, 7)).
+
+    Refused before allocation: range-too-large past int64, memory-budget
+    over 4 GiB at 96 bytes per member of the class.  At once
+    `exceptional_scan` holds n, rho, tuple_count, sigma, jay, the main
+    term, deviation and ratio, two flag masks and a sorted masked copy of
+    the finite ratios: 83 bytes counted, 90 by tracemalloc (k = 2, 3).
+    rho and j charge their half-sum and FFT tables to their own budgets.
+    """
+    if n_hi >= 2 ** 63:
+        raise RangeTooLarge(f"targets up to {n_hi} are past the int64 range")
     R = modulus_R(ctx.k)
-    ns = np.arange(n_lo + (ctx.s - n_lo) % R, n_hi + 1, R, dtype=np.int64)
+    first = n_lo + (ctx.s - n_lo) % R
+    need = 96 * ((n_hi - first) // R + 1)
+    if need > _SCAN_BYTES:
+        raise MemoryBudgetExceeded(
+            f"{need // 96} targets need {need / 2 ** 30:.1f} GiB, "
+            f"over the {_SCAN_BYTES / 2 ** 30:.0f} GiB scan budget"
+        )
+    ns = np.arange(first, n_hi + 1, R, dtype=np.int64)
     return ns[admissible_rule(ns, ctx.k, ctx.s)]
 
 
@@ -329,7 +349,8 @@ def minor_arc_moment(
     region.  region="full" integrates over the whole grid instead (used
     to calibrate the grid against the exact even moments).  When no grid
     point is minor and the arc family provably blankets the circle, the
-    minor contribution is 0; an uncovered empty grid raises empty-region.
+    minor contribution is 0; an uncovered empty grid raises empty-region,
+    and a sum past the largest float range-too-large.
     """
     if grid_size < 10 ** 3:
         raise ParameterDomain(f"need grid_size >= 1000, got {grid_size}")
@@ -347,4 +368,8 @@ def minor_arc_moment(
         if covered:
             return 0.0
         raise EmptyRegion("no minor grid points; refine the grid")
-    return float(np.sum(mags ** t)) / grid_size
+    with np.errstate(over="ignore"):
+        total = float(np.sum(mags ** t))
+    if not math.isfinite(total):
+        raise RangeTooLarge(f"the sum of |f|^{t} over the grid is past the float range")
+    return total / grid_size

@@ -96,6 +96,7 @@ def rho_naive(n: int, ctx: ProblemContext) -> RepresentationRecord:
     if m ** s > _ENUM_CEILING:
         raise EnumerationTooLarge(f"{m}^{s} ordered tuples exceed {_ENUM_CEILING}")
     lo_pk, hi_pk = pk[0], pk[-1]
+    log_of = dict(zip(pk, logs))
     total = 0.0
     tuples = 0
 
@@ -106,9 +107,8 @@ def rho_naive(n: int, ctx: ProblemContext) -> RepresentationRecord:
             return
         if depth == s - 1:
             # final slot must hit remaining exactly
-            i = _bisect(pk, remaining)
-            if i >= 0:
-                total += weight * logs[i]
+            if remaining in log_of:
+                total += weight * log_of[remaining]
                 tuples += 1
             return
         for i in range(m):
@@ -119,15 +119,6 @@ def rho_naive(n: int, ctx: ProblemContext) -> RepresentationRecord:
 
     descend(0, n, 1.0)
     return RepresentationRecord(n=n, value=total, tuple_count=tuples)
-
-
-def _bisect(sorted_list: list[int], target: int) -> int:
-    import bisect
-
-    i = bisect.bisect_left(sorted_list, target)
-    if i < len(sorted_list) and sorted_list[i] == target:
-        return i
-    return -1
 
 
 @dataclass(eq=False)

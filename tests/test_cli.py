@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from wglab.arith import ProblemContext
 from wglab import cli
 from wglab.cli import build_parser, csv_lines, main, per_n_table
-from wglab.config import format_float
+from wglab.config import RunConfig, format_float
 from wglab.experiment import exceptional_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,11 +206,18 @@ class TestExitCodes:
             (["sigma", "--n", "218", "--N", "nan", "--k", "2", "--s", "2"], "parameter-domain"),
             (["exceptional", "--N", "inf", "--k", "2", "--s", "5"], "parameter-domain"),
             (["jay", "--n", "5", "--N", "1e300", "--k", "2", "--s", "5"], "range-too-large"),
+            (["exceptional", "--N", "1e30", "--k", "2", "--s", "5"], "range-too-large"),
+            (["exceptional", "--N", "1e18", "--k", "2", "--s", "5"], "memory-budget"),
+            (["report", "--N", "1e18", "--k", "2", "--s", "5"], "memory-budget"),
+            (["minor-moment", "--t", "400", "--grid-size", "1000", *W], "range-too-large"),
         ],
         ids=["scan-sup-Q-inf", "minor-moment-Q-inf", "arcs-Q-inf", "jay-x-nan", "jay-x-inf",
              "arcs-x-overflow", "sigma-N-inf", "sigma-N-nan", "exceptional-N-inf",
-             "jay-scale-overflow"],
+             "jay-scale-overflow", "exceptional-past-int64", "exceptional-over-budget",
+             "report-over-budget", "minor-moment-overflow"],
     )
+    # a numpy overflow warning printed before the error fails the case
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_or_overflowing_input_is_refused(self, argv, code, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
@@ -233,6 +241,11 @@ class TestCommandRegistry:
     def test_every_subcommand_takes_the_common_flags(self):
         for name, p in self._subcommands().items():
             assert {"--config", "--out", "--cache-dir"} <= set(p._option_string_actions), name
+
+    def test_every_run_setting_is_the_dest_of_a_flag(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        for name, p in self._subcommands().items():
+            assert fields <= {a.dest for a in p._actions if a.option_strings}, name
 
 
 class TestReportArtifacts:

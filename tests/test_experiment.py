@@ -16,8 +16,12 @@ import pytest
 import wglab.cache as cache
 from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
-from wglab.errors import CacheVersionMismatch, EmptyRegion, EmptyWindow, ParameterDomain
+from wglab.errors import (
+    CacheVersionMismatch, EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain,
+    RangeTooLarge,
+)
 from wglab.experiment import (
+    _admissible_targets,
     _sorted_median,
     exceptional_scan,
     major_arc_rho_numeric,
@@ -343,6 +347,22 @@ class TestExceptionalScan:
             got = _admissible_targets(ProblemContext.from_parts(k, s, 60.0, 20.0), n_lo, n_hi)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    def test_target_budget_refuses_before_allocating(self, monkeypatch):
+        # 96 bytes per member of the class n = 5 (mod 24); the window's
+        # top must fit int64
+        import wglab.experiment as experiment
+
+        ctx = ProblemContext.from_parts(2, 5, 60.0, 20.0)
+        assert 96 * 5_358_691 <= experiment._SCAN_BYTES  # the x = 32000 rung
+        monkeypatch.setattr(experiment, "_SCAN_BYTES", 96 * 100)
+        assert _admissible_targets(ctx, 1, 5 + 24 * 99).size == 100
+        with pytest.raises(MemoryBudgetExceeded, match="101 targets"):
+            _admissible_targets(ctx, 1, 5 + 24 * 100)
+        top = 2 ** 63 - 1
+        assert _admissible_targets(ctx, top - 999, top).max() <= top
+        with pytest.raises(RangeTooLarge):
+            _admissible_targets(ctx, top - 999, top + 1)
 
     def test_version_2_entry_is_recomputed(self, tmp_path, monkeypatch):
         # VERSION 2 entries hold rho from the unit-step lattice: one under

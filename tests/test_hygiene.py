@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module or
-script imports is used somewhere in that file, and every private
-module-level name is read somewhere in the package."""
+script imports is used somewhere in that file, every private
+module-level name is read somewhere in the package, and no package
+module imports inside a function or class."""
 
 import ast
 from pathlib import Path
@@ -126,3 +127,38 @@ def test_catches_an_unread_private_name():
         "    return _helper\n"
     )
     assert sorted(set(_private_defs(tree)) - _read(tree)) == ["_CAP", "_HI"]
+
+
+def _nested_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of the import statements inside a function or class body."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted({
+        node.lineno
+        for scope in ast.walk(tree)
+        if isinstance(scope, scopes)
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    lines = _nested_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} imports below module level at lines {lines}"
+
+
+def test_catches_a_nested_import():
+    tree = ast.parse(
+        "import math\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    json = None\n"
+        "def f():\n"
+        "    import bisect\n"
+        "    def g():\n"
+        "        from os import path\n"
+        "class C:\n"
+        "    import re\n"
+    )
+    assert _nested_imports(tree) == [7, 9, 11]
