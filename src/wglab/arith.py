@@ -12,8 +12,7 @@ Conventions
 * All logarithms elsewhere in the package are natural logs in IEEE double
   precision; this module only deals in exact integers.
 * Inputs are capped at ``SIEVE_CEILING`` (2**48) so that downstream modules
-  can rely on products of two sieved integers fitting in 128 bits and on
-  k-th powers having a bounded limb count.
+  can rely on products of two sieved integers fitting in 128 bits.
 """
 
 from __future__ import annotations

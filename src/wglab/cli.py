@@ -312,6 +312,20 @@ def _cmd_report(cfg, args):
         raise ParameterDomain("--plot-n needs --plot partial_sums")
     ctx = _context(cfg, args)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
+    # the plot table can still be refused, so it is built before any write
+    if args.plot == "ratio_histogram":
+        table = ratio_histogram_table(rep)
+    elif args.plot == "partial_sums":
+        if args.plot_n is not None:
+            n = args.plot_n
+        elif rep.scanned:
+            n = int(rep.per_n.n[0])
+        else:
+            raise ParameterDomain("no scanned n to plot; give --plot-n")
+        table = partial_sums_table(truncated_sigma(n, ctx, cfg.Q0))
+    elif args.plot:  # arc_profile
+        params = ArcParams.from_context(ctx, A=cfg.A)
+        table = arc_profile_table(arc_profile(ctx, params, cfg.grid_size))
     parameters = dataclasses.asdict(cfg)
     del parameters["cache_dir"]
     stream_name = None
@@ -329,19 +343,6 @@ def _cmd_report(cfg, args):
         "per_n_stream": stream_name,
     }
     if args.plot:
-        if args.plot == "ratio_histogram":
-            table = ratio_histogram_table(rep)
-        elif args.plot == "partial_sums":
-            if args.plot_n is not None:
-                n = args.plot_n
-            elif rep.scanned:
-                n = int(rep.per_n.n[0])
-            else:
-                raise ParameterDomain("no scanned n to plot; give --plot-n")
-            table = partial_sums_table(truncated_sigma(n, ctx, cfg.Q0))
-        else:  # arc_profile
-            params = ArcParams.from_context(ctx, A=cfg.A)
-            table = arc_profile_table(arc_profile(ctx, params, cfg.grid_size))
         with open(args.plot_out, "w", encoding="utf-8") as fh:
             fh.write(csv_lines(*table))
     return canonical_json(payload)

@@ -45,6 +45,7 @@ from .singular_integral import gauss_legendre_panels, j_array, j_integral
 from .singular_series import sigma_batch, truncated_sigma
 
 _SCAN_BYTES = 4 * 2 ** 30  # exceptional-scan budget, see _admissible_targets
+_TARGET_BYTES = 400  # the scan's charge per target, see _admissible_targets
 
 
 @dataclass(frozen=True)
@@ -180,20 +181,22 @@ def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray
     what the rest of `admissible_rule` drops (9 | n at (k, s) = (3, 7)).
 
     Refused before allocation: range-too-large past int64, memory-budget
-    over 4 GiB at 96 bytes per member of the class.  At once
-    `exceptional_scan` holds n, rho, tuple_count, sigma, jay, the main
-    term, deviation and ratio, two flag masks and a sorted masked copy of
-    the finite ratios: 83 bytes counted, 90 by tracemalloc (k = 2, 3).
-    rho and j charge their half-sum and FFT tables to their own budgets.
+    over 4 GiB at _TARGET_BYTES per member of the class.  That covers the
+    scan's per-target columns, flag masks and sorted ratios (90 bytes)
+    and rho's per-target state, mostly `rho_mitm`'s frozen records on the
+    join route.  Whole-scan tracemalloc peaks, warm in-process caches:
+    373 and 326 bytes per target at k = 3, x = 60 and 100 (join), 257 at
+    k = 2, x = 4000 (lattice).  The FFTs also check `require_conv_budget`.
     """
     if n_hi >= 2 ** 63:
         raise RangeTooLarge(f"targets up to {n_hi} are past the int64 range")
     R = modulus_R(ctx.k)
     first = n_lo + (ctx.s - n_lo) % R
-    need = 96 * ((n_hi - first) // R + 1)
+    count = (n_hi - first) // R + 1
+    need = _TARGET_BYTES * count
     if need > _SCAN_BYTES:
         raise MemoryBudgetExceeded(
-            f"{need // 96} targets need {need / 2 ** 30:.1f} GiB, "
+            f"{count} targets need {need / 2 ** 30:.1f} GiB, "
             f"over the {_SCAN_BYTES / 2 ** 30:.0f} GiB scan budget"
         )
     ns = np.arange(first, n_hi + 1, R, dtype=np.int64)

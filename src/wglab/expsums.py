@@ -13,10 +13,10 @@ Phase accuracy
 Evaluating e(alpha * n^k) naively in doubles loses all phase information
 once alpha * n^k reaches 2^52, which happens immediately at the scales of
 interest (n^k ~ 10^12 and beyond).  Off the circle grid (see below),
-phases are therefore reduced exactly: n^k is carried in base-2^26 limbs
-L_j, and frac(alpha * n^k) is assembled limb by limb with integer
-arithmetic modulo 2^53 plus a float tail.  The
-result is the true fractional part up to ~2^-53 regardless of the size of
+phases are therefore reduced exactly: n^k, an exact Python integer, is
+cut into base-2^26 limbs L_j, and frac(alpha * n^k) is assembled limb by
+limb with integer arithmetic modulo 2^53 plus a float tail.  The result
+is the true fractional part up to ~2^-53 regardless of the size of
 alpha * n^k, and every evaluation is bit-reproducible.  `exact_phase`
 gives the scalar e(alpha * m) from the big-integer oracle
 `phase_fraction_exact`.
@@ -80,7 +80,9 @@ _GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
 class PhasePowers:
     """Base-2^26 limb decomposition of n^k over a support array.
 
-    Built once per (support, k); the phases of a block of B alphas cost
+    n^k is computed exactly as a Python integer and cut into limbs, up
+    to the highest limb that is nonzero anywhere in the support.  Built
+    once per (support, k); the phases of a block of B alphas cost
     O(limbs * B * len(support)) int64 operations and O(limbs) numpy calls.
     """
 
@@ -94,39 +96,11 @@ class PhasePowers:
             raise ParameterDomain(f"need k >= 1, got {k}")
         self.k = int(k)
         self.size = support.size
-        base = np.stack([support & _M26, (support >> 26) & _M26, support >> 52], axis=1)
-        limbs = base
-        for _ in range(k - 1):
-            limbs = self._mul(limbs, base)
-        self._limbs = limbs
-        self._limbs_f = limbs.astype(np.float64)
-
-    @staticmethod
-    def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        # schoolbook product with one carry pass; B has <= 3 limbs so each
-        # raw column holds at most 3 products < 2^52 plus carries: int64-safe
-        m, ja = A.shape
-        jb = B.shape[1]
-        out = np.zeros((m, ja + jb), dtype=np.int64)
-        for i in range(ja):
-            col = A[:, i]
-            for j in range(jb):
-                out[:, i + j] += col * B[:, j]
-        PhasePowers._carry(out)
-        last = out.shape[1]
-        while last > 1 and not out[:, last - 1].any():
-            last -= 1
-        return out[:, :last]
-
-    @staticmethod
-    def _carry(out: np.ndarray) -> None:
-        carry = np.zeros(out.shape[0], dtype=np.int64)
-        for t in range(out.shape[1]):
-            tot = out[:, t] + carry
-            out[:, t] = tot & _M26
-            carry = tot >> 26
-        if carry.any():  # pragma: no cover - limb allocation covers the product
-            raise ParameterDomain("limb overflow")
+        powers = support.astype(object) ** self.k  # exact Python integers
+        count = max(1, -(-int(powers.max(initial=0)).bit_length() // 26))
+        limbs = [(powers >> (26 * j)) & _M26 for j in range(count)]
+        self._limbs = np.stack(limbs, axis=1).astype(np.int64)
+        self._limbs_f = self._limbs.astype(np.float64)
 
     def fractions(self, alpha) -> np.ndarray:
         """frac(alpha * n^k) for every n in the support, to ~2^-53.

@@ -188,6 +188,8 @@ def _cells(k: int, s: int, lo: int, hi: int, h: int, a: int, b: int):
     first = math.floor((a + s / 2) / h - s / 2)
     last = math.floor((b + s / 2) / h - s / 2) + 1
     lo_c, hi_c = max(first, 0), min(last, s * (count - 1))
+    if lo_c > hi_c:  # every sum the window reads lies past an end: j is 0
+        return np.zeros_like
     require_conv_budget(wrap_length(count, s, lo_c, hi_c))
     nu = np.zeros(last - first + 1)  # sums outside the support stay 0
     nu[lo_c - first : hi_c - first + 1] = wrapped_convolution(

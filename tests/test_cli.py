@@ -210,20 +210,36 @@ class TestExitCodes:
             (["exceptional", "--N", "1e18", "--k", "2", "--s", "5"], "memory-budget"),
             (["report", "--N", "1e18", "--k", "2", "--s", "5"], "memory-budget"),
             (["minor-moment", "--t", "400", "--grid-size", "1000", *W], "range-too-large"),
+            # refused after the scan: the per-n stream must not be written
+            (["report", "--q0", "20", "--x", "10", "--y", "0.2", "--k", "2", "--s", "2",
+              "--plot", "partial_sums", "--plot-out", "p.csv"], "parameter-domain"),
+            (["report", "--q0", "20", "--x", "2.5", "--y", "1", "--k", "2", "--s", "2",
+              "--plot", "arc_profile", "--plot-out", "p.csv"], "parameter-domain"),
         ],
         ids=["scan-sup-Q-inf", "minor-moment-Q-inf", "arcs-Q-inf", "jay-x-nan", "jay-x-inf",
              "arcs-x-overflow", "sigma-N-inf", "sigma-N-nan", "exceptional-N-inf",
              "jay-scale-overflow", "exceptional-past-int64", "exceptional-over-budget",
-             "report-over-budget", "minor-moment-overflow"],
+             "report-over-budget", "minor-moment-overflow", "report-no-plot-n",
+             "report-arc-profile-small-x"],
     )
     # a numpy overflow warning printed before the error fails the case
     @pytest.mark.filterwarnings("error")
-    def test_non_finite_or_overflowing_input_is_refused(self, argv, code, tmp_path, capsys):
+    def test_non_finite_or_overflowing_input_is_refused(
+        self, argv, code, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # relative output paths land in tmp_path
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[{code}]: ")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_jay_just_above_the_bottom_of_the_support(self, capsys):
+        # n = s lo + 1 with lo = 560719, where the probe window can lie
+        # wholly below the cell sums; the values are pinned in
+        # test_singular_integral
+        assert main(["jay", "--n", "2803596", "--x", "1000", "--k", "2", "--s", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] >= 0
 
 
 class TestCommandRegistry:

@@ -349,13 +349,14 @@ class TestExceptionalScan:
             assert got.tobytes() == want.tobytes()
 
     def test_target_budget_refuses_before_allocating(self, monkeypatch):
-        # 96 bytes per member of the class n = 5 (mod 24); the window's
-        # top must fit int64
+        # _TARGET_BYTES per member of the class n = 5 (mod 24); the
+        # window's top must fit int64
         import wglab.experiment as experiment
 
         ctx = ProblemContext.from_parts(2, 5, 60.0, 20.0)
-        assert 96 * 5_358_691 <= experiment._SCAN_BYTES  # the x = 32000 rung
-        monkeypatch.setattr(experiment, "_SCAN_BYTES", 96 * 100)
+        charge = experiment._TARGET_BYTES
+        assert charge * 5_358_691 <= experiment._SCAN_BYTES  # the x = 32000 rung
+        monkeypatch.setattr(experiment, "_SCAN_BYTES", charge * 100)
         assert _admissible_targets(ctx, 1, 5 + 24 * 99).size == 100
         with pytest.raises(MemoryBudgetExceeded, match="101 targets"):
             _admissible_targets(ctx, 1, 5 + 24 * 100)

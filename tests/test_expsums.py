@@ -185,6 +185,23 @@ class TestEvalSum:
             )
 
 
+class TestLimbs:
+    NS = [0, 1, 2, 97, 2 ** 26 - 1, 2 ** 26, 2 ** 40 + 3, 2 ** 48]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_limbs_reassemble_the_exact_power(self, k):
+        # one support of every n, then each n alone: the fewest limbs
+        # (at least one) that hold the largest power
+        for ns in [self.NS, *([n] for n in self.NS)]:
+            pw = PhasePowers(np.array(ns, dtype=np.int64), k)
+            count = max(1, -(-(max(ns) ** k).bit_length() // 26))
+            assert pw._limbs.dtype == np.int64 and pw._limbs.shape == (len(ns), count)
+            assert np.all((0 <= pw._limbs) & (pw._limbs <= _M26))
+            assert np.array_equal(pw._limbs_f, pw._limbs.astype(np.float64))
+            for n, row in zip(ns, pw._limbs.tolist()):
+                assert sum(L << (26 * j) for j, L in enumerate(row)) == n ** k
+
+
 class TestBatchedPhases:
     """`PhasePowers.fractions` on many alphas at once against the scalar
     big-integer limb loop, bit for bit."""

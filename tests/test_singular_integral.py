@@ -117,6 +117,21 @@ class TestJIntegral:
         assert j_integral(off, ctx) == tab[0]
         assert j_integral(off + tab.size - 1, ctx) == tab[-1]
 
+    def test_just_above_the_bottom_of_the_support(self):
+        # with h > 1 the probe window of s lo + d, d = 1..~20, can lie
+        # wholly below the cell sums; j there is within the FFT's absolute
+        # error (eps times the peak of j) of the exact value at d = 1,
+        # s c_lo^(s-1) c_(lo+1) ~ 6.6e-16
+        ctx = ProblemContext.from_parts(2, 5, 1000.0, 1000.0 ** 0.8)
+        lo, hi = si._power_window(ctx)
+        c_lo, c_next = si._weights(2, lo, lo + 1)
+        exact = 5 * c_lo ** 4 * c_next
+        err = np.finfo(float).eps * j_integral(5 * (lo + hi) // 2, ctx)
+        for d in range(1, 26):
+            j = j_integral(5 * lo + d, ctx)
+            assert math.isfinite(j) and j >= 0.0
+            assert abs(j - exact) <= err
+
     def test_positivity(self):
         ctx = ProblemContext.from_parts(2, 3, 100.0, 5.0)
         _, tab = j_array(ctx)
