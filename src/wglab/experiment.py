@@ -20,6 +20,11 @@ q0, the partial floor, the rho route, numpy's version).  A rerun
 whose key and stored targets match reads the columns and computes no
 rho, sigma or j; the ratios, flags and summary are derived afresh.
 
+The arc quadrature `major_arc_rho_numeric` computes f^s at its nodes,
+and the phase-jump check on it, once per (context, arcs, node count,
+region) and reuses them across targets; each target adds only its
+e(-n alpha) block.
+
 The deviation test here is |rho - prediction| >= threshold.  A one-sided
 reading (only an excess counts) is also tallied and reported alongside,
 since the two counts differ materially at desk scale.
@@ -27,6 +32,7 @@ since the two counts differ materially at desk scale.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -72,6 +78,44 @@ def predict(n: int, ctx: ProblemContext, q0: int) -> MajorArcPrediction:
     )
 
 
+_REGIONS = ("major", "full", "zero_arc")
+
+
+@functools.lru_cache(maxsize=1)
+def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: str):
+    """The part of `major_arc_rho_numeric` that does not depend on n.
+
+    Returns (alphas, fs, halves, weights, worst_jump): every interval's
+    Gauss-Legendre nodes in order, f^s at them, each interval's half
+    panel width, the per-interval weights (the same for every interval),
+    and the largest phase jump of f^s between adjacent nodes of one
+    interval.  The arrays are read-only, since the last result is shared
+    by every later call with the same key.
+    """
+    if region == "major":
+        decomp = ArcDecomposition.build(params)
+        intervals = [
+            (m.center - m.half_width, m.center + m.half_width) for m in decomp.intervals
+        ]
+    elif region == "full":
+        intervals = [(0.0, 1.0)]
+    else:
+        hw = 1.0 / params.Q
+        intervals = [(-hw, hw)]
+    quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
+    alphas = np.concatenate([pts for _, pts, _ in quads])
+    fs = eval_sums(build_sequence(ctx, "prime_log"), ctx.k, alphas) ** ctx.s
+    weights = quads[0][2]
+    worst_jump = 0.0
+    for start in range(0, fs.size, weights.size):
+        f_arc = fs[start : start + weights.size]
+        jumps = np.abs(np.angle(f_arc[1:] * np.conj(f_arc[:-1])))
+        worst_jump = max(worst_jump, float(np.max(jumps)))
+    for a in (alphas, fs, weights):
+        a.flags.writeable = False
+    return alphas, fs, tuple(half for half, _, _ in quads), weights, worst_jump
+
+
 def major_arc_rho_numeric(
     n: int,
     ctx: ProblemContext,
@@ -86,48 +130,39 @@ def major_arc_rho_numeric(
     the single glued arc at the origin.  Composite 16-point Gauss-Legendre
     per interval; the nodes of every interval go through one `eval_sums`
     call, e(-n alpha) comes from one `PhasePowers` block, and f^s e(-n
-    alpha) is one array power and one array product.  Emits a
-    warning when the phase of f^s jumps by more than pi/4 between
-    adjacent nodes (under-resolution).
+    alpha) is one array product.  Emits a warning when the phase of f^s
+    jumps by more than pi/4 between adjacent nodes (under-resolution).
+
+    f^s at the nodes and the phase-jump check do not depend on n: they
+    are computed once per (context, arcs, node count, region) by
+    `_arc_integrand`, which keeps the last such set, and reused across
+    targets.  A run of targets at one setting pays for f^s once; each
+    target adds one e(-n alpha) block and the per-interval dots.  The
+    warning fires on every call, cached or not.
+
+    Known defect: region "major" integrates the origin arc twice.
+    `ArcDecomposition.build` lists 0/1 and 1/1, each with the full
+    half-width 1/Q, so (-1/Q, 1/Q) and (1 - 1/Q, 1 + 1/Q), the same arc
+    mod 1, are both integrated.  The "full" and "zero_arc" regions are
+    unaffected.
 
     Returns the real part; the integrand's imaginary parts cancel over
     any region symmetric under alpha -> 1 - alpha.
     """
-    if nodes_per_arc < 8:
-        raise ParameterDomain(f"need nodes_per_arc >= 8, got {nodes_per_arc}")
-    n = int(n)
-    seq = build_sequence(ctx, "prime_log")
-
-    if region == "major":
-        decomp = ArcDecomposition.build(params)
-        intervals = [
-            (m.center - m.half_width, m.center + m.half_width) for m in decomp.intervals
-        ]
-    elif region == "full":
-        intervals = [(0.0, 1.0)]
-    elif region == "zero_arc":
-        hw = 1.0 / params.Q
-        intervals = [(-hw, hw)]
-    else:
+    if not isinstance(region, str) or region not in _REGIONS:
         raise ParameterDomain(f"unknown region {region!r}")
-
+    if not isinstance(nodes_per_arc, (int, np.integer)) or nodes_per_arc < 8:
+        raise ParameterDomain(f"need an integer nodes_per_arc >= 8, got {nodes_per_arc!r}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterDomain(f"need an integer target n >= 1, got {n!r}")
     panels = max(1, math.ceil(nodes_per_arc / 16))
-    quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
-    alphas = np.concatenate([pts for _, pts, _ in quads])
-    fs = eval_sums(seq, ctx.k, alphas) ** ctx.s
+    alphas, fs, halves, weights, worst_jump = _arc_integrand(ctx, params, panels, region)
     # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
     c = PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas)[:, 0].conj()
     vals = fs * c
     total = 0.0 + 0.0j
-    worst_jump = 0.0
-    start = 0
-    for half, pts, weights in quads:
-        stop = start + pts.size
-        f_arc = fs[start:stop]
-        jumps = np.abs(np.angle(f_arc[1:] * np.conj(f_arc[:-1])))
-        worst_jump = max(worst_jump, float(np.max(jumps)))
-        total += half * np.dot(vals[start:stop], weights)
-        start = stop
+    for start, half in zip(range(0, vals.size, weights.size), halves):
+        total += half * np.dot(vals[start : start + weights.size], weights)
     if worst_jump > math.pi / 4:
         warnings.warn(
             f"arc quadrature under-resolved: adjacent-node phase jump "

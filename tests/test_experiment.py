@@ -22,6 +22,7 @@ from wglab.errors import (
 )
 from wglab.experiment import (
     _admissible_targets,
+    _arc_integrand,
     _sorted_median,
     exceptional_scan,
     major_arc_rho_numeric,
@@ -131,6 +132,96 @@ class TestMajorArcQuadrature:
             major_arc_rho_numeric(218, TINY, params, 4)
         with pytest.raises(ParameterDomain):
             major_arc_rho_numeric(218, TINY, params, 64, region="nowhere")
+        # refused before the memo lookup: an unhashable region would be a
+        # TypeError there, nan/inf nodes a math.ceil error, 218.7 became
+        # 218 and -5 failed inside PhasePowers
+        for region in (["major"], None, b"major"):
+            with pytest.raises(ParameterDomain, match="region"):
+                major_arc_rho_numeric(218, TINY, params, 64, region=region)
+        for nodes in (math.nan, math.inf, 32.0, 7, -16, "32"):
+            with pytest.raises(ParameterDomain, match="nodes_per_arc"):
+                major_arc_rho_numeric(218, TINY, params, nodes)
+        for n in (218.7, 218.0, -5, 0, math.nan, "218"):
+            with pytest.raises(ParameterDomain, match="target n"):
+                major_arc_rho_numeric(n, TINY, params, 64)
+
+    def test_numpy_integers_accepted(self):
+        params = ArcParams.from_context(TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = major_arc_rho_numeric(218, TINY, params, 64, region="full")
+            got = major_arc_rho_numeric(np.int64(218), TINY, params, np.int32(64), region="full")
+        assert got == want
+
+
+class TestArcIntegrandMemo:
+    """f^s at the nodes is computed once per (ctx, params, panels, region)
+    and shared by the targets; a shared value must equal a cold one."""
+
+    CTX = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+    TARGETS = (801125, 823205, 848261)
+
+    @staticmethod
+    def _cold(*args, **kwargs):
+        _arc_integrand.cache_clear()
+        return major_arc_rho_numeric(*args, **kwargs)
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            yield
+
+    def test_hit_equals_cold(self):
+        params = ArcParams.from_context(self.CTX)
+        self._cold(self.TARGETS[0], self.CTX, params, 64)
+        hits = [major_arc_rho_numeric(n, self.CTX, params, 64) for n in self.TARGETS]
+        assert _arc_integrand.cache_info().hits >= len(self.TARGETS)
+        cold = [self._cold(n, self.CTX, params, 64) for n in self.TARGETS]
+        assert hits == cold
+
+    def test_keys_do_not_collide(self):
+        p1 = ArcParams.from_context(self.CTX)
+        p2 = ArcParams.from_context(self.CTX, A=1.5)
+        other = ProblemContext.from_scale(2, 5, 0.8, 810_000)
+        n = self.TARGETS[1]
+        calls = [
+            (n, self.CTX, p1, 64, "major"),
+            (n, self.CTX, p1, 64, "zero_arc"),
+            (n, self.CTX, p1, 64, "full"),
+            (n, self.CTX, p1, 32, "major"),
+            (n, self.CTX, p2, 32, "major"),
+            (n, other, p2, 32, "major"),
+            (n, self.CTX, p1, 64, "major"),
+        ]
+        cold = [self._cold(*c[:4], region=c[4]) for c in calls]
+        assert len(set(cold[:-1])) == len(cold) - 1  # every key gives its own value
+        _arc_integrand.cache_clear()
+        for _ in range(2):  # the second pass alternates keys after a warm start
+            assert [major_arc_rho_numeric(*c[:4], region=c[4]) for c in calls] == cold
+
+    def test_warning_on_hit(self):
+        params = ArcParams.from_context(TINY)
+        _arc_integrand.cache_clear()
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="under-resolved"):
+                major_arc_rho_numeric(218, TINY, params, 8, region="full")
+        assert _arc_integrand.cache_info().hits == 1
+
+    def test_cached_arrays_read_only(self):
+        params = ArcParams.from_context(TINY)
+        major_arc_rho_numeric(218, TINY, params, 64)
+        alphas, fs, _, weights, _ = _arc_integrand(TINY, params, 4, "major")
+        for a in (alphas, fs, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_keeps_one_entry(self):
+        params = ArcParams.from_context(TINY)
+        for region in ("major", "full", "zero_arc"):
+            for nodes in (32, 64):
+                major_arc_rho_numeric(218, TINY, params, nodes, region=region)
+                assert _arc_integrand.cache_info().currsize <= 1
 
 
 class TestExceptionalScan:
