@@ -29,12 +29,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .arith import ProblemContext, euler_phi, factorize
-from .errors import OverlapDetected, ParameterDomain
+from .errors import OverlapDetected, ParameterDomain, require_bytes
+
+_ARC_BYTES = 2 * 2 ** 30  # arc-family budget, see require_arc_budget
 
 
 def w_k(k: int, q: int) -> float:
@@ -118,7 +119,7 @@ def dirichlet_approx(alpha: float, q_bound: float) -> RationalPoint:
     if q_bound < 1:
         raise ParameterDomain(f"need q_bound >= 1, got {q_bound}")
     num, den = float(alpha).as_integer_ratio()
-    qb = Fraction(float(q_bound))
+    qb_num, qb_den = float(q_bound).as_integer_ratio()
     # Convergent recurrences.  alpha in [0, 1) means the zeroth coefficient
     # is 0, so the first convergent is 0/1 and the Euclid state starts at
     # (den, num).  h/q then runs over the best approximations of alpha.
@@ -128,7 +129,7 @@ def dirichlet_approx(alpha: float, q_bound: float) -> RationalPoint:
     while True:
         # |q*alpha - h| = |q*num - h*den| / den ; compare against 1/qb exactly
         err_num = abs(q * num - h * den)
-        if err_num * qb.numerator <= den * qb.denominator:
+        if err_num * qb_num <= den * qb_den:
             return RationalPoint(a=h, q=q, beta=alpha - h / q)
         if d == 0:  # pragma: no cover - final convergent always satisfies
             raise ParameterDomain("continued fraction exhausted")
@@ -176,6 +177,7 @@ class ArcDecomposition:
     def build(cls, params: ArcParams) -> "ArcDecomposition":
         pmax = math.floor(params.P)
         _require_disjoint(pmax, params.Q)
+        require_arc_budget(pmax)
         arcs: list[MajorArc] = []
         for q in range(1, pmax + 1):
             hw = 1.0 / (q * params.Q)
@@ -211,6 +213,21 @@ class ArcDecomposition:
         return False
 
 
+def require_arc_budget(pmax: int, per_arc: int = 280) -> int:
+    """Refuse the arcs with q <= pmax before any is enumerated; returns pmax.
+
+    There are 1 + sum over q <= pmax of phi(q), about 3/pi^2 pmax^2 + 1,
+    of them: 2,736,189 at pmax = 3000, where `ArcDecomposition.build`
+    took 774 MB of maxrss, 280 bytes per arc.  The charge is per_arc
+    bytes per arc against 2 GiB; at the default 280 it admits pmax up
+    to about 5000.  `major_measure` and `expsums.major_mask` loop over
+    the same q and take the same charge.
+    """
+    arcs = round(3 / math.pi ** 2 * pmax ** 2) + 1
+    require_bytes(per_arc * arcs, _ARC_BYTES, "arc", f"the arcs with q <= {pmax} need")
+    return pmax
+
+
 def _require_disjoint(pmax: int, Q: float) -> None:
     if pmax >= 2 and not (Q > 2 * pmax - 1):
         raise OverlapDetected(
@@ -231,4 +248,4 @@ def major_measure(params: ArcParams) -> float:
     """
     pmax = math.floor(params.P)
     _require_disjoint(pmax, params.Q)
-    return 2.0 / params.Q * _phi_partial_sums(pmax)
+    return 2.0 / params.Q * _phi_partial_sums(require_arc_budget(pmax))

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyRange, ParameterDomain, RangeTooLarge
+from .errors import EmptyRange, ParameterDomain, RangeTooLarge, require_bytes
 
 SIEVE_CEILING = 1 << 48
 
@@ -35,6 +35,8 @@ _TRIAL_LIMIT = 10 ** 6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SEGMENT = 1 << 20
+
+_WINDOW_BYTES = 4 * 2 ** 30  # prime-window budget, see prime_window
 
 
 @lru_cache(maxsize=8)
@@ -299,12 +301,17 @@ def prime_window(x: float, y: float) -> PrimeWindow:
     """Sieve the window (x - y, x + y] and attach log-weights.
 
     The window may be empty; callers that need support raise on emptiness
-    themselves.
+    themselves.  Refused before sieving when its primes may need over
+    4 GiB: at most 8 in 30 consecutive integers are prime to 30, and
+    2, 3 and 5 add 3 more, each charged 81 bytes (the tracemalloc peak
+    per prime at x = 10^7 and 10^8).  That admits windows of 2e8 integers.
     """
     if not (0 < y <= x):
         raise ParameterDomain(f"need 0 < y <= x, got x={x}, y={y}")
     lo = max(1, math.floor(x - y))
     hi = math.floor(x + y)
+    require_bytes(81 * (8 * -(-(hi - lo) // 30) + 3), _WINDOW_BYTES, "prime window",
+                  f"the primes of a window of {hi - lo} integers need")
     ps = sieve_interval(lo, hi) if hi > lo else []
     return PrimeWindow(
         x=float(x),

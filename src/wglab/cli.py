@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arcs import ArcDecomposition, ArcParams
+from .arcs import ArcDecomposition, ArcParams, require_arc_budget
 from .arith import ProblemContext, admissible, modulus_R, sieve_interval
 from .config import RunConfig, canonical_json, format_float, parse_config
 from .errors import ParameterDomain, RangeTooLarge, WglabError
@@ -234,6 +234,9 @@ def _cmd_moment(cfg, args):
 def _cmd_arcs(cfg, args):
     ctx = _context(cfg, args)
     params = _params(cfg, args, ctx)
+    # the listing holds each arc again as a dict and as output text: its
+    # tracemalloc peak at P = 300 is 793 bytes per arc
+    require_arc_budget(math.floor(params.P), 800)
     decomp = ArcDecomposition.build(params)
     arcs = [dataclasses.asdict(m) for m in decomp.intervals]
     payload = {

@@ -75,3 +75,11 @@ class CacheMiss(WglabError):
 
 class CacheVersionMismatch(WglabError):
     code = "cache-version"
+
+
+def require_bytes(need: float, budget: int, name: str, what: str, error=MemoryBudgetExceeded):
+    """Raise `error` before allocating when a charge of `need` bytes is over
+    `budget`: "<what> X GiB, over the Y GiB <name> budget"."""
+    if need > budget:
+        raise error(f"{what} {need / 2 ** 30:.1f} GiB, "
+                    f"over the {budget / 2 ** 30:.0f} GiB {name} budget")

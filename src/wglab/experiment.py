@@ -43,11 +43,11 @@ import numpy as np
 from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible, admissible_rule, modulus_R
-from .errors import (EmptyRegion, EmptyWindow, MemoryBudgetExceeded, OverlapDetected,
-                     ParameterDomain, RangeTooLarge)
+from .errors import (EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, RangeTooLarge,
+                     require_bytes)
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_magnitudes
 from .representations import rho_route, rho_scan
-from .singular_integral import gauss_legendre_panels, j_array, j_integral
+from .singular_integral import gauss_legendre_panels, j_array, j_integral, require_node_budget
 from .singular_series import sigma_batch, truncated_sigma
 
 _SCAN_BYTES = 4 * 2 ** 30  # exceptional-scan budget, see _admissible_targets
@@ -102,6 +102,7 @@ def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: 
     else:
         hw = 1.0 / params.Q
         intervals = [(-hw, hw)]
+    require_node_budget(len(intervals) * panels)
     quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
     alphas = np.concatenate([pts for _, pts, _ in quads])
     fs = eval_sums(build_sequence(ctx, "prime_log"), ctx.k, alphas) ** ctx.s
@@ -228,12 +229,7 @@ def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray
     R = modulus_R(ctx.k)
     first = n_lo + (ctx.s - n_lo) % R
     count = (n_hi - first) // R + 1
-    need = _TARGET_BYTES * count
-    if need > _SCAN_BYTES:
-        raise MemoryBudgetExceeded(
-            f"{count} targets need {need / 2 ** 30:.1f} GiB, "
-            f"over the {_SCAN_BYTES / 2 ** 30:.0f} GiB scan budget"
-        )
+    require_bytes(_TARGET_BYTES * count, _SCAN_BYTES, "scan", f"{count} targets need")
     ns = np.arange(first, n_hi + 1, R, dtype=np.int64)
     return ns[admissible_rule(ns, ctx.k, ctx.s)]
 

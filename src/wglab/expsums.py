@@ -64,9 +64,10 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .arcs import ArcDecomposition, ArcParams, RationalPoint, dirichlet_approx, w_k
+from .arcs import (ArcDecomposition, ArcParams, RationalPoint, dirichlet_approx,
+                   require_arc_budget, w_k)
 from .arith import ProblemContext
-from .errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain, RangeTooLarge
+from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge, require_bytes
 
 _M26 = (1 << 26) - 1
 _M53 = (1 << 53) - 1
@@ -75,6 +76,7 @@ SEQUENCE_KINDS = ("prime_log", "integer_log", "unit")
 
 _BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and grid_sums
 _GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
+_DICHOTOMY_BYTES = 4 * 2 ** 30  # dichotomy window budget, see dichotomy_report
 
 
 class PhasePowers:
@@ -265,11 +267,7 @@ def require_grid_budget(grid_size: int, support_size: int) -> int:
     """
     rows = max(1, _BLOCK_PHASES // max(support_size, 1))
     need = 40 * grid_size + 32 * rows * support_size + 16 * support_size
-    if need > _GRID_BYTES:
-        raise MemoryBudgetExceeded(
-            f"a grid of {grid_size} points needs {need / 2 ** 30:.1f} GiB, "
-            f"over the {_GRID_BYTES / 2 ** 30:.0f} GiB grid budget"
-        )
+    require_bytes(need, _GRID_BYTES, "grid", f"a grid of {grid_size} points needs")
     return rows
 
 
@@ -324,7 +322,7 @@ def major_mask(params: ArcParams, grid_size: int) -> np.ndarray:
     num, den = float(params.Q).as_integer_ratio()
     T = (G * den) // num
     inside = np.zeros(G + 1, dtype=np.int64)  # +1/-1 at starts/ends of arc ranges
-    for q in range(1, math.floor(params.P) + 1):
+    for q in range(1, require_arc_budget(math.floor(params.P)) + 1):
         a = np.arange(q + 1, dtype=np.int64)
         aG = a[np.gcd(a, q) == 1] * G
         start = np.clip(-((T - aG) // q), 0, G)
@@ -456,7 +454,10 @@ def dichotomy_report(ctx: ProblemContext, rho: float, alpha: float) -> Dichotomy
 
     Preconditions: 0 < rho <= 1/t(k) with t(2) = 2, t(k) = k^2 - k + 1
     otherwise, and the context exponent theta must satisfy
-    1/(2 - t(k) * rho) <= theta <= 1.
+    1/(2 - t(k) * rho) <= theta <= 1.  The window is refused before
+    allocation past 4 GiB at 188 bytes per integer, the tracemalloc peak
+    at k = 2, x = 10^8 (the support, its weights and `PhasePowers`' exact
+    powers and limbs): windows over 2.3e7 integers.
     """
     k = ctx.k
     t_k = _t_exponent(k)
@@ -474,6 +475,8 @@ def dichotomy_report(ctx: ProblemContext, rho: float, alpha: float) -> Dichotomy
     hi = math.floor(x + y)
     if hi < lo:
         raise EmptyWindow(f"no integers in ({x}, {x + y}]")
+    require_bytes(188 * (hi - lo + 1), _DICHOTOMY_BYTES, "dichotomy",
+                  f"a window of {hi - lo + 1} integers needs")
     support = np.arange(lo, hi + 1, dtype=np.int64)
     seq = WeightedSequence(support=support, weights=np.ones(support.size))
     observed = abs(eval_sum(seq, k, alpha))

@@ -51,9 +51,9 @@ from .arith import ProblemContext, prime_window
 from .errors import (
     EmptyWindow,
     EnumerationTooLarge,
-    MemoryBudgetExceeded,
     ParameterDomain,
     PrecisionOverflow,
+    require_bytes,
 )
 from .singular_integral import require_conv_budget, wrap_length, wrapped_convolution
 
@@ -140,12 +140,7 @@ def _fold_table(pk: list[int], logs: list[float], fold: int, top: int) -> HalfSu
     the 2 GiB table budget, checked before anything is allocated.
     """
     m = len(pk)
-    need = 40 * m ** fold
-    if need > _TABLE_BYTES:
-        raise MemoryBudgetExceeded(
-            f"{m}^{fold} half-sums need {need / 2 ** 30:.1f} GiB, "
-            f"over the {_TABLE_BYTES / 2 ** 30:.0f} GiB table budget"
-        )
+    require_bytes(40 * m ** fold, _TABLE_BYTES, "table", f"{m}^{fold} half-sums need")
     base_v = np.array(pk, dtype=np.int64 if top < 2 ** 62 else object)
     base_w = np.asarray(logs, dtype=np.float64)
     vals, wts, cnt = base_v, base_w, np.ones(m, dtype=np.int64)

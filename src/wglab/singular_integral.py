@@ -48,10 +48,12 @@ from .errors import (
     NoConvergence,
     ParameterDomain,
     PrecisionOverflow,
+    require_bytes,
 )
 from .expsums import WeightedSequence, exact_phase
 
 _CONV_BYTES = 4 * 2 ** 30
+_NODE_BYTES = 4 * 2 ** 30  # quadrature budget, see require_node_budget
 _J_RTOL = 2e-10  # j's error estimate, relative at every probed entry
 _START_CELLS = 2 ** 16
 _OSC_TOL_FACTOR = 1e-8
@@ -139,12 +141,8 @@ def require_conv_budget(L: int) -> None:
     scan's `j_array` raises the peak (VmHWM, numpy 2.4.6) by 75 MB, most
     of it arrays over the 1.5e6 targets (12 MB at x = 1000).
     """
-    need = 32 * L
-    if need > _CONV_BYTES:
-        raise ConvolutionTooLarge(
-            f"a cyclic FFT of length {L} needs {need / 2 ** 30:.1f} GiB, "
-            f"over the {_CONV_BYTES / 2 ** 30:.0f} GiB convolution budget"
-        )
+    require_bytes(32 * L, _CONV_BYTES, "convolution",
+                  f"a cyclic FFT of length {L} needs", ConvolutionTooLarge)
 
 
 def wrapped_convolution(w: np.ndarray, s: int, a: int, b: int) -> np.ndarray:
@@ -279,6 +277,20 @@ def j_integral(n: int, ctx: ProblemContext) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def require_node_budget(panels: int) -> None:
+    """Refuse composite 16-point Gauss-Legendre over `panels` panels in
+    all, before any node is allocated.
+
+    The charge is 120 bytes per node against 4 GiB, which admits 3.6e7
+    nodes.  Tracemalloc peaks per node: 120 bytes for a cold
+    `experiment.major_arc_rho_numeric` (every interval's nodes and
+    weights, their concatenation, f and f^s), 88 on a memo hit, and 48
+    for one refinement of `oscillatory_I`.
+    """
+    nodes = 16 * panels
+    require_bytes(120 * nodes, _NODE_BYTES, "quadrature", f"{nodes} Gauss-Legendre nodes need")
+
+
 def gauss_legendre_panels(lo: float, hi: float, panels: int):
     """(half, nodes, weights) of composite 16-point Gauss-Legendre on
     [lo, hi]; the integral of g is half * np.dot(g(nodes), weights)."""
@@ -308,6 +320,7 @@ def oscillatory_I(beta: float, ctx: ProblemContext) -> complex:
     tol = _OSC_TOL_FACTOR * ctx.y
     prev: complex | None = None
     for _ in range(_MAX_DOUBLINGS):
+        require_node_budget(panels)
         half, pts, weights = gauss_legendre_panels(a, b, panels)
         vals = np.exp((2j * np.pi * beta) * pts ** ctx.k)
         cur = complex(half * np.dot(vals, weights))

@@ -29,10 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ProblemContext, euler_phi, factorize
-from .errors import ImaginaryResidue, NotCoprime, ParameterDomain, RangeTooLarge
+from .arith import ProblemContext, euler_phi, factorize, sieve_interval
+from .errors import ImaginaryResidue, NotCoprime, ParameterDomain, RangeTooLarge, require_bytes
 
 _Q_CEILING = 200_000
+_SIGMA_BYTES = 2 * 2 ** 30  # prime-power table budget, see _live_q
 _IMAG_TOL = 1e-8
 _PARTIAL_FLOOR = 1e-12
 _SIGMA_BLOCK = 2 ** 13  # targets per block: 97 columns at q_max = 400 are 6 MiB
@@ -166,17 +167,40 @@ class SeriesTruncation:
         return out
 
 
+def _prime_powers(q_max: int) -> set[int]:
+    """The prime powers pp <= q_max, as a set: `_live_q` builds their
+    tables in set order, and building them by ascending pp raised the
+    maxrss of `wglab sigma --q0 20000` from 570 to 696 MB."""
+    out = set()
+    for p in sieve_interval(0, q_max):
+        pp = p
+        while pp <= q_max:
+            out.add(pp)
+            pp *= p
+    return out
+
+
 @lru_cache(maxsize=64)
 def _live_q(q_max: int, k: int, s: int) -> Live:
     """(q, its prime powers in `factorize` order) for each 2 <= q <= q_max
     whose term can pass the floor at some n, ascending in q.  Memoised,
-    so a loop of `truncated_sigma` calls builds it once."""
+    so a loop of `truncated_sigma` calls builds it once.
+
+    Refused before the first table is built when the tables of every
+    prime power pp <= q_max, 25 bytes per residue (`_unit_mask` 1,
+    `_gauss_row` 16, `_pp_table` 8, all kept by their caches), are over
+    2 GiB.  25 bytes times the sum of pp is 513 MiB at q_max = 20000 and
+    2907 MiB at 50000, where `wglab sigma` peaked at 570 and 2865 MB of
+    maxrss; the budget admits q_max up to 41592.
+    """
     if q_max < 1:
         raise ParameterDomain(f"need q_max >= 1, got {q_max}")
     if q_max > _Q_CEILING:
         raise RangeTooLarge(f"q_max={q_max} exceeds modulus ceiling {_Q_CEILING}")
+    pp_all = _prime_powers(q_max)
+    require_bytes(25 * sum(pp_all), _SIGMA_BYTES, "sigma table",
+                  f"the prime-power tables up to {q_max} need")
     factors = [tuple(p ** e for p, e in factorize(q)) for q in range(2, q_max + 1)]
-    pp_all = {pp for pps in factors for pp in pps}
     peak = {pp: float(np.max(np.abs(_pp_table(pp, k, s)))) for pp in pp_all}
     # |term| <= the product of its tables' peaks, (1 + eps) per factor: a q
     # under half the floor there is floored to 0 at every n

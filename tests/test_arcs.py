@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wglab.arcs as arcs
 from wglab.arcs import (
     ArcDecomposition,
     ArcParams,
@@ -13,10 +14,12 @@ from wglab.arcs import (
     classify,
     dirichlet_approx,
     major_measure,
+    require_arc_budget,
     w_k,
 )
 from wglab.arith import ProblemContext, euler_phi
-from wglab.errors import OverlapDetected, ParameterDomain
+from wglab.errors import MemoryBudgetExceeded, OverlapDetected, ParameterDomain
+from wglab.expsums import major_mask
 
 
 class TestArcWeight:
@@ -198,6 +201,25 @@ class TestDecomposition:
         total = sum(2 * m.half_width for m in dec.intervals if m.q >= 2)
         total += 2.0 / params.Q
         assert dec.measure() == pytest.approx(total, rel=1e-12)
+
+    def test_arc_budget(self):
+        # about 3/pi^2 P^2 + 1 arcs at 280 bytes each, against 2 GiB
+        count = len(ArcDecomposition.build(ArcParams.explicit(300.0, 1e4)).intervals)
+        assert abs(count - (round(3 / math.pi ** 2 * 300 ** 2) + 1)) < 0.01 * count
+        assert require_arc_budget(1200) == 1200  # test_blanketed_circle_returns_zero
+        assert require_arc_budget(5000) == 5000
+        with pytest.raises(MemoryBudgetExceeded, match="q <= 5100 need 2.1 GiB, over the 2 GiB arc"):
+            require_arc_budget(5100)
+
+    def test_every_arc_loop_refuses_before_enumerating(self, monkeypatch):
+        # a budget that admits P = 99 and not P = 100, for the three loops
+        # over q <= floor(P)
+        monkeypatch.setattr(arcs, "_ARC_BYTES", 280 * (round(3 / math.pi ** 2 * 99 ** 2) + 1))
+        small, big = ArcParams.explicit(99.0, 1e4), ArcParams.explicit(100.0, 1e4)
+        for loop in (ArcDecomposition.build, major_measure, lambda p: major_mask(p, 1000)):
+            loop(small)
+            with pytest.raises(MemoryBudgetExceeded, match="arc budget"):
+                loop(big)
 
     def test_measure_overlap_raises(self):
         with pytest.raises(OverlapDetected):

@@ -1,10 +1,13 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wglab.arith as arith
 from wglab.arith import (
     ProblemContext,
     admissible,
@@ -16,7 +19,7 @@ from wglab.arith import (
     sieve_interval,
     tau_eta,
 )
-from wglab.errors import EmptyRange, ParameterDomain, RangeTooLarge
+from wglab.errors import EmptyRange, MemoryBudgetExceeded, ParameterDomain, RangeTooLarge
 
 
 def _trial_primes(lo, hi):
@@ -231,6 +234,39 @@ class TestPrimeWindow:
     def test_empty_window_allowed(self):
         win = prime_window(10.0, 0.5)
         assert win.primes == ()
+
+    @staticmethod
+    def _bound(lo, hi):
+        """At most 8 of 30 consecutive integers are prime to 30; 2, 3, 5 add 3."""
+        return 8 * -(-(hi - lo) // 30) + 3
+
+    def test_prime_count_bound(self):
+        for lo, hi in [(0, 1), (0, 30), (1, 100), (10 ** 6, 10 ** 6 + 3000), (7, 37)]:
+            assert len(sieve_interval(lo, hi)) <= self._bound(lo, hi)
+
+    def test_window_charge_covers_the_measured_peak(self):
+        x = 1e6
+        y = x ** 0.8
+        tracemalloc.start()
+        try:
+            win = prime_window(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 81 * len(win.primes) * 1.05  # 81 bytes a prime, measured
+        assert peak <= 81 * self._bound(math.floor(x - y), math.floor(x + y))
+
+    def test_window_budget_refuses_before_sieving(self, monkeypatch):
+        # 81 bytes per possible prime: (10^6 -+ 1500] holds 3000 integers
+        budget = arith._WINDOW_BYTES
+        monkeypatch.setattr(arith, "_WINDOW_BYTES", 81 * self._bound(0, 3000))
+        assert len(prime_window(1e6, 1500.0).primes) > 0
+        monkeypatch.setattr(arith, "sieve_interval", lambda *a: pytest.fail("sieved"))
+        with pytest.raises(MemoryBudgetExceeded, match="3002 integers need"):
+            prime_window(1e6, 1501.0)
+        monkeypatch.setattr(arith, "_WINDOW_BYTES", budget)
+        with pytest.raises(MemoryBudgetExceeded, match="over the 4 GiB prime window budget"):
+            prime_window(1e11, 1e11 ** 0.8)  # `wglab rho --x 1e11`, 1.26e9 integers
 
     def test_domain(self):
         with pytest.raises(ParameterDomain):

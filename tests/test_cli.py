@@ -3,6 +3,7 @@ import dataclasses
 import glob
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,29 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[{code}]: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["arcs", "--P", "1e15", "--Q", "1e16", "--x", "400"],
+            # 4.9e6 arcs fit the library's 280 bytes each, not the listing's 800
+            ["arcs", "--P", "4000", "--Q", "1e5", "--x", "400"],
+            ["scan-sup", "--P", "200000", "--Q", "1e12", "--x", "400", "--grid-size", "1000"],
+            ["rho", "--n", "5", "--x", "1e11", "--k", "2", "--s", "2"],
+            ["dichotomy", "--x", "1e12", "--k", "2", "--s", "2", "--rho", "0.05",
+             "--alpha", "0.3"],
+            ["sigma", "--n", "1000", "--q0", "50000"],
+        ],
+        ids=["arcs", "arcs-listing", "scan-sup", "rho", "dichotomy", "sigma"],
+    )
+    def test_oversized_request_is_refused_at_once(self, argv, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error[memory-budget]: ")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

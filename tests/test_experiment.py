@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import wglab.cache as cache
+import wglab.experiment as experiment
 from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
 from wglab.errors import (
@@ -145,6 +146,14 @@ class TestMajorArcQuadrature:
             with pytest.raises(ParameterDomain, match="target n"):
                 major_arc_rho_numeric(n, TINY, params, 64)
 
+    def test_node_budget_refuses_before_allocating(self, monkeypatch):
+        # 10^15 panels were numpy's "Unable to allocate 7.11 PiB"; 2^27
+        # panels would have asked for 16 GiB of alphas
+        monkeypatch.setattr(experiment, "gauss_legendre_panels", lambda *a: pytest.fail("allocated"))
+        for nodes in (16 * 10 ** 15, 2 ** 31):
+            with pytest.raises(MemoryBudgetExceeded, match="quadrature budget"):
+                major_arc_rho_numeric(218, TINY, ArcParams.explicit(1.0, 50.0), nodes, "full")
+
     def test_numpy_integers_accepted(self):
         params = ArcParams.from_context(TINY)
         with warnings.catch_warnings():
@@ -215,6 +224,12 @@ class TestArcIntegrandMemo:
         for a in (alphas, fs, weights):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_no_budget_check_on_a_hit(self, monkeypatch):
+        params = ArcParams.from_context(TINY)
+        want = self._cold(218, TINY, params, 64)
+        monkeypatch.setattr(experiment, "require_node_budget", lambda *a: pytest.fail("checked"))
+        assert major_arc_rho_numeric(218, TINY, params, 64) == want
 
     def test_keeps_one_entry(self):
         params = ArcParams.from_context(TINY)

@@ -568,3 +568,21 @@ class TestDichotomy:
     def test_alpha_domain(self):
         with pytest.raises(ParameterDomain):
             dichotomy_report(self._ctx(), 0.25, 1.0)
+
+    def test_window_charge_covers_the_measured_peak(self):
+        ctx = _window_ctx(1e5, 1e5 ** 0.8)
+        points = math.floor(ctx.x + ctx.y) - math.floor(ctx.x)
+        tracemalloc.start()
+        try:
+            dichotomy_report(ctx, 0.05, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 188 * points
+
+    def test_window_budget_refuses_before_allocating(self, monkeypatch):
+        # `wglab dichotomy --x 1e12`: 4.0e9 integers, 29.7 GiB of support alone
+        ctx = _window_ctx(1e12, 1e12 ** 0.8)
+        monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("allocated"))
+        with pytest.raises(MemoryBudgetExceeded, match="over the 4 GiB dichotomy budget"):
+            dichotomy_report(ctx, 0.05, 0.3)

@@ -162,3 +162,36 @@ def test_catches_a_nested_import():
         "    import re\n"
     )
     assert _nested_imports(tree) == [7, 9, 11]
+
+
+_BUDGET_ERRORS = {"MemoryBudgetExceeded", "ConvolutionTooLarge"}
+
+
+def _budget_errors_built(tree: ast.Module) -> list[int]:
+    """Line numbers of the calls that construct a budget error by name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in _BUDGET_ERRORS
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_budget_errors_come_from_require_bytes(path):
+    lines = _budget_errors_built(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} builds a budget error at lines {lines}; use require_bytes"
+
+
+def test_catches_a_hand_written_budget():
+    tree = ast.parse(
+        "from . import errors\n"
+        "from .errors import ConvolutionTooLarge, MemoryBudgetExceeded, require_bytes\n"
+        "def f(need):\n"
+        "    require_bytes(need, 4, 'grid', 'a grid needs', ConvolutionTooLarge)\n"
+        "    if need > 8:\n"
+        "        raise MemoryBudgetExceeded('over')\n"
+        "    raise errors.ConvolutionTooLarge('over')\n"
+    )
+    assert _budget_errors_built(tree) == [6, 7]

@@ -9,6 +9,7 @@ from wglab.arith import ProblemContext
 from wglab.errors import (
     ConvolutionTooLarge,
     EmptyWindow,
+    MemoryBudgetExceeded,
     ParameterDomain,
     PrecisionOverflow,
 )
@@ -19,6 +20,7 @@ from wglab.singular_integral import (
     j_integral,
     oscillatory_I,
     require_conv_budget,
+    require_node_budget,
     v_eval,
     wrap_length,
     wrapped_convolution,
@@ -550,3 +552,21 @@ class TestOscillatoryI:
         ctx = ProblemContext.from_parts(2, 2, 1e9, 10.0)
         with pytest.raises(PrecisionOverflow):
             oscillatory_I(1.0, ctx)
+
+    def test_node_budget(self):
+        # 120 bytes per node against 4 GiB: 2,236,962 panels of 16 nodes
+        require_node_budget(2_236_962)
+        with pytest.raises(MemoryBudgetExceeded, match="35791408 Gauss-Legendre nodes"):
+            require_node_budget(2_236_963)
+
+    def test_refused_before_the_first_panels(self, monkeypatch):
+        # phase span 4e7: 4e7 + 1 panels, 4.77 GiB of nodes alone
+        monkeypatch.setattr(si, "gauss_legendre_panels", lambda *a: pytest.fail("allocated"))
+        with pytest.raises(MemoryBudgetExceeded, match="quadrature budget"):
+            oscillatory_I(1.0, ProblemContext.from_parts(2, 2, 1e4, 1e3))
+
+    def test_refused_before_a_doubling(self, monkeypatch):
+        # a budget of 4 panels: beta = 0 would converge at the second step
+        monkeypatch.setattr(si, "_NODE_BYTES", 120 * 16 * 4)
+        with pytest.raises(MemoryBudgetExceeded, match="128 Gauss-Legendre nodes"):
+            oscillatory_I(0.0, self._ctx())

@@ -8,7 +8,7 @@ import pytest
 
 import wglab.singular_series as ss
 from wglab.arith import ProblemContext, euler_phi, factorize
-from wglab.errors import NotCoprime, ParameterDomain, RangeTooLarge
+from wglab.errors import MemoryBudgetExceeded, NotCoprime, ParameterDomain, RangeTooLarge
 from wglab.singular_series import (
     a_coefficient_direct,
     gauss_sum,
@@ -190,6 +190,19 @@ class TestTruncatedSigma:
             truncated_sigma(5, CTX, 10 ** 9)
         with pytest.raises(RangeTooLarge):
             truncated_sigma(2 ** 63, CTX, 10)
+
+    def test_table_budget(self, monkeypatch):
+        # 25 bytes per residue of every prime-power table against 2 GiB:
+        # 38 MiB at q0 = 5000 (ROADMAP item 2); 41592 fits, 41593 not
+        for q_max in (1, 2, 10, 360):
+            factored = {p ** e for q in range(2, q_max + 1) for p, e in factorize(q)}
+            assert sorted(ss._prime_powers(q_max)) == sorted(factored)
+        assert 25 * sum(ss._prime_powers(5000)) < 40 * 2 ** 20
+        assert 25 * sum(ss._prime_powers(41592)) <= ss._SIGMA_BYTES
+        assert 25 * sum(ss._prime_powers(41593)) > ss._SIGMA_BYTES
+        monkeypatch.setattr(ss, "_pp_table", lambda *a: pytest.fail("built a table"))
+        with pytest.raises(MemoryBudgetExceeded, match="up to 50000 need 2.8 GiB"):
+            truncated_sigma(1000, CTX, 50000)
 
 
 def _sigma_per_q(n_values, ctx, q_max, checkpoint=None):
