@@ -45,11 +45,15 @@ expression to it, so the two routes agree bit for bit; elsewhere
 `grid_sums` evaluates the exact rational j/G, not its float.
 `eval_sums` takes f at arbitrary float alphas (the arc quadrature, the
 pointwise reports) through `PhasePowers`.  Both build phases for blocks
-of about 2^13 entries and reduce each block with `_reduce`: one
-`np.add.accumulate` along the support axis, strictly left to right, so
-every f is the pointwise left-to-right sum bit for bit.  `sup_scan`,
-`arc_profile` and `minor_arc_moment` take the grid indices of their
-region and |f| there from `grid_magnitudes`.  Major/minor labels of the
+of about 2^13 entries, laid out (support, alphas), and reduce each block
+with `_reduce`, strictly left to right, so every f is the pointwise
+left-to-right sum bit for bit.  In that layout numpy adds a block of two
+or more columns one support row at a time, in a fifth of the time of a
+running sum along the support; a one-column block, which numpy would sum
+pairwise, keeps the running sum.  `sup_scan`, `arc_profile` and
+`minor_arc_moment` take the grid indices of their region and |f| there
+from `grid_magnitudes`, which keeps its last result, so scans of one
+grid take |f| once.  Major/minor labels of the
 grid come from `major_mask`, also on the exact rational j/G: the point is
 on the arc |alpha - a/q| <= 1/(qQ), q <= floor(P), exactly when the
 integer |qj - aG| is at most G/Q, so every arc is an integer index range.
@@ -77,6 +81,7 @@ SEQUENCE_KINDS = ("prime_log", "integer_log", "unit")
 _BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and grid_sums
 _GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
 _DICHOTOMY_BYTES = 4 * 2 ** 30  # dichotomy window budget, see dichotomy_report
+_GRID_MEMO: dict = {}  # grid_magnitudes' last result, at most one entry
 
 
 class PhasePowers:
@@ -215,19 +220,26 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
 
 
 def _reduce(w: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum over j of w[j] * B[i, j], left to right, for every row i of B.
+    """sum over i of w[i] * B[i, j], left to right, for every column j of B.
 
-    B holds one row of phases per alpha, one column per support point,
-    and is scaled in place.  `np.add.accumulate` adds strictly left to
-    right whatever the shape, so each row's sum is the pointwise
-    left-to-right sum bit for bit; `np.add.reduce` sums a contiguous
-    axis pairwise, which differs.  A block costs three numpy calls at
-    any support size.
+    B holds one row of phases per support point and one column per
+    alpha, C-contiguous, and is scaled in place.  With two or more
+    columns, `np.add.reduce` over the rows adds row after row into the
+    column sums, so each column is the pointwise left-to-right sum bit
+    for bit.  A one-column block is contiguous along the support, which
+    `np.add.reduce` sums pairwise from 8 terms up, so it takes the last
+    running sum of `np.add.accumulate`, strictly left to right at any
+    shape.  A block that is not C-contiguous, such as a `.T` view, is
+    refused: numpy would sum it pairwise too.
     """
+    if not B.flags.c_contiguous:
+        raise ValueError("_reduce needs a C-contiguous (support, alphas) block")
     if not w.size:
-        return np.zeros(B.shape[0], dtype=np.complex128)
-    B *= w
-    return np.add.accumulate(B, axis=1)[:, -1]
+        return np.zeros(B.shape[1], dtype=np.complex128)
+    B *= w[:, None]
+    if B.shape[1] == 1:
+        return np.add.accumulate(B, axis=0)[-1]
+    return np.add.reduce(B, axis=0)
 
 
 def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
@@ -235,15 +247,15 @@ def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
 
     Phases come from one `PhasePowers(seq.support, k)`, built per call,
     for blocks of about _BLOCK_PHASES entries at a time, each block
-    reduced by `_reduce`.
+    transposed to (support, alphas) and reduced by `_reduce`.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.zeros(alphas.size, dtype=np.complex128)
     pw = PhasePowers(seq.support, k)
     rows = max(1, _BLOCK_PHASES // max(pw.size, 1))
     for start in range(0, alphas.size, rows):
-        block = pw.phases(alphas[start : start + rows])
-        out[start : start + block.shape[0]] = _reduce(seq.weights, block)
+        block = np.ascontiguousarray(pw.phases(alphas[start : start + rows]).T)
+        out[start : start + block.shape[1]] = _reduce(seq.weights, block)
     return out
 
 
@@ -260,7 +272,9 @@ def require_grid_budget(grid_size: int, support_size: int) -> int:
     other per-point arrays are never live next to the table and fit
     under the same charge: `major_mask` needs at most 17 bytes per
     point, `grid_magnitudes`' |f| 8, and `arc_profile`'s alphas and
-    labels 16 more.
+    labels 16 more.  After a scan, `grid_magnitudes` keeps its indices
+    and |f|, 16 bytes per point (and its key, 16 per support point),
+    until the next miss drops them before anything is allocated.
     This admits grid sizes up to 1.07e8: 2^26 fits, 2^27 does not.
     Every index j and residue n^k mod G is then below 2^27, so their
     product stays below 2^54 < 2^63.
@@ -297,7 +311,7 @@ def grid_sums(seq: WeightedSequence, k: int, grid_size: int, idx) -> np.ndarray:
     out = np.zeros(idx.size, dtype=np.complex128)
     for start in range(0, idx.size, rows):
         j = idx[start : start + rows]
-        out[start : start + j.size] = _reduce(seq.weights, table[(j[:, None] * R) % G])
+        out[start : start + j.size] = _reduce(seq.weights, table[(R[:, None] * j) % G])
     return out
 
 
@@ -349,16 +363,34 @@ def grid_magnitudes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(idx, |f|) at the grid points j/grid_size of a region: idx from
     `grid_points`, f from `grid_sums`.  Refuses a grid over the budget
-    before the indices are listed."""
+    before the indices are listed.
+
+    The last result is kept, read-only, keyed by the sequence's support
+    and weights, k, params, region and grid_size, so `sup_scan` and
+    `minor_arc_moment` on one grid take |f| once.  A miss drops the kept
+    result before it computes, so the grid budget's charge stays the
+    whole peak.
+    """
     if grid_size < 2:
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
+    if not isinstance(region, str):  # the key must hash; grid_points checks the name
+        raise ParameterDomain(f"unknown region {region!r}")
+    key = (seq.support.tobytes(), seq.weights.tobytes(), k, params, region, grid_size)
+    hit = _GRID_MEMO.get(key)
+    if hit is not None:
+        return hit
+    _GRID_MEMO.clear()
     require_grid_budget(grid_size, len(seq))
     idx = grid_points(params, region, grid_size)
     # |f| by hypot, the routine Python's abs(complex) uses: np.abs differs
     # from it in the last bit, and the scan_sup.json golden's tied maxima
     # pick their argmax by those bits
     f = grid_sums(seq, k, grid_size, idx)
-    return idx, np.hypot(f.real, f.imag)
+    mags = np.hypot(f.real, f.imag)
+    for a in (idx, mags):
+        a.flags.writeable = False
+    _GRID_MEMO[key] = idx, mags
+    return idx, mags
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
 import cmath
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wglab import expsums
 from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
 from wglab.errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain
 from wglab.experiment import minor_arc_moment
 from wglab.expsums import (
     _GRID_BYTES,
+    _GRID_MEMO,
     _M26,
     _M53,
     PhasePowers,
@@ -28,6 +31,7 @@ from wglab.expsums import (
     grid_sums,
     major_mask,
     phase_fraction_exact,
+    _reduce,
     require_grid_budget,
     sup_scan,
 )
@@ -474,7 +478,8 @@ class TestGridSums:
     def test_budget_covers_the_measured_peak(self):
         # every grid scan, its index array included, peaks within the
         # charge (give or take a few interpreter objects) and above 36
-        # of its 40 bytes per point
+        # of its 40 bytes per point; each starts from an empty |f| memo,
+        # or arc_profile would take sup_scan's |f| over the full grid
         seq = build_sequence(CTX_800K, "prime_log")
         params = ArcParams.from_context(CTX_800K)
         arcs = ArcDecomposition.build(params)
@@ -489,6 +494,7 @@ class TestGridSums:
             "minor_arc_moment": lambda: minor_arc_moment(CTX_800K, params, 4, G, "full"),
         }
         for name, scan in scans.items():
+            _GRID_MEMO.clear()
             tracemalloc.start()
             try:
                 scan()
@@ -521,6 +527,143 @@ class TestGridSums:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def _random_sequence(m, seed):
+    """m ascending support points up to 10^6 with weights in [1, 15)."""
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(np.arange(2, 10 ** 6), size=m, replace=False))
+    return WeightedSequence(support=support, weights=1 + 14 * rng.random(m))
+
+
+class TestReductionOrder:
+    """Blocks are laid out (support, alphas); every column must still be
+    the pointwise left-to-right sum, bit for bit, whether the block has
+    one column (summed by running sums) or several (summed row by row).
+    Supports past 2^13 points, one column per block, are in
+    `TestBatchedPhases.test_wide_windows_sum_left_to_right`."""
+
+    @pytest.mark.parametrize("m", [7, 8, 38, 1500])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 5, 7])
+    def test_eval_and_grid_sums_left_to_right(self, m, cols):
+        seq = _random_sequence(m, seed=m + cols)
+        pw = PhasePowers(seq.support, 2)
+        alphas = np.random.default_rng(cols).random(cols)
+        want = [_sum_left_to_right(seq.weights, pw.phases(a)) for a in alphas.tolist()]
+        assert np.array_equal(_bits(eval_sums(seq, 2, alphas)), _bits(np.array(want)))
+        G = 12347
+        js = np.random.default_rng(m).integers(0, G, cols)
+        R = seq.support ** 2 % G
+        table = np.exp((2j * np.pi) * (np.arange(G) / G))
+        want = [_sum_left_to_right(seq.weights, table[j * R % G]) for j in js.tolist()]
+        assert np.array_equal(_bits(grid_sums(seq, 2, G, js)), _bits(np.array(want)))
+
+    def test_refuses_a_transposed_view(self):
+        seq = _random_sequence(38, seed=1)
+        block = PhasePowers(seq.support, 2).phases([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _reduce(seq.weights, block.T)
+        assert _reduce(seq.weights, np.ascontiguousarray(block.T)).shape == (3,)
+
+    def test_empty_sequence_gives_one_zero_per_alpha(self):
+        empty = WeightedSequence(support=np.zeros(0, dtype=np.int64), weights=np.zeros(0))
+        assert eval_sums(empty, 2, [0.1, 0.2, 0.3]).tolist() == [0j] * 3
+        assert grid_sums(empty, 2, 100, [1, 2, 3, 4]).tolist() == [0j] * 4
+        assert _reduce(np.zeros(0), np.zeros((0, 5), dtype=np.complex128)).shape == (5,)
+
+
+class TestGridMemo:
+    """`grid_magnitudes` keeps its last (idx, |f|); a hit must equal a
+    cold value, and any change of sequence, k, params, region or grid
+    must miss."""
+
+    G = 4096
+
+    @pytest.fixture(autouse=True)
+    def _count_passes(self, monkeypatch):
+        # every |f| pass calls grid_sums once; the kept entry must be gone
+        # by then
+        self.passes = 0
+        real = expsums.grid_sums
+
+        def counted(*args):
+            assert not _GRID_MEMO
+            self.passes += 1
+            return real(*args)
+
+        monkeypatch.setattr(expsums, "grid_sums", counted)
+        _GRID_MEMO.clear()
+
+    def test_scans_of_one_grid_share_one_pass(self):
+        params = ArcParams.from_context(CTX_800K)
+        arcs = ArcDecomposition.build(params)
+        seq = build_sequence(CTX_800K, "prime_log")
+        sup = sup_scan(seq, 2, arcs, "minor", self.G)
+        moment = minor_arc_moment(CTX_800K, params, 4, self.G)
+        assert self.passes == 1
+        _GRID_MEMO.clear()
+        assert minor_arc_moment(CTX_800K, params, 4, self.G) == moment
+        assert sup_scan(seq, 2, arcs, "minor", self.G) == sup
+        assert self.passes == 2
+
+    def test_hit_equals_cold(self):
+        params = ArcParams.from_context(CTX_800K)
+        seq = build_sequence(CTX_800K, "prime_log")
+        first = grid_magnitudes(seq, 2, params, "minor", self.G)
+        hit = grid_magnitudes(build_sequence(CTX_800K, "prime_log"), 2, params, "minor", self.G)
+        assert hit[0] is first[0] and hit[1] is first[1]
+        _GRID_MEMO.clear()
+        cold = grid_magnitudes(seq, 2, params, "minor", self.G)
+        assert cold[0].tolist() == hit[0].tolist() and cold[1].tolist() == hit[1].tolist()
+        assert self.passes == 2
+
+    def test_cached_arrays_read_only(self):
+        params = ArcParams.from_context(CTX_800K)
+        for a in grid_magnitudes(build_sequence(CTX_800K, "prime_log"), 2, params, "full", self.G):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_every_key_part_misses(self):
+        params = ArcParams.from_context(CTX_800K)
+        seq = build_sequence(CTX_800K, "prime_log")
+        heavier = WeightedSequence(support=seq.support, weights=seq.weights * 2)
+        calls = [
+            (seq, 2, params, "minor", self.G),
+            (heavier, 2, params, "minor", self.G),
+            (seq, 2, params, "major", self.G),
+            (seq, 2, params, "minor", self.G + 1),
+            (seq, 2, ArcParams.from_context(CTX_800K, A=1.5), "minor", self.G),
+            (seq, 3, params, "minor", self.G),
+        ]
+        results = []
+        for i, call in enumerate(calls, 1):
+            results.append(grid_magnitudes(*call))
+            assert self.passes == i and len(_GRID_MEMO) == 1
+        # the weights doubled exactly, and so did |f|
+        assert results[1][1].tolist() == (2 * results[0][1]).tolist()
+
+    def test_region_must_be_a_name(self):
+        params = ArcParams.from_context(CTX_800K)
+        arcs = ArcDecomposition.build(params)
+        seq = build_sequence(CTX_800K, "prime_log")
+        for bad in (["minor"], "everything"):
+            with pytest.raises(ParameterDomain, match="unknown region"):
+                sup_scan(seq, 2, arcs, bad, self.G)
+        assert self.passes == 0 and not _GRID_MEMO
+
+    def test_kept_entry_released_before_a_miss(self, monkeypatch):
+        params = ArcParams.from_context(CTX_800K)
+        seq = build_sequence(CTX_800K, "prime_log")
+        old = weakref.ref(grid_magnitudes(seq, 2, params, "minor", self.G)[1])
+        counted = expsums.grid_sums
+
+        def after_release(*args):
+            assert old() is None
+            return counted(*args)
+
+        monkeypatch.setattr(expsums, "grid_sums", after_release)
+        grid_magnitudes(seq, 2, params, "major", self.G)
+        assert self.passes == 2 and len(_GRID_MEMO) == 1
 
 
 class TestDichotomy:
