@@ -5,8 +5,8 @@ Each rung is two fresh interpreters that run `exceptional_scan` at
 q0 = 400 with one new cache directory: the first cold, filling the
 cache, the second warm, reading it.  The default ladder is k=2, s=5,
 theta=0.8 at x = 400, 1000, 2000, 4000, plus k=3, s=7, x=60;
-`--extra-x 8000` adds k=2 rungs.  Per rung the record holds, for the
-cold process:
+`--extra-x 8000` adds k=2 rungs and `--extra-k3-x 100 150` k=3, s=7
+ones.  Per rung the record holds, for the cold process:
 
   * the stage times of the scan: prime window (inside rho), rho, sigma
     and j, taken by wrapping the names `experiment` looks up and read
@@ -33,6 +33,7 @@ fails inside its own process.
 
     python3 scripts/ladder.py --label after
     python3 scripts/ladder.py --label after --extra-x 8000
+    python3 scripts/ladder.py --label after --extra-k3-x 100 150
 """
 
 import argparse
@@ -163,6 +164,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     ap.add_argument("--extra-x", type=int, nargs="*", default=[],
                     help="more k=2, s=5, theta=0.8 rungs")
+    ap.add_argument("--extra-k3-x", type=int, nargs="*", default=[],
+                    help="more k=3, s=7, theta=0.8 rungs")
     ap.add_argument("--rung", nargs=4, help=argparse.SUPPRESS)
     ap.add_argument("--cache-dir", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -172,7 +175,11 @@ def main(argv=None) -> int:
         print(json.dumps(run_rung(int(k), int(s), float(theta), int(x), args.cache_dir)))
         return 0
 
-    rungs = LADDER + [(2, 5, 0.8, x) for x in args.extra_x]
+    rungs = (
+        LADDER
+        + [(2, 5, 0.8, x) for x in args.extra_x]
+        + [(3, 7, 0.8, x) for x in args.extra_k3_x]
+    )
     records = []
     for rung in rungs:
         rec = spawn(rung)

@@ -19,7 +19,7 @@ from .arcs import ArcDecomposition, ArcParams, RationalPoint, classify, dirichle
 from .errors import WglabError
 from .experiment import ExceptionalReport, MajorArcPrediction, exceptional_scan, predict
 from .expsums import WeightedSequence, build_sequence, eval_sum
-from .representations import RepresentationRecord, rho_mitm, rho_naive
+from .representations import RepresentationRecord, RepresentationTable, rho_mitm, rho_naive
 from .singular_integral import j_integral, oscillatory_I, v_eval
 from .singular_series import GaussSumValue, SeriesTruncation, gauss_sum, truncated_sigma
 
@@ -35,6 +35,7 @@ __all__ = [
     "ProblemContext",
     "RationalPoint",
     "RepresentationRecord",
+    "RepresentationTable",
     "SeriesTruncation",
     "WeightedSequence",
     "WglabError",

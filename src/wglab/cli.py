@@ -120,11 +120,20 @@ def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> Ar
 def _csv_column(col) -> list[str]:
     """The CSV cells of one column: a numpy float, int or bool array in
     one pass, anything else value by value; floats at 12 significant
-    digits, bools lowercase."""
+    digits, bools lowercase.  Exact +0.0 cells of a float array print
+    "0" without the formatter, as it would print them (-0.0 keeps "-0");
+    zero-heavy scans hold tens of thousands of them."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "fiub":
-        values = col.tolist()
         if col.dtype.kind == "f":
-            return [f"{v:.12g}" for v in values]
+            zero = (col == 0) & ~np.signbit(col)
+            if not zero.any():
+                return [f"{v:.12g}" for v in col.tolist()]
+            rest = ~zero
+            cells = ["0"] * col.size
+            for i, v in zip(np.flatnonzero(rest).tolist(), col[rest].tolist()):
+                cells[i] = f"{v:.12g}"
+            return cells
+        values = col.tolist()
         if col.dtype.kind == "b":
             return ["true" if v else "false" for v in values]
         return [str(v) for v in values]

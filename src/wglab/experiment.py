@@ -219,10 +219,12 @@ def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray
     Refused before allocation: range-too-large past int64, memory-budget
     over 4 GiB at _TARGET_BYTES per member of the class.  That covers the
     scan's per-target columns, flag masks and sorted ratios (90 bytes)
-    and rho's per-target state, mostly `rho_mitm`'s frozen records on the
-    join route.  Whole-scan tracemalloc peaks, warm in-process caches:
-    373 and 326 bytes per target at k = 3, x = 60 and 100 (join), 257 at
-    k = 2, x = 4000 (lattice).  The FFTs also check `require_conv_budget`.
+    and rho's per-target arrays.  Whole-scan tracemalloc peaks per
+    target, warm in-process caches: 373, 114 and 97 bytes at k = 3,
+    x = 60, 100 and 150 on the join route (j's FFT sets the one at
+    x = 60), 730 and 257 at k = 2, x = 1000 and 4000 on the lattice,
+    where the FFT arrays set them.  The largest, 730, lies above 400, so
+    the charge is not lowered.  The FFTs also check `require_conv_budget`.
     """
     if n_hi >= 2 ** 63:
         raise RangeTooLarge(f"targets up to {n_hi} are past the int64 range")

@@ -10,7 +10,9 @@ powers sum to n.  Three routes are provided:
   floor(s/2)-fold sums into sorted unique tables, then join them once
   over the whole target set, whether one target or a scan window.
   Table values are int64, or Python ints in an object array once the
-  sums can reach 2^62; the same code serves both.
+  sums can reach 2^62; the same code serves both.  The answer is a
+  `RepresentationTable` of three arrays (n, values, counts) in input
+  order, which reads as a sequence of `RepresentationRecord`.
 * the lattice route - rho is the s-fold convolution of the weights
   log p placed at p^k, and the tuple count that of the 0/1 indicator of
   the same points.  Every p^k lies in the class p_min^k (mod g), g the
@@ -21,17 +23,19 @@ powers sum to n.  Three routes are provided:
   counts zero.  Counts are rounded under an a-priori error estimate and
   an a-posteriori check on the computed counts.
 
-`rho_scan` takes a sorted target array and picks between the last two
-by one cost rule: the lattice when the estimated join pairs
-m^s (b - a + 1) / (s(R - 1) + 1) exceed L log2 L, where m is the number
-of primes, R the lattice length, [a, b] the lattice indices of the
-targets' span and L the wrapped FFT length, all in steps of g;
-meet-in-the-middle otherwise.  At k = 2 every ladder window from
-N = 800,000 up takes the FFT; k = 3 at x = 60 (g = 2) and the
-three-prime window of the x = 10 goldens keep the join.
+`rho_scan` takes a sorted target array, returns (values, counts)
+arrays and picks between the last two by one cost rule: the lattice
+when the estimated join pairs m^s (b - a + 1) / (s(R - 1) + 1) exceed
+L log2 L, where m is the number of primes, R the lattice length, [a, b]
+the lattice indices of the targets' span and L the wrapped FFT length,
+all in steps of g; meet-in-the-middle otherwise.  At k = 2 every
+ladder window from N = 800,000 up takes the FFT; k = 3 at x = 60
+(g = 2) and the three-prime window of the x = 10 goldens keep the join.
 
 All routes count ordered tuples; they must agree exactly up to float
-associativity, and the tests pin that.
+associativity, and the tests pin that.  Targets are integers: a float
+or bool target is refused as parameter-domain, and one past int64
+counts zero.
 
 The even moment of the window exponential sum comes out of the same
 table machinery: the mean of |f|^(2t) over the circle equals the sum of
@@ -42,8 +46,9 @@ computed here without touching any alpha grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,13 +88,20 @@ def _window_powers(ctx: ProblemContext) -> tuple[list[int], list[float]]:
     return pk, list(win.weights)
 
 
+def _is_integer(v) -> bool:
+    """v is a Python or numpy integer and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def rho_naive(n: int, ctx: ProblemContext) -> RepresentationRecord:
     """rho(n) by full nested enumeration over ordered tuples.
 
     Pruned by the running min/max of what the remaining slots can still
     contribute; the guard rejects windows where the unpruned tuple space
-    exceeds 10^8.
+    exceeds 10^8.  A float or bool n is refused as parameter-domain.
     """
+    if not _is_integer(n):
+        raise ParameterDomain(f"rho needs an integer target, got {n!r}")
     n = int(n)
     pk, logs = _window_powers(ctx)
     m, s = len(pk), ctx.s
@@ -154,17 +166,67 @@ def _fold_table(pk: list[int], logs: list[float], fold: int, top: int) -> HalfSu
     return HalfSumTable(values=vals, weights=wts, counts=cnt)
 
 
-def rho_mitm(n_values, ctx: ProblemContext) -> list[RepresentationRecord]:
+@dataclass(frozen=True, eq=False)
+class RepresentationTable:
+    """`rho_mitm`'s answer, one row per target in input order: n the
+    targets (int64, or Python ints in an object array once one does not
+    fit), values rho (float64) and counts the ordered tuple counts
+    (int64).  It reads as a sequence of `RepresentationRecord`, each
+    built when it is indexed or iterated."""
+
+    n: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def __getitem__(self, i: int) -> RepresentationRecord:
+        i = operator.index(i)
+        return RepresentationRecord(
+            int(self.n[i]), float(self.values[i]), int(self.counts[i])
+        )
+
+    def __iter__(self) -> Iterator[RepresentationRecord]:
+        rows = zip(self.n.tolist(), self.values.tolist(), self.counts.tolist())
+        return (RepresentationRecord(*row) for row in rows)
+
+
+def _target_array(n_values) -> np.ndarray:
+    """n_values as a flat integer array in input order: int64 when every
+    target fits, Python ints in an object array otherwise.  A float or
+    bool target is refused as parameter-domain, not truncated; anything
+    but an integer ndarray is checked element by element, since
+    np.asarray folds [True, 5] into int64."""
+    arr = n_values if isinstance(n_values, np.ndarray) else np.array(n_values, dtype=object)
+    arr = np.atleast_1d(arr).ravel()
+    if arr.dtype.kind == "u":
+        arr = arr.astype(object)  # uint64 past 2^63 must not wrap
+    if arr.dtype.kind == "O":
+        bad = [v for v in arr.tolist() if not _is_integer(v)]
+        if bad:
+            raise ParameterDomain(f"rho needs integer targets, got {bad[0]!r}")
+        try:
+            return arr.astype(np.int64)
+        except OverflowError:
+            return np.array([int(v) for v in arr.tolist()], dtype=object)
+    if arr.dtype.kind != "i":
+        raise ParameterDomain(f"rho needs integer targets, got a {arr.dtype} array")
+    return arr.astype(np.int64, copy=False)
+
+
+def rho_mitm(n_values, ctx: ProblemContext) -> RepresentationTable:
     """rho over any set of targets by one meet-in-the-middle join.
 
     T1 holds the ceil(s/2)-fold sums and T2 the floor(s/2)-fold sums.
-    For each row v of T2, the slice of T1 that lands in [min target,
-    max target] is matched against the sorted unique targets and its
-    hits are added, rows taken in ascending order.  Records come back in
-    input order, duplicates repeated; targets outside [s p_min^k,
-    s p_max^k] count zero.
+    The join runs once over the sorted unique targets in [s p_min^k,
+    s p_max^k]: for each row v of T2, in ascending order, the slice of
+    T1 that lands in [min target, max target] is matched against them
+    and its hits are added.  np.unique's inverse scatters the sums back,
+    so the table keeps the input order and its duplicates; targets
+    outside the span read (0.0, 0).
     """
-    ns = [int(v) for v in np.atleast_1d(np.asarray(n_values)).tolist()]
+    ns = _target_array(n_values)
     pk, logs = _window_powers(ctx)
     s1 = (ctx.s + 1) // 2
     s2 = ctx.s - s1  # >= 1 since s >= 2
@@ -172,16 +234,18 @@ def rho_mitm(n_values, ctx: ProblemContext) -> list[RepresentationRecord]:
     t1 = _fold_table(pk, logs, s1, top)
     t2 = t1 if s2 == s1 else _fold_table(pk, logs, s2, top)
 
-    inside = sorted({n for n in ns if ctx.s * pk[0] <= n <= top})
-    found: dict[int, tuple[float, int]] = {}
-    if inside:
-        targets = np.array(inside, dtype=t1.values.dtype)
+    values = np.zeros(ns.size)
+    counts = np.zeros(ns.size, dtype=np.int64)
+    in_span = (ns >= ctx.s * pk[0]) & (ns <= top)
+    if in_span.any():
+        targets, back = np.unique(ns[in_span].astype(t1.values.dtype), return_inverse=True)
+        lo, hi = int(targets[0]), int(targets[-1])
         wsum = np.zeros(targets.size)
         csum = np.zeros(targets.size, dtype=np.int64)
         last = targets.size - 1
         for v, w2, c2 in zip(t2.values.tolist(), t2.weights.tolist(), t2.counts.tolist()):
-            i = int(np.searchsorted(t1.values, inside[0] - v))
-            j = int(np.searchsorted(t1.values, inside[-1] - v, side="right"))
+            i = int(np.searchsorted(t1.values, lo - v))
+            j = int(np.searchsorted(t1.values, hi - v, side="right"))
             if i == j:
                 continue
             need = t1.values[i:j] + v
@@ -190,8 +254,9 @@ def rho_mitm(n_values, ctx: ProblemContext) -> list[RepresentationRecord]:
             # T1 values are unique, so no target repeats within one row
             wsum[pos[ok]] += w2 * t1.weights[i:j][ok]
             csum[pos[ok]] += c2 * t1.counts[i:j][ok]
-        found = dict(zip(inside, zip(wsum.tolist(), csum.tolist())))
-    return [RepresentationRecord(n, *found.get(n, (0.0, 0))) for n in ns]
+        values[in_span] = wsum[back]
+        counts[in_span] = csum[back]
+    return RepresentationTable(ns, values, counts)
 
 
 class _LatticePlan(NamedTuple):
@@ -316,15 +381,13 @@ def _rho_lattice(
 
 def rho_scan(ns: np.ndarray, ctx: ProblemContext) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts) of rho at sorted int64 targets, by the route the
-    cost rule picks for their span."""
+    cost rule picks for their span.  The join side returns the arrays of
+    `rho_mitm`'s table as they are."""
     plan = _lattice_window(ctx, int(ns[0]), int(ns[-1])) if ns.size else None
     if _lattice_pays(ctx, plan):
         return _rho_lattice(ns, ctx, plan)
-    records = rho_mitm(ns, ctx)
-    return (
-        np.array([r.value for r in records], dtype=np.float64),
-        np.array([r.tuple_count for r in records], dtype=np.int64),
-    )
+    table = rho_mitm(ns, ctx)
+    return table.values, table.counts
 
 
 def moment(t: int, ctx: ProblemContext) -> MomentValue:

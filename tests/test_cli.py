@@ -420,3 +420,28 @@ class TestColumnRenderer:
         header = ["a", "b", "c", "d", "e"]
         assert csv_lines(header, columns) == _csv_lines_by_row(header, rows)
         assert csv_lines(header, [[] for _ in header]) == "a,b,c,d,e\n"
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.0, -5e-324]),
+            np.array([-0.0, -0.0, 0.0]),
+            np.zeros(4),
+            np.array([1 / 3, -0.0, np.nan, 2.5e-7, -1e300]),
+            np.array([0.0, 1.0], dtype=np.float32),
+        ],
+        ids=["specials", "signed-zeros", "all-zero", "no-plus-zero", "float32"],
+    )
+    def test_float_zero_cells_match_the_formatter(self, col):
+        # +0.0 cells skip the formatter; every cell must still read as
+        # the per-value rendering does, -0.0 as "-0"
+        want = [f"{v:.12g}" for v in col.tolist()]
+        assert cli._csv_column(col) == want
+
+
+def test_rho_output_is_unchanged(capsys):
+    argv = ["rho", "--n", "800021", "--k", "2", "--s", "5", "--theta", "0.8", "--N", "800000"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "n": 800021,\n  "rho": 80164498.6373,\n  "tuple_count": 10630\n}\n'
+    )

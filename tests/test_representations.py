@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -19,6 +20,8 @@ from wglab.representations import (
     _rho_lattice,
     moment,
     rho_mitm,
+    RepresentationRecord,
+    RepresentationTable,
     rho_naive,
     rho_route,
     rho_scan,
@@ -188,6 +191,65 @@ class TestRhoMitm:
         assert peak < 50 * 2 ** 20
 
 
+class TestRepresentationTable:
+    def test_sequence_of_records(self):
+        # unsorted, repeated and out-of-span targets keep their places
+        ctx = _tiny_ctx()
+        targets = [242, 98, 170, 3, 98, 290, 242]
+        table = rho_mitm(targets, ctx)
+        assert isinstance(table, RepresentationTable)
+        assert len(table) == len(targets)
+        assert table.n.dtype == np.int64 and table.n.tolist() == targets
+        assert table.values.dtype == np.float64
+        assert table.counts.dtype == np.int64
+        recs = list(table)
+        assert all(type(rec) is RepresentationRecord for rec in recs)
+        assert recs == [rho_naive(n, ctx) for n in targets]
+        assert [table[i] for i in range(len(table))] == recs
+        assert table[-1] == recs[-1] and table[-7] == recs[0]
+        assert table[1] == table[4] and recs[3] == RepresentationRecord(3, 0.0, 0)
+        with pytest.raises(IndexError):
+            table[7]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_targets_past_int64_go_to_objects(self):
+        table = rho_mitm([10, 10 ** 9, 2 ** 70], _tiny_ctx())
+        assert table.n.dtype == object and table.n.tolist() == [10, 10 ** 9, 2 ** 70]
+        assert table.values.dtype == np.float64
+        assert table.counts.dtype == np.int64
+        assert table[-1] == RepresentationRecord(2 ** 70, 0.0, 0)
+        assert type(table[-1].n) is int
+        # uint64 targets past 2^63 do not wrap into int64
+        table = rho_mitm(np.array([98, 2 ** 64 - 1], dtype=np.uint64), _tiny_ctx())
+        assert table.n.tolist() == [98, 2 ** 64 - 1]
+        assert [rec.tuple_count for rec in table] == [1, 0]
+
+    def test_empty_and_numpy_scalars(self):
+        ctx = _tiny_ctx()
+        assert len(rho_mitm([], ctx)) == 0
+        assert list(rho_mitm(np.array([], dtype=np.int64), ctx)) == []
+        rec = rho_mitm([np.int64(170), np.uint64(98)], ctx)[0]
+        assert rec == RepresentationRecord(170, 2 * L7 * L11, 2)
+
+    @pytest.mark.parametrize(
+        "targets",
+        [[800_021.7], [800_021.0], [True], [98, True], np.array([98.0]),
+         np.array([True]), [np.float64(98.0)], ["98"]],
+        ids=["float", "whole-float", "bool", "bool-among-ints", "float-array",
+             "bool-array", "numpy-float", "str"],
+    )
+    def test_non_integral_targets_are_refused(self, targets):
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        with pytest.raises(ParameterDomain, match="integer targets"):
+            rho_mitm(targets, ctx)
+
+    @pytest.mark.parametrize("n", [98.0, 800_021.7, True, np.float64(98.0)])
+    def test_naive_refuses_non_integral_targets(self, n):
+        with pytest.raises(ParameterDomain, match="integer target"):
+            rho_naive(n, _tiny_ctx())
+
+
 def _scan_targets(ctx):
     lo = math.floor(ctx.N) + 1
     hi = math.floor(ctx.N + ctx.window_width)
@@ -260,6 +322,19 @@ class TestLatticeRoute:
         recs = rho_mitm(ns, ctx)
         assert values.tolist() == [rec.value for rec in recs]
         assert counts.tolist() == [rec.tuple_count for rec in recs]
+
+    def test_scan_bits_k3_x60(self):
+        # sha256 of the join's arrays over the 42,329 targets of the
+        # k = 3, s = 7, x = 60 window, as the per-record join gave them
+        ctx = ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3)
+        values, counts = rho_scan(_scan_targets(ctx), ctx)
+        assert (values.size, values.dtype, counts.dtype) == (42329, np.float64, np.int64)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "2c374421d32ad7de157c5f4bbd7b412e49b70ee234a512c77f06200607862185"
+        )
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+            "7910e845d1e238d6f37949058271d81fdf03f87a9cec709ded05b25d290b0596"
+        )
 
     def test_rounding_certificate_refuses_before_allocating(self):
         # 115 primes in (4500, 5500] at s = 12: m^(s - 1/2) = 5e23 puts

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -49,3 +50,51 @@ def test_ladder_rung_records_the_desk_scan(tmp_path):
     assert abs(record["median_ratio"] - 0.7623) < 5e-5
     sha = record["report_sha256"]
     assert len(sha) == 64 and set(sha) <= set("0123456789abcdef")
+
+
+def _load_ladder():
+    spec = importlib.util.spec_from_file_location("ladder", SCRIPTS / "ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_extra_rungs_join_the_label(tmp_path, monkeypatch):
+    ladder = _load_ladder()
+    spawned = []
+
+    def fake_spawn(rung):
+        spawned.append(rung)
+        k, s, theta, x = rung
+        return {"k": k, "s": s, "theta": theta, "x": x, "scan_s": 0.0}
+
+    monkeypatch.setattr(ladder, "spawn", fake_spawn)
+    out = tmp_path / "ladder.json"
+    kept = {"k": 3, "s": 7, "theta": 0.8, "x": 200, "scan_s": 9.0}
+    out.write_text(json.dumps({"t": {"q0": 400, "rungs": [kept]}}))
+    argv = ["--label", "t", "--out", str(out), "--extra-x", "8000",
+            "--extra-k3-x", "100", "150"]
+    assert ladder.main(argv) == 0
+    assert spawned == ladder.LADDER + [(2, 5, 0.8, 8000), (3, 7, 0.8, 100), (3, 7, 0.8, 150)]
+    rungs = json.loads(out.read_text())["t"]["rungs"]
+    assert [(r["k"], r["x"]) for r in rungs] == [
+        (2, 400), (2, 1000), (2, 2000), (2, 4000), (2, 8000),
+        (3, 60), (3, 100), (3, 150), (3, 200),
+    ]
+    assert rungs[-1] == kept
+
+
+def test_ladder_rung_k3_x60_report_is_unchanged(tmp_path):
+    # the k=3, s=7 join-route rung; its report hash is the ladder's
+    # recorded one
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ladder.py"),
+         "--rung", "3", "7", "0.8", "60", "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (record["route"], record["targets"]) == ("mitm", 42329)
+    assert record["report_sha256"] == (
+        "a0d4209058ef84f7bbc8a5935775db63fb3ff11d2a3b963415d33c23f1bf387c"
+    )
