@@ -17,7 +17,7 @@ Subpackage map:
 from .arith import ProblemContext, PrimeWindow, admissible, modulus_R, prime_window, sieve_interval
 from .arcs import ArcDecomposition, ArcParams, RationalPoint, classify, dirichlet_approx
 from .errors import WglabError
-from .experiment import ExceptionalReport, MajorArcPrediction, exceptional_scan, predict
+from .experiment import ExceptionalReport, exceptional_scan
 from .expsums import WeightedSequence, build_sequence, eval_sum
 from .representations import RepresentationRecord, RepresentationTable, rho_mitm, rho_naive
 from .singular_integral import j_integral, oscillatory_I, v_eval
@@ -30,7 +30,6 @@ __all__ = [
     "ArcParams",
     "ExceptionalReport",
     "GaussSumValue",
-    "MajorArcPrediction",
     "PrimeWindow",
     "ProblemContext",
     "RationalPoint",
@@ -49,7 +48,6 @@ __all__ = [
     "j_integral",
     "modulus_R",
     "oscillatory_I",
-    "predict",
     "prime_window",
     "rho_mitm",
     "rho_naive",

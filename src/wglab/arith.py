@@ -290,12 +290,6 @@ class PrimeWindow:
     def entries(self) -> tuple[tuple[int, float], ...]:
         return tuple(zip(self.primes, self.weights))
 
-    def prime_array(self) -> np.ndarray:
-        return np.asarray(self.primes, dtype=np.int64)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
 
 def prime_window(x: float, y: float) -> PrimeWindow:
     """Sieve the window (x - y, x + y] and attach log-weights.

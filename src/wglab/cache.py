@@ -6,7 +6,8 @@ input that picks their bits, the rho route and numpy's version among
 them.  A change to how rho, sigma or j is computed must add a key
 field (or bump VERSION), so a cache never serves what an older algorithm
 computed.  The reader also checks that the stored n equals the targets
-before serving the columns.
+before serving the columns.  A key holds plain JSON values (no numpy
+scalars, which raise TypeError); its text is `json.dumps`, keys sorted.
 
 A cache file is an uncompressed numpy archive (`np.savez`): one `.npy`
 member per named array, plus a `__meta__` member holding the canonical
@@ -44,18 +45,7 @@ _META = "__meta__"
 
 
 def _canonical_key(key: dict) -> str:
-    def norm(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, dict):
-            return {str(k): norm(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [norm(x) for x in v]
-        return v
-
-    return json.dumps(norm(key), sort_keys=True, separators=(",", ":"))
+    return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
 
 def _meta(kind: str, key: dict) -> dict:

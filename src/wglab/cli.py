@@ -120,23 +120,23 @@ def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> Ar
 def _csv_column(col) -> list[str]:
     """The CSV cells of one column: a numpy float, int or bool array in
     one pass, anything else value by value; floats at 12 significant
-    digits, bools lowercase.  Exact +0.0 cells of a float array print
-    "0" without the formatter, as it would print them (-0.0 keeps "-0");
-    zero-heavy scans hold tens of thousands of them."""
+    digits, bools lowercase.  Exact zeros of a numeric array print "0"
+    without the formatter, as it would print them (a float -0.0 keeps
+    "-0"); zero-heavy scans hold tens of thousands of them."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "fiub":
-        if col.dtype.kind == "f":
-            zero = (col == 0) & ~np.signbit(col)
-            if not zero.any():
-                return [f"{v:.12g}" for v in col.tolist()]
-            rest = ~zero
-            cells = ["0"] * col.size
-            for i, v in zip(np.flatnonzero(rest).tolist(), col[rest].tolist()):
-                cells[i] = f"{v:.12g}"
-            return cells
-        values = col.tolist()
         if col.dtype.kind == "b":
-            return ["true" if v else "false" for v in values]
-        return [str(v) for v in values]
+            return ["true" if v else "false" for v in col.tolist()]
+        rest = col != 0
+        if col.dtype.kind == "f":
+            rest |= np.signbit(col)
+        values = col[rest].tolist()
+        text = [f"{v:.12g}" for v in values] if col.dtype.kind == "f" else [str(v) for v in values]
+        if len(text) == col.size:
+            return text
+        cells = ["0"] * col.size
+        for i, t in zip(np.flatnonzero(rest).tolist(), text):
+            cells[i] = t
+        return cells
 
     def cell(v) -> str:
         if isinstance(v, bool):

@@ -1,8 +1,9 @@
 """Run configuration and deterministic serialization.
 
-A run is captured by a flat key = value text file so an experiment can be
-re-launched from a single artifact.  Parsing is strict: unknown or
-duplicated keys are rejected rather than ignored.
+A run's settings can come from a flat key = value text file, written by
+hand and read by `--config`; the program writes none (`report.json`
+records a run's settings as `parameters`).  Parsing is strict: unknown
+or duplicated keys are rejected rather than ignored.
 
 `canonical_json` renders report payloads with sorted keys and every float
 printed to 12 significant digits, which keeps golden files and rerun
@@ -63,7 +64,7 @@ class RunConfig:
         raise ParameterDomain("need N or x to build a problem context")
 
 
-_FIELD_ORDER = [f.name for f in dataclasses.fields(RunConfig)]
+_FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -78,7 +79,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _FIELD_ORDER:
+        if key not in _FIELD_NAMES:
             raise ParameterDomain(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ParameterDomain(f"config line {lineno}: duplicate key {key!r}")
@@ -99,20 +100,6 @@ def _parse_value(key: str, val: str, lineno: int):
     except ValueError:
         raise ParameterDomain(f"config line {lineno}: bad value {val!r} for {key}") from None
     return val
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: parse(render(cfg)) == cfg."""
-    lines = []
-    for name in _FIELD_ORDER:
-        v = getattr(cfg, name)
-        if v is None:
-            continue
-        if isinstance(v, float):
-            lines.append(f"{name} = {v!r}")
-        else:
-            lines.append(f"{name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def format_float(v: float) -> str:

@@ -1,5 +1,5 @@
-"""Desk-scale experiment pipeline: main-term prediction, arc quadrature,
-the exceptional-set scan, and minor-arc moment diagnostics.
+"""Desk-scale experiment pipeline: the exceptional-set scan, arc
+quadrature, and minor-arc moment diagnostics.
 
 The headline object is the exceptional-set report for a window
 (N, N + x^(k-1) y]: every admissible n in the window gets its exact
@@ -11,7 +11,9 @@ y^(s-1) x^(1-k) / log x.  j is read from one table over the targets'
 span on their residue class, whose step is the gcd g of the target
 differences (24 at k = 2, 2 at k = 3).  The table also holds entries of
 that class that are no target (k = 3 skips n = 0 mod 9), so each target
-is looked up at (n - offset) / g.
+is looked up at (n - offset) / g.  One target's main term is
+`truncated_sigma(n, ctx, q0).value * j_integral(n, ctx)`, whose j can
+differ from the scan's in the last digits (`singular_integral._cell_table`).
 
 With a cache directory the scan keeps its computed columns (n, rho,
 tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`, keyed by
@@ -42,43 +44,19 @@ import numpy as np
 
 from . import cache, singular_series
 from .arcs import ArcDecomposition, ArcParams, major_measure
-from .arith import ProblemContext, admissible, admissible_rule, modulus_R
+from .arith import ProblemContext, admissible_rule, modulus_R
 from .errors import (EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, RangeTooLarge,
                      require_bytes)
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_magnitudes
 from .representations import rho_route, rho_scan
-from .singular_integral import gauss_legendre_panels, j_array, j_integral, require_node_budget
-from .singular_series import sigma_batch, truncated_sigma
+from .singular_integral import gauss_legendre_panels, j_array, require_node_budget
+from .singular_series import sigma_batch
 
 _SCAN_BYTES = 4 * 2 ** 30  # exceptional-scan budget, see _admissible_targets
 _TARGET_BYTES = 400  # the scan's charge per target, see _admissible_targets
 
-
-@dataclass(frozen=True)
-class MajorArcPrediction:
-    """Main-term factors for one target n."""
-
-    n: int
-    sigma: float
-    jay: float
-    main_term: float
-    admissible: bool
-
-
-def predict(n: int, ctx: ProblemContext, q0: int) -> MajorArcPrediction:
-    """sigma(n, q0) * j(n); computed whether or not n is admissible."""
-    sigma = truncated_sigma(n, ctx, q0).value
-    jay = j_integral(n, ctx)
-    return MajorArcPrediction(
-        n=int(n),
-        sigma=sigma,
-        jay=jay,
-        main_term=sigma * jay,
-        admissible=admissible(int(n), ctx.k, ctx.s),
-    )
-
-
 _REGIONS = ("major", "full", "zero_arc")
+_ARC_KEY: list = []  # the key of `_arc_integrand`'s kept entry, see major_arc_rho_numeric
 
 
 @functools.lru_cache(maxsize=1)
@@ -136,10 +114,11 @@ def major_arc_rho_numeric(
 
     f^s at the nodes and the phase-jump check do not depend on n: they
     are computed once per (context, arcs, node count, region) by
-    `_arc_integrand`, which keeps the last such set, and reused across
-    targets.  A run of targets at one setting pays for f^s once; each
-    target adds one e(-n alpha) block and the per-interval dots.  The
-    warning fires on every call, cached or not.
+    `_arc_integrand`, which keeps the last such set (dropped before a
+    new key computes), and reused across targets.  A run of targets at
+    one setting pays for f^s once; each target adds one e(-n alpha)
+    block and the per-interval dots.  The warning fires on every call,
+    cached or not.
 
     Known defect: region "major" integrates the origin arc twice.
     `ArcDecomposition.build` lists 0/1 and 1/1, each with the full
@@ -157,6 +136,10 @@ def major_arc_rho_numeric(
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomain(f"need an integer target n >= 1, got {n!r}")
     panels = max(1, math.ceil(nodes_per_arc / 16))
+    key = [(ctx, params, panels, region)]
+    if _ARC_KEY != key:  # lru evicts after the miss computes: drop the kept f^s first
+        _arc_integrand.cache_clear()
+        _ARC_KEY[:] = key
     alphas, fs, halves, weights, worst_jump = _arc_integrand(ctx, params, panels, region)
     # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
     c = PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas)[:, 0].conj()

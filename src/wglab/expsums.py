@@ -202,8 +202,8 @@ def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
     x, y = ctx.x, ctx.y
     if kind == "prime_log":
         win = arith.prime_window(x, y)
-        support = win.prime_array()
-        weights = win.weight_array()
+        support = np.asarray(win.primes, dtype=np.int64)
+        weights = np.asarray(win.weights, dtype=np.float64)
     else:
         lo = math.floor(x - y) + 1
         hi = math.floor(x + y)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -42,13 +42,13 @@ _SIGMA_BLOCK = 2 ** 13  # targets per block: 97 columns at q_max = 400 are 6 MiB
 Live = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _unit_mask(q: int) -> np.ndarray:
     r = np.arange(q, dtype=np.int64)
     return np.gcd(r, q) == 1
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _gauss_row(q: int, k: int) -> np.ndarray:
     """(S(q, a)) for a = 0..q-1, as one conjugated DFT of the k-th power
     histogram over units."""
@@ -128,7 +128,7 @@ def a_coefficient_direct(q: int, n: int, k: int, s: int) -> float:
     return float(val.real)
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _pp_table(pp: int, k: int, s: int) -> np.ndarray:
     """A(pp, r) for r = 0..pp-1 at a prime power pp, via a second DFT.
 
@@ -188,7 +188,7 @@ def _live_q(q_max: int, k: int, s: int) -> Live:
 
     Refused before the first table is built when the tables of every
     prime power pp <= q_max, 25 bytes per residue (`_unit_mask` 1,
-    `_gauss_row` 16, `_pp_table` 8, all kept by their caches), are over
+    `_gauss_row` 16, `_pp_table` 8, kept by unbounded caches), are over
     2 GiB.  25 bytes times the sum of pp is 513 MiB at q_max = 20000 and
     2907 MiB at 50000, where `wglab sigma` peaked at 570 and 2865 MB of
     maxrss; the budget admits q_max up to 41592.

@@ -438,6 +438,21 @@ class TestColumnRenderer:
         want = [f"{v:.12g}" for v in col.tolist()]
         assert cli._csv_column(col) == want
 
+    @pytest.mark.parametrize(
+        "col",
+        [
+            np.array([0, -3, 0, 2 ** 63 - 1, -2 ** 63, 0], dtype=np.int64),
+            np.zeros(3, dtype=np.int64),
+            np.array([0, 7, 255], dtype=np.uint8),
+            np.array([2 ** 64 - 1, 0], dtype=np.uint64),
+            np.zeros(0, dtype=np.int64),
+        ],
+        ids=["int64", "all-zero", "uint8", "uint64", "empty"],
+    )
+    def test_int_zero_cells_match_str(self, col):
+        # int zeros take the float columns' shortcut and still read as str
+        assert cli._csv_column(col) == [str(v) for v in col.tolist()]
+
 
 def test_rho_output_is_unchanged(capsys):
     argv = ["rho", "--n", "800021", "--k", "2", "--s", "5", "--theta", "0.8", "--N", "800000"]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,31 +29,12 @@ from wglab.experiment import (
     exceptional_scan,
     major_arc_rho_numeric,
     minor_arc_moment,
-    predict,
 )
 from wglab.expsums import build_sequence, eval_sum, exact_phase
 from wglab.representations import moment, rho_mitm
-from wglab.singular_integral import gauss_legendre_panels, j_array, j_integral
-from wglab.singular_series import truncated_sigma
+from wglab.singular_integral import gauss_legendre_panels, j_array
 
 TINY = ProblemContext.from_parts(2, 2, 10.0, 4.0)
-
-
-class TestPredict:
-    def test_factors_multiply(self):
-        pred = predict(218, TINY, q0=50)
-        assert pred.sigma == truncated_sigma(218, TINY, 50).value
-        assert pred.jay == j_integral(218, TINY)
-        assert pred.main_term == pred.sigma * pred.jay
-        assert pred.admissible is True  # 218 = 2 (mod 24)
-
-    def test_outside_support(self):
-        pred = predict(10 ** 9, TINY, q0=50)
-        assert pred.jay == 0.0
-        assert pred.main_term == 0.0
-
-    def test_inadmissible_flag(self):
-        assert predict(219, TINY, q0=50).admissible is False
 
 
 def _quadrature_per_node(n, ctx, params, nodes_per_arc, region):
@@ -230,6 +212,22 @@ class TestArcIntegrandMemo:
         want = self._cold(218, TINY, params, 64)
         monkeypatch.setattr(experiment, "require_node_budget", lambda *a: pytest.fail("checked"))
         assert major_arc_rho_numeric(218, TINY, params, 64) == want
+
+    def test_kept_entry_released_before_a_miss(self, monkeypatch):
+        # the node budget charges only the new set: the kept f^s must be
+        # gone before the next miss evaluates f
+        params = ArcParams.from_context(TINY)
+        major_arc_rho_numeric(218, TINY, params, 64, region="full")
+        old = weakref.ref(_arc_integrand(TINY, params, 4, "full")[1])
+        evaluate = experiment.eval_sums
+
+        def after_release(*args):
+            assert old() is None
+            return evaluate(*args)
+
+        monkeypatch.setattr(experiment, "eval_sums", after_release)
+        major_arc_rho_numeric(218, TINY, params, 64, region="zero_arc")
+        assert _arc_integrand.cache_info().currsize == 1
 
     def test_keeps_one_entry(self):
         params = ArcParams.from_context(TINY)

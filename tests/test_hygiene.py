@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module or
 script imports is used somewhere in that file, every private
-module-level name is read somewhere in the package, and no package
-module imports inside a function or class."""
+module-level name is read somewhere in the package, every public
+module-level function or class has a reader, and no package module
+imports inside a function or class."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wglab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -127,6 +129,56 @@ def test_catches_an_unread_private_name():
         "    return _helper\n"
     )
     assert sorted(set(_private_defs(tree)) - _read(tree)) == ["_CAP", "_HI"]
+
+
+# public names no module, script or bench reads, each kept for a reason
+_UNREAD_PUBLIC = {
+    "rho_naive": "the oracle the tests hold the MITM join and the lattice to",
+    "a_coefficient_direct": "the oracle the tests hold the sigma tables to",
+    "v_eval": "the lab quantity v(beta) the README documents",
+    "oscillatory_I": "the lab quantity I(beta) the README documents",
+}
+
+
+def _public_defs(tree: ast.Module) -> dict[str, int]:
+    """Module-level public functions and classes, with their line numbers."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, defs) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_name_has_a_reader():
+    # __init__.py is no reader: its __all__ strings would count as reads
+    readers = MODULES + SCRIPTS + PERFBENCH
+    read = set().union(*(_read(ast.parse(p.read_text(), filename=str(p))) for p in readers))
+    unread = sorted(
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for name, line in _public_defs(ast.parse(path.read_text(), filename=str(path))).items()
+        if name not in read and name not in _UNREAD_PUBLIC
+    )
+    assert not unread, f"public names no module, script or bench reads: {', '.join(unread)}"
+
+
+def test_catches_an_unread_public_name():
+    tree = ast.parse(
+        "LIMIT = 4\n"
+        "def used(a: 'Table'):\n"
+        "    return a\n"
+        "def unused():\n"
+        "    return used(LIMIT)\n"
+        "class Table:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "class Spare:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    assert sorted(set(_public_defs(tree)) - _read(tree)) == ["Spare", "unused"]
 
 
 def _nested_imports(tree: ast.Module) -> list[int]:

@@ -435,6 +435,19 @@ class TestCells:
         off1, full = j_array(ctx, int(ns[0]), int(ns[-1]))
         assert off == off1 and tab.tobytes() == full[::g].tobytes()
 
+    def test_j_follows_the_window_within_the_tolerance(self):
+        # h is picked from the probes of the window a table spans, so
+        # j(n) from a one-entry table and from the scan's table differ in
+        # the last digits (7.1e-11 relative here); both hold _J_RTOL
+        ctx = ProblemContext.from_parts(3, 7, 60.0, 60.0 ** 0.8)
+        ns, g = _scan_targets(ctx)
+        off, tab = j_array(ctx, int(ns[0]), int(ns[-1]), g)
+        picks = ns[:: -(-ns.size // 20)]
+        scan = tab[(picks - off) // g]
+        alone = np.array([j_integral(n, ctx) for n in picks.tolist()])
+        gap = np.abs(alone - scan) / scan
+        assert scan.size == 20 and 0 < float(np.max(gap)) <= si._J_RTOL
+
     def test_j_integral_asks_for_n_alone(self, monkeypatch):
         # a whole-support table would walk h down to 1, its ends (j -> 0)
         # never agreeing; one central n stays at the coarse widths

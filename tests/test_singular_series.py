@@ -270,6 +270,19 @@ class TestSigmaBatch:
         with pytest.raises(ParameterDomain):
             ss._live_q(0, CTX.k, CTX.s)
 
+    def test_tables_built_once_per_prime_power(self):
+        # unbounded caches: each block of three reads the tables that
+        # _live_q built, and none is built again at any count of prime
+        # powers (a bounded cache rebuilt every table per block past it)
+        for cached in (ss._unit_mask, ss._gauss_row, ss._pp_table, ss._live_q):
+            cached.cache_clear()
+        targets = np.arange(1_000_003, 1_000_003 + 3 * ss._SIGMA_BLOCK, dtype=np.int64)
+        sigma_batch(targets, CTX, 300)
+        count = len(ss._prime_powers(300))
+        for table in (ss._unit_mask, ss._gauss_row, ss._pp_table):
+            info = table.cache_info()
+            assert info.maxsize is None and info.misses == info.currsize == count
+
     def test_checkpoint_domain(self):
         with pytest.raises(ParameterDomain):
             sigma_batch(np.array([-3]), CTX, 100)
