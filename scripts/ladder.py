@@ -13,6 +13,9 @@ ones.  Per rung the record holds, for the cold process:
     as soon as the scan returns;
   * the rho route the cost rule took ("lattice" or "mitm");
   * the peak RSS of the process (VmHWM);
+  * the seconds `wglab.csvtext.write_csv` takes to write the per-n stream
+    (`per_n_table`) to a temporary file, and the process VmHWM right
+    after that write, before the report hash below builds its text;
   * the sha256 of the canonical report (`canonical_json` of the
     `ExceptionalReport`) and its median rho/(sigma j);
   * the median rho/(sigma j) over the represented targets (rho > 0)
@@ -22,8 +25,8 @@ ones.  Per rung the record holds, for the cold process:
   * or, when the scan refuses, its error code and message;
 
 and under "rerun" the warm process's scan seconds, its stage times (zero
-when the cache served the columns) and whether its report sha256 equals
-the cold one.
+when the cache served the columns), its stream-write seconds and whether
+its report sha256 equals the cold one.
 
 The records go into the `--label` entry of `--out` (BENCH_ladder.json by
 default); other labels already in that file are kept, and so are the
@@ -69,7 +72,9 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
     record described above."""
     from wglab import experiment, representations
     from wglab.arith import ProblemContext
+    from wglab.cli import per_n_table
     from wglab.config import canonical_json
+    from wglab.csvtext import write_csv
     from wglab.errors import WglabError
 
     stages = {"prime_window": 0.0, "rho": 0.0, "sigma": 0.0, "j": 0.0}
@@ -103,6 +108,11 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
     scan_s = time.perf_counter() - t0
     stages_s = {name: round(v, 4) for name, v in stages.items()}
     peak_rss_mb = round(_vm_hwm_mb(), 1)
+    with tempfile.TemporaryDirectory(prefix="wglab-ladder-stream-") as tmp:
+        t0 = time.perf_counter()
+        write_csv(Path(tmp) / "per-n.csv", *per_n_table(rep))
+        stream_s = time.perf_counter() - t0
+    stream_peak_rss_mb = round(_vm_hwm_mb(), 1)
     ns = rep.per_n.n
     rho, ratio = rep.per_n.rho, rep.per_n.ratio
     represented = (rho > 0) & np.isfinite(ratio)
@@ -113,6 +123,8 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
         scan_s=round(scan_s, 3),
         stages_s=stages_s,
         peak_rss_mb=peak_rss_mb,
+        stream_s=round(stream_s, 3),
+        stream_peak_rss_mb=stream_peak_rss_mb,
         report_sha256=hashlib.sha256(payload.encode()).hexdigest(),
         median_ratio=rep.ratios.median,
         median_ratio_represented=(
@@ -153,6 +165,7 @@ def spawn(rung) -> dict:
         record["rerun"] = {
             "scan_s": warm["scan_s"],
             "stages_s": warm["stages_s"],
+            "stream_s": warm["stream_s"],
             "same_report": warm["report_sha256"] == record["report_sha256"],
         }
     return record

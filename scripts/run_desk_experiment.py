@@ -24,12 +24,12 @@ from wglab.arcs import ArcParams
 from wglab.arith import ProblemContext
 from wglab.cli import (
     arc_profile_table,
-    csv_lines,
     partial_sums_table,
     per_n_table,
     ratio_histogram_table,
 )
 from wglab.config import canonical_json
+from wglab.csvtext import write_csv
 from wglab.experiment import exceptional_scan
 from wglab.expsums import arc_profile
 from wglab.singular_series import truncated_sigma
@@ -101,19 +101,19 @@ def main(argv=None) -> int:
     (out / "report.json").write_text(
         canonical_json({"kind": "exceptional_scan", "q0": args.q0, "report": rep})
     )
-    (out / "per_n.csv").write_text(csv_lines(*per_n_table(rep)))
-    (out / "ratio_histogram.csv").write_text(csv_lines(*ratio_histogram_table(rep)))
+    write_csv(out / "per_n.csv", *per_n_table(rep))
+    write_csv(out / "ratio_histogram.csv", *ratio_histogram_table(rep))
 
     params = ArcParams.from_context(ctx)
     profile = arc_profile(ctx, params, args.grid_size)
-    (out / "arc_profile.csv").write_text(csv_lines(*arc_profile_table(profile)))
+    write_csv(out / "arc_profile.csv", *arc_profile_table(profile))
 
     # partial-sum trajectory for the scanned target nearest the window center
     if rep.scanned:
         mid = rep.window[0] + (rep.window[1] - rep.window[0]) // 2
         n_star = int(rep.per_n.n[np.argmin(np.abs(rep.per_n.n - mid))])
         table = partial_sums_table(truncated_sigma(n_star, ctx, args.q0))
-        (out / "partial_sums.csv").write_text(csv_lines(*table))
+        write_csv(out / "partial_sums.csv", *table)
 
     pngs = render_pngs(out, rep, profile)
 

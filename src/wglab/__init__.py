@@ -11,6 +11,7 @@ Subpackage map:
 - representations: exact weighted representation counts (naive, meet-in-the-middle, lattice FFT)
 - experiment: prediction vs count scans, arc quadrature, moments
 - cache: on-disk numpy archives of the scan's columns (rho, sigma, j)
+- csvtext: CSV text of column tables, rendered in blocks of byte columns
 - cli: command-line front end
 """
 

@@ -286,10 +286,6 @@ class PrimeWindow:
         if len(self.primes) != len(self.weights):
             raise ParameterDomain("primes and weights must have equal length")
 
-    @property
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.primes, self.weights))
-
 
 def prime_window(x: float, y: float) -> PrimeWindow:
     """Sieve the window (x - y, x + y] and attach log-weights.

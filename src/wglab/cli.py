@@ -30,7 +30,8 @@ import numpy as np
 
 from .arcs import ArcDecomposition, ArcParams, require_arc_budget
 from .arith import ProblemContext, admissible, modulus_R, sieve_interval
-from .config import RunConfig, canonical_json, format_float, parse_config
+from .config import RunConfig, canonical_json, parse_config
+from .csvtext import csv_lines, write_csv
 from .errors import ParameterDomain, RangeTooLarge, WglabError
 from .experiment import ExceptionalReport, PerNDetail, exceptional_scan, minor_arc_moment
 from .expsums import ArcProfile, arc_profile, build_sequence, dichotomy_report, sup_scan
@@ -115,43 +116,6 @@ def _params(cfg: RunConfig, args: argparse.Namespace, ctx: ProblemContext) -> Ar
     if P is not None:
         return ArcParams.explicit(P=P, Q=Q)
     return ArcParams.from_context(ctx, A=cfg.A)
-
-
-def _csv_column(col) -> list[str]:
-    """The CSV cells of one column: a numpy float, int or bool array in
-    one pass, anything else value by value; floats at 12 significant
-    digits, bools lowercase.  Exact zeros of a numeric array print "0"
-    without the formatter, as it would print them (a float -0.0 keeps
-    "-0"); zero-heavy scans hold tens of thousands of them."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fiub":
-        if col.dtype.kind == "b":
-            return ["true" if v else "false" for v in col.tolist()]
-        rest = col != 0
-        if col.dtype.kind == "f":
-            rest |= np.signbit(col)
-        values = col[rest].tolist()
-        text = [f"{v:.12g}" for v in values] if col.dtype.kind == "f" else [str(v) for v in values]
-        if len(text) == col.size:
-            return text
-        cells = ["0"] * col.size
-        for i, t in zip(np.flatnonzero(rest).tolist(), text):
-            cells[i] = t
-        return cells
-
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
-
-    return [cell(v) for v in col]
-
-
-def csv_lines(header: list[str], columns: list) -> str:
-    """CSV text of equal-length columns, one per header field."""
-    rows = zip(*(_csv_column(col) for col in columns))
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -344,8 +308,7 @@ def _cmd_report(cfg, args):
     if args.out:
         base = args.out[:-5] if args.out.endswith(".json") else args.out
         stream_path = base + ".per-n.csv"
-        with open(stream_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_lines(*per_n_table(rep)))
+        write_csv(stream_path, *per_n_table(rep))
         stream_name = os.path.basename(stream_path)
     payload = {
         "schema_version": 1,
@@ -355,8 +318,7 @@ def _cmd_report(cfg, args):
         "per_n_stream": stream_name,
     }
     if args.plot:
-        with open(args.plot_out, "w", encoding="utf-8") as fh:
-            fh.write(csv_lines(*table))
+        write_csv(args.plot_out, *table)
     return canonical_json(payload)
 
 

@@ -185,9 +185,6 @@ class WeightedSequence:
     def __len__(self) -> int:
         return int(self.support.size)
 
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
     """Construct the window sequence for a context.

@@ -222,7 +222,7 @@ class TestPrimeWindow:
         win = prime_window(10.0, 4.0)
         assert win.primes == (7, 11, 13)
         assert win.weights == tuple(math.log(p) for p in (7, 11, 13))
-        assert win.entries == ((7, math.log(7)), (11, math.log(11)), (13, math.log(13)))
+        assert tuple(zip(win.primes, win.weights)) == ((7, math.log(7)), (11, math.log(11)), (13, math.log(13)))
 
     def test_half_open_boundaries(self):
         # (x - y, x + y]: left end excluded, right end included

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from wglab.arith import ProblemContext
-from wglab import cli
-from wglab.cli import build_parser, csv_lines, main, per_n_table
+from wglab import cli, csvtext
+from wglab.cli import build_parser, main, per_n_table
 from wglab.config import RunConfig, format_float
+from wglab.csvtext import csv_lines
 from wglab.experiment import exceptional_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -436,7 +437,7 @@ class TestColumnRenderer:
         # +0.0 cells skip the formatter; every cell must still read as
         # the per-value rendering does, -0.0 as "-0"
         want = [f"{v:.12g}" for v in col.tolist()]
-        assert cli._csv_column(col) == want
+        assert _column_cells(col) == want
 
     @pytest.mark.parametrize(
         "col",
@@ -450,8 +451,79 @@ class TestColumnRenderer:
         ids=["int64", "all-zero", "uint8", "uint64", "empty"],
     )
     def test_int_zero_cells_match_str(self, col):
-        # int zeros take the float columns' shortcut and still read as str
-        assert cli._csv_column(col) == [str(v) for v in col.tolist()]
+        # int zeros take the byte route's digit path and still read as str
+        assert _column_cells(col) == [str(v) for v in col.tolist()]
+
+
+def _column_cells(col) -> list[str]:
+    """The cells the block renderer writes for one column."""
+    return csv_lines(["c"], [col]).split("\n")[1:-1]
+
+
+class TestBlockRendererOracle:
+    """The byte-column renderer against `format_float`, `str` and the
+    row oracle, on inputs chosen to reach every branch of its routes."""
+
+    def test_floats_over_every_decimal_exponent(self):
+        rng = np.random.default_rng(26)
+        exps = np.repeat(np.arange(-324, 309), 12)
+        with np.errstate(over="ignore", under="ignore"):
+            col = rng.uniform(1, 10, exps.size) * 10.0 ** exps * rng.choice([-1, 1], exps.size)
+        col = col[np.isfinite(col) & (col != 0)]
+        # short decimals keep trailing zeros for %g to strip; powers of
+        # ten sit where log10 can miss the decade
+        scale = 10.0 ** rng.integers(0, 7, 4000)
+        short = np.round(rng.uniform(-1e4, 1e4, 4000) * scale) / scale
+        tens = np.array([s * 10.0 ** k for k in range(-15, 36) for s in (1, -1)])
+        near = np.concatenate([np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+        for c in (col, short, tens, near):
+            assert _column_cells(c) == [format_float(v) for v in c.tolist()]
+
+    def test_rounding_ties(self):
+        rng = np.random.default_rng(27)
+        m = rng.integers(10 ** 11, 10 ** 12, 3000).astype(float) + 0.5
+        col = m * 10.0 ** rng.integers(-25, 25, m.size)
+        col = np.concatenate([col, [0.5, 2.5, 999999999999.5, 99999999999.5, 0.125, 1.5e-7]])
+        assert _column_cells(col) == [format_float(v) for v in col.tolist()]
+
+    def test_special_floats(self):
+        neg_nan = -np.float64("nan")
+        assert np.signbit(neg_nan)
+        col = np.array([0.0, -0.0, np.nan, neg_nan, np.inf, -np.inf, 5e-324, -2.2e-308,
+                        np.finfo(float).max, -np.finfo(float).tiny, 1e-11, 1e33, 9.9999999999995e32])
+        assert _column_cells(col) == [format_float(v) for v in col.tolist()]
+        f32 = np.array([0.1, -3.4e38, 1e-45, 16777217, 0.0, -0.0, np.nan], dtype=np.float32)
+        assert _column_cells(f32) == [format_float(v) for v in f32.tolist()]
+
+    def test_integer_extremes_and_bools(self):
+        i64 = np.iinfo(np.int64)
+        cols = [
+            np.array([i64.min, i64.min + 1, i64.max, -1, 0, 1, -10 ** 12, 10 ** 18], dtype=np.int64),
+            np.array([2 ** 63, 2 ** 63 - 1, 2 ** 64 - 1, 0, 10 ** 19], dtype=np.uint64),
+            np.array([-128, 127, 0, -1], dtype=np.int8),
+            np.array([True, False, False, True]),
+        ]
+        for col in cols:
+            assert _column_cells(col) == [_csv_lines_by_row(["c"], [[v]]).split("\n")[1]
+                                          for v in col.tolist()]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_counts_around_the_block_size(self, offset, tmp_path):
+        rows = csvtext._BLOCK_ROWS + offset
+        rng = np.random.default_rng(28 + offset)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 14, rows)
+        x[rng.random(rows) < 0.5] = 0.0  # sparse, as rho and ratio are
+        x[-1] = np.nan
+        columns = [np.arange(rows, dtype=np.int64) - 7, x,
+                   rng.integers(-5, 5, rows) == 0, rng.uniform(0, 1e9, rows)]
+        header = ["i", "x", "b", "y"]
+        text = csv_lines(header, columns)
+        assert text == _csv_lines_by_row(header, zip(*(c.tolist() for c in columns)))
+        # the header, then one block per _BLOCK_ROWS rows
+        lines = [b.count(b"\n") for b in csvtext._csv_blocks(header, columns)]
+        assert lines == [1, min(rows, csvtext._BLOCK_ROWS)] + ([1] if offset == 1 else [])
+        csvtext.write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == text.encode()
 
 
 def test_rho_output_is_unchanged(capsys):

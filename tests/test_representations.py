@@ -426,8 +426,8 @@ class TestMoment:
         ctx = _tiny_ctx()
         win = prime_window(ctx.x, ctx.y)
         agg = {}
-        for p, wp in win.entries:
-            for q, wq in win.entries:
+        for p, wp in zip(win.primes, win.weights):
+            for q, wq in zip(win.primes, win.weights):
                 key = p ** 2 + q ** 2
                 agg[key] = agg.get(key, 0.0) + wp * wq
         expect = math.fsum(w * w for w in agg.values())
@@ -457,8 +457,8 @@ class TestMoment:
         ctx = ProblemContext.from_parts(3, 2, float(2 ** 21), 60.0)
         win = prime_window(ctx.x, ctx.y)
         agg = {}
-        for p, wp in win.entries:
-            for q, wq in win.entries:
+        for p, wp in zip(win.primes, win.weights):
+            for q, wq in zip(win.primes, win.weights):
                 key = p ** 3 + q ** 3
                 agg[key] = agg.get(key, 0.0) + wp * wq
         assert max(agg) >= 2 ** 62

@@ -48,6 +48,8 @@ def test_ladder_rung_records_the_desk_scan(tmp_path):
     assert record["route"] == "lattice"
     assert record["targets"] == 2011
     assert abs(record["median_ratio"] - 0.7623) < 5e-5
+    assert record["stream_s"] > 0
+    assert record["stream_peak_rss_mb"] >= record["peak_rss_mb"]
     sha = record["report_sha256"]
     assert len(sha) == 64 and set(sha) <= set("0123456789abcdef")
 
