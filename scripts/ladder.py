@@ -15,9 +15,13 @@ ones.  Per rung the record holds, for the cold process:
   * the peak RSS of the process (VmHWM);
   * the seconds `wglab.csvtext.write_csv` takes to write the per-n stream
     (`per_n_table`) to a temporary file, and the process VmHWM right
-    after that write, before the report hash below builds its text;
-  * the sha256 of the canonical report (`canonical_json` of the
-    `ExceptionalReport`) and its median rho/(sigma j);
+    after that write;
+  * output_sha256, the scan's fingerprint: the sha256 of what
+    `wglab exceptional` prints (`canonical_json` of `exceptional_payload`)
+    followed by the per-n stream just written, the bytes of the
+    `.per-n.csv` that `wglab report` writes, every float at 12
+    significant digits (see `fingerprint`);
+  * the report's median rho/(sigma j);
   * the median rho/(sigma j) over the represented targets (rho > 0)
     and the share of targets with rho = 0: where most targets have no
     representation (k=3, x=60) the report's median is 0.0 and says
@@ -26,7 +30,7 @@ ones.  Per rung the record holds, for the cold process:
 
 and under "rerun" the warm process's scan seconds, its stage times (zero
 when the cache served the columns), its stream-write seconds and whether
-its report sha256 equals the cold one.
+its output_sha256 equals the cold one.
 
 The records go into the `--label` entry of `--out` (BENCH_ladder.json by
 default); other labels already in that file are kept, and so are the
@@ -67,13 +71,25 @@ def _vm_hwm_mb() -> float:
     return float("nan")
 
 
+def fingerprint(rep, stream: Path) -> str:
+    """sha256 of the scan's JSON payload, as `wglab exceptional` prints
+    it, followed by the bytes of its per-n stream file."""
+    from wglab.cli import exceptional_payload
+    from wglab.config import canonical_json
+
+    digest = hashlib.sha256(canonical_json(exceptional_payload(rep)).encode())
+    with open(stream, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
     """One scan in this process, against cache_dir when given; the
     record described above."""
     from wglab import experiment, representations
     from wglab.arith import ProblemContext
     from wglab.cli import per_n_table
-    from wglab.config import canonical_json
     from wglab.csvtext import write_csv
     from wglab.errors import WglabError
 
@@ -109,14 +125,15 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
     stages_s = {name: round(v, 4) for name, v in stages.items()}
     peak_rss_mb = round(_vm_hwm_mb(), 1)
     with tempfile.TemporaryDirectory(prefix="wglab-ladder-stream-") as tmp:
+        stream = Path(tmp) / "per-n.csv"
         t0 = time.perf_counter()
-        write_csv(Path(tmp) / "per-n.csv", *per_n_table(rep))
+        write_csv(stream, *per_n_table(rep))
         stream_s = time.perf_counter() - t0
-    stream_peak_rss_mb = round(_vm_hwm_mb(), 1)
+        stream_peak_rss_mb = round(_vm_hwm_mb(), 1)
+        output_sha256 = fingerprint(rep, stream)
     ns = rep.per_n.n
     rho, ratio = rep.per_n.rho, rep.per_n.ratio
     represented = (rho > 0) & np.isfinite(ratio)
-    payload = canonical_json({"report": rep})
     record.update(
         targets=rep.scanned,
         route=representations.rho_route(ctx, int(ns[0]), int(ns[-1])),
@@ -125,7 +142,7 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
         peak_rss_mb=peak_rss_mb,
         stream_s=round(stream_s, 3),
         stream_peak_rss_mb=stream_peak_rss_mb,
-        report_sha256=hashlib.sha256(payload.encode()).hexdigest(),
+        output_sha256=output_sha256,
         median_ratio=rep.ratios.median,
         median_ratio_represented=(
             float(np.median(ratio[represented])) if represented.any() else None
@@ -166,7 +183,7 @@ def spawn(rung) -> dict:
             "scan_s": warm["scan_s"],
             "stages_s": warm["stages_s"],
             "stream_s": warm["stream_s"],
-            "same_report": warm["report_sha256"] == record["report_sha256"],
+            "same_output": warm["output_sha256"] == record["output_sha256"],
         }
     return record
 

@@ -3,8 +3,9 @@
 
 Scans every admissible target in the window attached to the configured
 scale, compares each count against its predicted main term, and writes a
-deterministic JSON report plus plot-ready CSV files (and PNG renderings
-when matplotlib is importable) into the output directory.
+deterministic JSON report (the payload `wglab exceptional` prints, naming
+per_n.csv as its per-n stream) plus the per-n and plot-ready CSV files (and
+PNG renderings when matplotlib is importable) into the output directory.
 
 Typical invocation, using the defaults (k=2, s=5, theta=0.8, N=800000):
 
@@ -24,6 +25,7 @@ from wglab.arcs import ArcParams
 from wglab.arith import ProblemContext
 from wglab.cli import (
     arc_profile_table,
+    exceptional_payload,
     partial_sums_table,
     per_n_table,
     ratio_histogram_table,
@@ -98,9 +100,9 @@ def main(argv=None) -> int:
 
     rep = exceptional_scan(ctx, q0=args.q0, cache_dir=args.cache_dir)
 
-    (out / "report.json").write_text(
-        canonical_json({"kind": "exceptional_scan", "q0": args.q0, "report": rep})
-    )
+    # the payload `wglab exceptional` prints; the per-n columns are in per_n.csv
+    payload = {**exceptional_payload(rep), "kind": "exceptional_scan", "per_n_stream": "per_n.csv"}
+    (out / "report.json").write_text(canonical_json(payload))
     write_csv(out / "per_n.csv", *per_n_table(rep))
     write_csv(out / "ratio_histogram.csv", *ratio_histogram_table(rep))
 

@@ -242,12 +242,15 @@ def _cmd_dichotomy(cfg, args):
     return _emit(cfg, dataclasses.asdict(rep), None)
 
 
-def _report_summary(rep: ExceptionalReport) -> dict:
-    """Every report field but ctx and per_n, and the exceptional fraction."""
+def exceptional_payload(rep: ExceptionalReport) -> dict:
+    """The JSON payload of a scan, as `wglab exceptional` prints it: the
+    context, and as summary every report field but ctx and per_n plus
+    the exceptional fraction.  `wglab report` adds its settings and the
+    name of the per-n stream, which holds per_n."""
     summary = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
     del summary["ctx"], summary["per_n"]
     summary["exceptional_fraction"] = rep.exceptional_fraction()
-    return summary
+    return {"context": dataclasses.asdict(rep.ctx), "summary": summary}
 
 
 def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list]:
@@ -261,8 +264,7 @@ def per_n_table(rep: ExceptionalReport) -> tuple[list[str], list]:
 def _cmd_exceptional(cfg, args):
     ctx = _context(cfg, args)
     rep = exceptional_scan(ctx, cfg.Q0, cache_dir=cfg.cache_dir)
-    payload = {"context": dataclasses.asdict(ctx), "summary": _report_summary(rep)}
-    return _emit(cfg, payload, per_n_table(rep))
+    return _emit(cfg, exceptional_payload(rep), per_n_table(rep))
 
 
 def _cmd_minor_moment(cfg, args):
@@ -311,10 +313,9 @@ def _cmd_report(cfg, args):
         write_csv(stream_path, *per_n_table(rep))
         stream_name = os.path.basename(stream_path)
     payload = {
+        **exceptional_payload(rep),
         "schema_version": 1,
-        "context": dataclasses.asdict(ctx),
         "parameters": parameters,
-        "summary": _report_summary(rep),
         "per_n_stream": stream_name,
     }
     if args.plot:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .arith import ProblemContext
 from .errors import ParameterDomain
 
@@ -115,8 +113,8 @@ def canonical_json(obj) -> str:
     significant digits.
 
     Non-finite floats are rendered as the strings "inf", "-inf", "nan"
-    (JSON has no literal for them).  numpy scalars and arrays are
-    accepted; dataclasses are serialized by field.
+    (JSON has no literal for them).  Dataclasses are serialized by
+    field, tuples as lists, and complex numbers as {"re", "im"}.
     """
     return _render(obj, 0) + "\n"
 
@@ -126,10 +124,6 @@ def _render(obj, level: int) -> str:
     close = "  " * level
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -150,7 +144,7 @@ def _render(obj, level: int) -> str:
             items.append(f"{pad}{json.dumps(str(key))}: {_render(obj[key], level + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{close}}}"
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
+        if not obj:
             return "[]"
         items = [f"{pad}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{close}]"

@@ -34,7 +34,6 @@ since the two counts differ materially at desk scale.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,10 +55,9 @@ _SCAN_BYTES = 4 * 2 ** 30  # exceptional-scan budget, see _admissible_targets
 _TARGET_BYTES = 400  # the scan's charge per target, see _admissible_targets
 
 _REGIONS = ("major", "full", "zero_arc")
-_ARC_KEY: list = []  # the key of `_arc_integrand`'s kept entry, see major_arc_rho_numeric
+_ARC_MEMO: dict = {}  # _arc_integrand's last result, at most one entry
 
 
-@functools.lru_cache(maxsize=1)
 def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: str):
     """The part of `major_arc_rho_numeric` that does not depend on n.
 
@@ -67,9 +65,15 @@ def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: 
     Gauss-Legendre nodes in order, f^s at them, each interval's half
     panel width, the per-interval weights (the same for every interval),
     and the largest phase jump of f^s between adjacent nodes of one
-    interval.  The arrays are read-only, since the last result is shared
-    by every later call with the same key.
+    interval.  The last result is kept, read-only, and shared by every
+    later call with the same key; a miss drops it before it computes,
+    so the node budget charges only the new set.
     """
+    key = (ctx, params, panels, region)
+    hit = _ARC_MEMO.get(key)
+    if hit is not None:
+        return hit
+    _ARC_MEMO.clear()
     if region == "major":
         decomp = ArcDecomposition.build(params)
         intervals = [
@@ -92,7 +96,8 @@ def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: 
         worst_jump = max(worst_jump, float(np.max(jumps)))
     for a in (alphas, fs, weights):
         a.flags.writeable = False
-    return alphas, fs, tuple(half for half, _, _ in quads), weights, worst_jump
+    _ARC_MEMO[key] = alphas, fs, tuple(half for half, _, _ in quads), weights, worst_jump
+    return _ARC_MEMO[key]
 
 
 def major_arc_rho_numeric(
@@ -136,10 +141,6 @@ def major_arc_rho_numeric(
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomain(f"need an integer target n >= 1, got {n!r}")
     panels = max(1, math.ceil(nodes_per_arc / 16))
-    key = [(ctx, params, panels, region)]
-    if _ARC_KEY != key:  # lru evicts after the miss computes: drop the kept f^s first
-        _arc_integrand.cache_clear()
-        _ARC_KEY[:] = key
     alphas, fs, halves, weights, worst_jump = _arc_integrand(ctx, params, panels, region)
     # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
     c = PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas)[:, 0].conj()

@@ -2,11 +2,8 @@
 
 The central object is f(alpha) = sum of w(n) * e(alpha * n^k) over a
 weighted support sequence, where e(t) = exp(2*pi*i*t).  Supports are short
-windows (x - y, x + y] carrying one of three weightings:
-
-* ``prime_log``   - primes in the window, weight log p,
-* ``integer_log`` - integers in the window, weight log n,
-* ``unit``        - integers in the window, weight 1.
+windows (x - y, x + y]; `build_sequence` gives the primes there, each
+with weight log p.
 
 Phase accuracy
 --------------
@@ -75,8 +72,6 @@ from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge, re
 
 _M26 = (1 << 26) - 1
 _M53 = (1 << 53) - 1
-
-SEQUENCE_KINDS = ("prime_log", "integer_log", "unit")
 
 _BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and grid_sums
 _GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
@@ -187,33 +182,17 @@ class WeightedSequence:
 
 
 def build_sequence(ctx: ProblemContext, kind: str) -> WeightedSequence:
-    """Construct the window sequence for a context.
+    """The primes p with x - y < p <= x + y, each weighted log p; kind
+    must be ``prime_log``, the one weighting.
 
-    Support is the integers (or primes) n with x - y < n <= x + y.  The
-    ``integer_log`` kind drops n = 1, whose weight would vanish.
-
-    Raises empty-window when the support is empty.
+    Raises empty-window when the window holds no prime.
     """
-    if kind not in SEQUENCE_KINDS:
+    if kind != "prime_log":
         raise ParameterDomain(f"unknown sequence kind {kind!r}")
-    x, y = ctx.x, ctx.y
-    if kind == "prime_log":
-        win = arith.prime_window(x, y)
-        support = np.asarray(win.primes, dtype=np.int64)
-        weights = np.asarray(win.weights, dtype=np.float64)
-    else:
-        lo = math.floor(x - y) + 1
-        hi = math.floor(x + y)
-        if kind == "integer_log":
-            lo = max(lo, 2)
-        support = np.arange(max(lo, 1), hi + 1, dtype=np.int64)
-        if kind == "integer_log":
-            weights = np.log(support.astype(np.float64))
-        else:
-            weights = np.ones(support.size, dtype=np.float64)
-    if support.size == 0:
-        raise EmptyWindow(f"no {kind} support in ({x - y}, {x + y}]")
-    return WeightedSequence(support=support, weights=weights)
+    win = arith.prime_window(ctx.x, ctx.y)
+    if not win.primes:
+        raise EmptyWindow(f"no {kind} support in ({ctx.x - ctx.y}, {ctx.x + ctx.y}]")
+    return WeightedSequence(support=win.primes, weights=win.weights)
 
 
 def _reduce(w: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -33,7 +33,9 @@ from wglab.arith import (
     sieve_interval,
     tau_eta,
 )
+from wglab.cli import exceptional_payload, per_n_table
 from wglab.config import canonical_json
+from wglab.csvtext import csv_lines
 from wglab.experiment import exceptional_scan, major_arc_rho_numeric
 from wglab.expsums import WeightedSequence
 from wglab.representations import moment, rho_mitm, rho_naive
@@ -411,13 +413,18 @@ def _payload_criterion_5() -> str:
     rng = np.random.default_rng(2026)
     ns = (5 + 24 * rng.integers(0, 50_000, size=100)).astype(np.int64)
     vals, snap = sigma_batch(ns, ctx, 400), sigma_batch(ns, ctx, 200)
-    return canonical_json({"criterion": 5, "n": ns, "sigma": vals, "sigma_mid": snap})
+    return canonical_json({
+        "criterion": 5, "n": ns.tolist(), "sigma": vals.tolist(), "sigma_mid": snap.tolist(),
+    })
 
 
 def _payload_criterion_10() -> str:
     ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
     rep = exceptional_scan(ctx, q0=400)
-    return canonical_json({"criterion": 10, "report": rep})
+    # what `wglab report` writes: the JSON payload, then the per-n stream
+    return canonical_json({"criterion": 10, **exceptional_payload(rep)}) + csv_lines(
+        *per_n_table(rep)
+    )
 
 
 def test_criterion_12_byte_determinism():

@@ -113,8 +113,13 @@ class TestCanonicalJson:
         assert json.loads(out) == {"a": "inf", "b": "nan"}
 
     def test_numpy_and_tuples(self):
-        out = canonical_json({"v": np.array([1.5, 2.5]), "n": np.int64(7), "t": (1, 2)})
-        assert json.loads(out) == {"v": [1.5, 2.5], "n": 7, "t": [1, 2]}
+        # np.float64 is a float; other numpy values, arrays among them,
+        # are no payload values
+        out = canonical_json({"v": np.float64(1.5), "t": (1, 2)})
+        assert json.loads(out) == {"v": 1.5, "t": [1, 2]}
+        for value in (np.int64(7), np.array([1.5, 2.5])):
+            with pytest.raises(ParameterDomain, match="cannot serialize"):
+                canonical_json({"v": value})
 
     def test_complex_values(self):
         assert json.loads(canonical_json(1 + 2j)) == {"re": 1, "im": 2}

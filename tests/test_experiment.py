@@ -23,6 +23,7 @@ from wglab.errors import (
     RangeTooLarge,
 )
 from wglab.experiment import (
+    _ARC_MEMO,
     _admissible_targets,
     _arc_integrand,
     _sorted_median,
@@ -154,7 +155,7 @@ class TestArcIntegrandMemo:
 
     @staticmethod
     def _cold(*args, **kwargs):
-        _arc_integrand.cache_clear()
+        _ARC_MEMO.clear()
         return major_arc_rho_numeric(*args, **kwargs)
 
     @pytest.fixture(autouse=True)
@@ -163,11 +164,26 @@ class TestArcIntegrandMemo:
             warnings.simplefilter("ignore", RuntimeWarning)
             yield
 
+    @pytest.fixture(autouse=True)
+    def _count_evaluations(self, monkeypatch):
+        # every f^s set calls eval_sums once; the kept entry must be gone
+        # by then
+        self.evaluations = 0
+        real = experiment.eval_sums
+
+        def counted(*args):
+            assert not _ARC_MEMO
+            self.evaluations += 1
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "eval_sums", counted)
+        _ARC_MEMO.clear()
+
     def test_hit_equals_cold(self):
         params = ArcParams.from_context(self.CTX)
         self._cold(self.TARGETS[0], self.CTX, params, 64)
         hits = [major_arc_rho_numeric(n, self.CTX, params, 64) for n in self.TARGETS]
-        assert _arc_integrand.cache_info().hits >= len(self.TARGETS)
+        assert self.evaluations == 1
         cold = [self._cold(n, self.CTX, params, 64) for n in self.TARGETS]
         assert hits == cold
 
@@ -187,17 +203,16 @@ class TestArcIntegrandMemo:
         ]
         cold = [self._cold(*c[:4], region=c[4]) for c in calls]
         assert len(set(cold[:-1])) == len(cold) - 1  # every key gives its own value
-        _arc_integrand.cache_clear()
+        _ARC_MEMO.clear()
         for _ in range(2):  # the second pass alternates keys after a warm start
             assert [major_arc_rho_numeric(*c[:4], region=c[4]) for c in calls] == cold
 
     def test_warning_on_hit(self):
         params = ArcParams.from_context(TINY)
-        _arc_integrand.cache_clear()
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="under-resolved"):
                 major_arc_rho_numeric(218, TINY, params, 8, region="full")
-        assert _arc_integrand.cache_info().hits == 1
+        assert self.evaluations == 1
 
     def test_cached_arrays_read_only(self):
         params = ArcParams.from_context(TINY)
@@ -227,14 +242,14 @@ class TestArcIntegrandMemo:
 
         monkeypatch.setattr(experiment, "eval_sums", after_release)
         major_arc_rho_numeric(218, TINY, params, 64, region="zero_arc")
-        assert _arc_integrand.cache_info().currsize == 1
+        assert self.evaluations == 2 and len(_ARC_MEMO) == 1
 
     def test_keeps_one_entry(self):
         params = ArcParams.from_context(TINY)
         for region in ("major", "full", "zero_arc"):
             for nodes in (32, 64):
                 major_arc_rho_numeric(218, TINY, params, nodes, region=region)
-                assert _arc_integrand.cache_info().currsize <= 1
+                assert len(_ARC_MEMO) == 1
 
 
 class TestExceptionalScan:

@@ -87,28 +87,14 @@ class TestBuildSequence:
         assert seq.support.tolist() == [7, 11, 13]
         assert np.allclose(seq.weights, np.log([7, 11, 13]))
 
-    def test_unit_window(self):
-        seq = build_sequence(_window_ctx(10.0, 4.0), "unit")
-        assert seq.support.tolist() == list(range(7, 15))
-        assert np.all(seq.weights == 1.0)
-
-    def test_integer_log_window(self):
-        seq = build_sequence(_window_ctx(10.0, 4.0), "integer_log")
-        assert seq.support.tolist() == list(range(7, 15))
-        assert np.allclose(seq.weights, np.log(np.arange(7, 15)))
-
-    def test_integer_log_drops_one(self):
-        # n = 1 carries weight log 1 = 0 and is excluded from the support
-        seq = build_sequence(_window_ctx(2.0, 1.5), "integer_log")
-        assert seq.support.tolist() == [2, 3]
-
     def test_empty_prime_window(self):
         with pytest.raises(EmptyWindow):
             build_sequence(_window_ctx(10.0, 0.5), "prime_log")
 
     def test_unknown_kind(self):
-        with pytest.raises(ParameterDomain):
-            build_sequence(_window_ctx(10.0, 4.0), "poisson")
+        for kind in ("poisson", "unit", "integer_log"):
+            with pytest.raises(ParameterDomain, match="unknown sequence kind"):
+                build_sequence(_window_ctx(10.0, 4.0), kind)
 
     def test_sequence_invariants(self):
         with pytest.raises(ParameterDomain):

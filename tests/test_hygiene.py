@@ -2,8 +2,8 @@
 script imports is used somewhere in that file, every private
 module-level name is read somewhere in the package, every public
 module-level function or class, and every public method or property of
-such a class, has a reader, and no package module imports inside a
-function or class."""
+such a class, has a reader, no package module imports inside a
+function or class, and no script takes a private name from wglab."""
 
 import ast
 from pathlib import Path
@@ -278,3 +278,53 @@ def test_catches_a_hand_written_budget():
         "    raise errors.ConvolutionTooLarge('over')\n"
     )
     assert _budget_errors_built(tree) == [6, 7]
+
+
+def _private_wglab_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every underscore name a file takes from wglab: a
+    private module or name it imports, or a private attribute it reads
+    off a name that a wglab import bound (`wglab.cli._emit`)."""
+    bound, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases = [a for a in node.names if a.name.split(".")[0] == "wglab"]
+            bound |= {a.asname or "wglab" for a in aliases}
+            names = [part for a in aliases for part in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wglab":
+            bound |= {a.asname or a.name for a in node.names}
+            names = node.module.split(".") + [a.name for a in node.names]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names if name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_take_only_public_wglab_names(path):
+    names = _private_wglab_names(ast.parse(path.read_text(), filename=str(path)))
+    assert not names, f"{path.name} takes private wglab names: {names}"
+
+
+def test_catches_a_private_wglab_name():
+    tree = ast.parse(
+        "import json\n"
+        "import wglab.cli\n"
+        "from wglab import experiment as ex\n"
+        "from wglab.cli import _report_summary, per_n_table\n"
+        "from wglab._hidden import thing\n"
+        "def f(rep):\n"
+        "    json._default_encoder\n"
+        "    per_n_table(rep)\n"
+        "    ex._ARC_MEMO.clear()\n"
+        "    return wglab.cli._emit\n"
+    )
+    assert _private_wglab_names(tree) == [
+        (4, "_report_summary"), (5, "_hidden"), (9, "ex._ARC_MEMO"), (10, "wglab.cli._emit"),
+    ]

@@ -1,8 +1,19 @@
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wglab.arith import ProblemContext
+from wglab.cli import exceptional_payload, per_n_table
+from wglab.config import canonical_json
+from wglab.csvtext import write_csv
+from wglab.experiment import exceptional_scan
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -14,7 +25,10 @@ def test_desk_experiment_writes_its_artifacts(tmp_path):
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads((tmp_path / "report.json").read_text())
+    # the payload `wglab exceptional` prints; the per-n columns are in the CSV
+    assert sorted(report) == ["context", "kind", "per_n_stream", "summary"]
     assert report["kind"] == "exceptional_scan"
+    assert report["per_n_stream"] == "per_n.csv"
     headers = {
         "per_n.csv": "n,rho,tuple_count,sigma,jay,ratio,flagged",
         "ratio_histogram.csv": "bin_lo,bin_hi,count",
@@ -50,7 +64,7 @@ def test_ladder_rung_records_the_desk_scan(tmp_path):
     assert abs(record["median_ratio"] - 0.7623) < 5e-5
     assert record["stream_s"] > 0
     assert record["stream_peak_rss_mb"] >= record["peak_rss_mb"]
-    sha = record["report_sha256"]
+    sha = record["output_sha256"]
     assert len(sha) == 64 and set(sha) <= set("0123456789abcdef")
 
 
@@ -87,8 +101,8 @@ def test_ladder_extra_rungs_join_the_label(tmp_path, monkeypatch):
 
 
 def test_ladder_rung_k3_x60_report_is_unchanged(tmp_path):
-    # the k=3, s=7 join-route rung; its report hash is the ladder's
-    # recorded one
+    # the k=3, s=7 join-route rung; its fingerprint is the one the code
+    # before the fingerprint read `wglab exceptional`'s payload gives
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "ladder.py"),
          "--rung", "3", "7", "0.8", "60", "--cache-dir", str(tmp_path)],
@@ -97,6 +111,42 @@ def test_ladder_rung_k3_x60_report_is_unchanged(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (record["route"], record["targets"]) == ("mitm", 42329)
-    assert record["report_sha256"] == (
-        "a0d4209058ef84f7bbc8a5935775db63fb3ff11d2a3b963415d33c23f1bf387c"
+    assert record["output_sha256"] == (
+        "753c193fe4d799714d8a72a4d58f4134986065444b5af45f6e05235f59cba872"
     )
+
+
+class TestLadderFingerprint:
+    """The fingerprint reads what `wglab exceptional` prints and the
+    per-n stream's text, so any change to either flips it."""
+
+    @staticmethod
+    def _fingerprint(rep, tmp_path):
+        stream = tmp_path / "per-n.csv"
+        write_csv(stream, *per_n_table(rep))
+        return _load_ladder().fingerprint(rep, stream), stream.read_bytes()
+
+    @pytest.fixture
+    def rep(self):
+        return exceptional_scan(ProblemContext.from_parts(2, 3, 40.0, 15.0), q0=80)
+
+    def test_is_the_sha256_of_both_outputs(self, rep, tmp_path):
+        sha, stream = self._fingerprint(rep, tmp_path)
+        text = canonical_json(exceptional_payload(rep)).encode() + stream
+        assert sha == hashlib.sha256(text).hexdigest()
+
+    def test_a_per_n_cell_flips_it(self, rep, tmp_path):
+        sha, stream = self._fingerprint(rep, tmp_path)
+        sigma = rep.per_n.sigma.copy()
+        sigma[3] = np.nextafter(sigma[3], np.inf)  # below the 12 printed digits
+        same = dataclasses.replace(rep, per_n=dataclasses.replace(rep.per_n, sigma=sigma))
+        assert self._fingerprint(same, tmp_path) == (sha, stream)
+        sigma[3] *= 1 + 1e-9  # the 10th digit moves
+        moved = dataclasses.replace(rep, per_n=dataclasses.replace(rep.per_n, sigma=sigma))
+        new_sha, new_stream = self._fingerprint(moved, tmp_path)
+        assert new_stream != stream and new_sha != sha
+
+    def test_a_summary_field_flips_it(self, rep, tmp_path):
+        sha, _ = self._fingerprint(rep, tmp_path)
+        moved = dataclasses.replace(rep, exceptional_one_sided=rep.exceptional_one_sided + 1)
+        assert self._fingerprint(moved, tmp_path)[0] != sha
