@@ -101,8 +101,8 @@ def test_ladder_extra_rungs_join_the_label(tmp_path, monkeypatch):
 
 
 def test_ladder_rung_k3_x60_report_is_unchanged(tmp_path):
-    # the k=3, s=7 join-route rung; its fingerprint is the one the code
-    # before the fingerprint read `wglab exceptional`'s payload gives
+    # the k=3, s=7 join-route rung; the pinned fingerprint holds every
+    # byte of its CLI output fixed
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "ladder.py"),
          "--rung", "3", "7", "0.8", "60", "--cache-dir", str(tmp_path)],
