@@ -7,11 +7,15 @@ weighted representation count rho(n) (one meet-in-the-middle join or two
 wrapped FFTs on the lattice of the prime powers, whichever the cost rule
 in `representations` finds cheaper), its main-term prediction
 sigma(n, Q0) * j(n), and a two-sided deviation flag at threshold
-y^(s-1) x^(1-k) / log x.  j is read from one table over the targets'
+y^(s-1) x^(1-k) / log x.  sigma and j are both taken over the targets'
 span on their residue class, whose step is the gcd g of the target
-differences (24 at k = 2, 2 at k = 3).  The table also holds entries of
-that class that are no target (k = 3 skips n = 0 mod 9), so each target
-is looked up at (n - offset) / g.  One target's main term is
+differences (24 at k = 2, 2 at k = 3): sigma adds one period pattern
+per modulus across that progression (`singular_series.sigma_batch`),
+and j is read from one table over it.  The progression also holds
+entries of that class that are no target (k = 3 skips n = 0 mod 9,
+an eighth more entries than targets), so each target is looked up at
+(n - offset) / g; the scan's per-target charge covers sigma's 8 bytes
+per entry.  One target's main term is
 `truncated_sigma(n, ctx, q0).value * j_integral(n, ctx)`, whose j can
 differ from the scan's in the last digits (`singular_integral._cell_table`).
 
@@ -202,8 +206,8 @@ def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray
 
     Refused before allocation: range-too-large past int64, memory-budget
     over 4 GiB at _TARGET_BYTES per member of the class.  That covers the
-    scan's per-target columns, flag masks and sorted ratios (90 bytes)
-    and rho's per-target arrays.  Whole-scan tracemalloc peaks per
+    scan's per-target columns, flag masks and sorted ratios (90 bytes),
+    rho's per-target arrays and sigma's accumulator (8 bytes a member).  Whole-scan tracemalloc peaks per
     target, warm in-process caches: 373, 114 and 97 bytes at k = 3,
     x = 60, 100 and 150 on the join route (j's FFT sets the one at
     x = 60), 730 and 257 at k = 2, x = 1000 and 4000 on the lattice,

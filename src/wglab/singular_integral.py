@@ -277,7 +277,19 @@ def j_integral(n: int, ctx: ProblemContext) -> float:
     return float(conv[i]) if 0 <= i < conv.size else 0.0
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre on [-1, 1], `numpy.polynomial.legendre.leggauss(16)`
+# bit for bit (a test pins it) without importing numpy.polynomial.  That
+# rule is exactly symmetric, so its upper half, written out, is mirrored.
+_GL_UPPER_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_UPPER_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate([-_GL_UPPER_NODES[::-1], _GL_UPPER_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_UPPER_WEIGHTS[::-1], _GL_UPPER_WEIGHTS])
 
 
 def require_node_budget(panels: int) -> None:

@@ -10,8 +10,20 @@ and the arithmetic coefficient attached to a target n is
 
 The truncated singular series sigma(n, Q0) is the partial sum of A(q, n)
 over q <= Q0 (the q = 1 term is 1).  A(q, n) is multiplicative in q, so
-each term is a product of prime-power table columns.  One route computes
+each term is a product of prime-power table entries.  One route computes
 the terms, for one target (`truncated_sigma`) or many (`sigma_batch`).
+
+Many targets are summed over the arithmetic progression that covers
+them, first + step i with step the gcd of their differences (24 for a
+k = 2 scan, 2 at k = 3, where the progression also holds the n = 0 mod 9
+that the (3, 7) rule drops).  A(q, n) reads n only mod q, so along the
+progression it repeats with period q / gcd(q, step): each q builds one
+period pattern of at most a few hundred entries and adds it across an
+accumulator over the progression, and each target reads its entry.  The
+bits are those of summing each target on its own, since every term is
+the same operands multiplied in the same order and every target's adds
+run in ascending q (see `sigma_batch`).  The accumulator is 8 bytes per
+progression entry, refused over 1 GiB before it is allocated.
 
 Computation uses the discrete Fourier transform twice: the row
 (S(q, a))_a is the conjugate DFT of the histogram of b^k mod q over
@@ -29,14 +41,15 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .arith import ProblemContext, euler_phi, factorize, sieve_interval
+from .arith import ProblemContext, euler_phi, sieve_interval
 from .errors import ImaginaryResidue, NotCoprime, ParameterDomain, RangeTooLarge, require_bytes
 
 _Q_CEILING = 200_000
 _SIGMA_BYTES = 2 * 2 ** 30  # prime-power table budget, see _live_q
 _IMAG_TOL = 1e-8
 _PARTIAL_FLOOR = 1e-12
-_SIGMA_BLOCK = 2 ** 13  # targets per block: 97 columns at q_max = 400 are 6 MiB
+_PROGRESSION_BYTES = 2 ** 30  # sigma_batch's accumulator budget, see there
+_PATTERN_MIN = 256  # least entries of a period pattern, see _terms
 
 # the live moduli: (q, its prime powers in `factorize` order), ascending in q
 Live = tuple[tuple[int, tuple[int, ...]], ...]
@@ -184,7 +197,9 @@ def _prime_powers(q_max: int) -> set[int]:
 def _live_q(q_max: int, k: int, s: int) -> Live:
     """(q, its prime powers in `factorize` order) for each 2 <= q <= q_max
     whose term can pass the floor at some n, ascending in q.  Memoised,
-    so a loop of `truncated_sigma` calls builds it once.
+    so a loop of `truncated_sigma` calls builds it once.  Each q is
+    factored from a smallest-prime-factor sieve: q = p^e m with p its
+    least prime and m < q already factored, so p^e leads m's powers.
 
     Refused before the first table is built when the tables of every
     prime power pp <= q_max, 25 bytes per residue (`_unit_mask` 1,
@@ -200,33 +215,62 @@ def _live_q(q_max: int, k: int, s: int) -> Live:
     pp_all = _prime_powers(q_max)
     require_bytes(25 * sum(pp_all), _SIGMA_BYTES, "sigma table",
                   f"the prime-power tables up to {q_max} need")
-    factors = [tuple(p ** e for p, e in factorize(q)) for q in range(2, q_max + 1)]
+    spf = np.zeros(q_max + 1, dtype=np.int64)
+    for p in sieve_interval(0, math.isqrt(q_max)):
+        multiples = spf[p::p]
+        multiples[multiples == 0] = p
+    least = np.where(spf == 0, np.arange(q_max + 1), spf).tolist()
+    factors: list[tuple[int, ...]] = [()] * (q_max + 1)
+    for q in range(2, q_max + 1):
+        p = pp = least[q]
+        m = q // p
+        while m % p == 0:
+            m //= p
+            pp *= p
+        factors[q] = (pp, *factors[m])
     peak = {pp: float(np.max(np.abs(_pp_table(pp, k, s)))) for pp in pp_all}
     # |term| <= the product of its tables' peaks, (1 + eps) per factor: a q
     # under half the floor there is floored to 0 at every n
     return tuple(
-        (q, pps)
-        for q, pps in enumerate(factors, start=2)
-        if math.prod(peak[pp] for pp in pps) > _PARTIAL_FLOOR / 2
+        (q, factors[q])
+        for q in range(2, q_max + 1)
+        if math.prod(peak[pp] for pp in factors[q]) > _PARTIAL_FLOOR / 2
     )
 
 
-def _terms(block: np.ndarray, live: Live, k: int, s: int):
-    """Yield (q, A(q, n) over the block) for each live q: the product of
-    its columns A(pp, n mod pp) in `factorize` order.  Each distinct pp's
-    column is gathered once per block."""
-    used = {pp for _, pps in live for pp in pps}
-    cols = {pp: _pp_table(pp, k, s)[block % pp] for pp in used}
+def _terms(first: int, step: int, count: int, live: Live, k: int, s: int):
+    """Yield (q, pattern) for each live q, where pattern[i] is A(q, n)
+    at n = first + step i, set to +0.0 where |A| <= 1e-12.
+
+    A(q, n) reads n only mod q, so along the progression it repeats with
+    period q / gcd(q, step) <= q, and entry i of a progression of `count`
+    takes pattern[i % len(pattern)].  The pattern holds the fewest whole
+    periods that reach _PATTERN_MIN entries, cut at `count`: numpy adds
+    a pattern across the progression one row of the reshape at a time,
+    and rows of a few entries made the adds at x = 16000 about a fifth
+    slower.  Each entry is the product of the prime-power table entries
+    A(pp, n mod pp) in `factorize` order.  Nothing is kept across q but
+    the progression's head, at most q_max + 255 entries.
+    """
+    widths = {}
+    for q, _ in live:
+        period = q // math.gcd(q, step)
+        widths[q] = min(count, period * -(-_PATTERN_MIN // period))
+    head = first + step * np.arange(max(widths.values(), default=0), dtype=np.int64)
     for q, pps in live:
-        yield q, math.prod(cols[pp] for pp in pps)
+        part = head[: widths[q]]
+        term = math.prod(_pp_table(pp, k, s)[part % pp] for pp in pps)
+        term[np.abs(term) <= _PARTIAL_FLOOR] = 0.0
+        yield q, term
 
 
 def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation:
     """Partial singular series sum over q <= q_max, ascending in q.
 
     Terms with |A(q, n)| <= 1e-12 are dropped from the records and from
-    the sum.  The terms are `sigma_batch`'s on a block of one target, so
-    the value equals `sigma_batch([n], ctx, q_max)` bit for bit.
+    the sum.  The terms are `sigma_batch`'s on a progression of one
+    target, so the value equals `sigma_batch([n], ctx, q_max)` bit for
+    bit.
     """
     n = int(n)
     if n < 0:
@@ -236,9 +280,9 @@ def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation
     live = _live_q(q_max, ctx.k, ctx.s)
     partials: list[tuple[int, float]] = [(1, 1.0)]
     value = 1.0
-    for q, term in _terms(np.array([n], dtype=np.int64), live, ctx.k, ctx.s):
+    for q, term in _terms(n, 1, 1, live, ctx.k, ctx.s):
         a = float(term[0])
-        if abs(a) > _PARTIAL_FLOOR:
+        if a:
             partials.append((q, a))
             value += a
     return SeriesTruncation(
@@ -247,23 +291,45 @@ def truncated_sigma(n: int, ctx: ProblemContext, q_max: int) -> SeriesTruncation
 
 
 def sigma_batch(n_values: np.ndarray, ctx: ProblemContext, q_max: int) -> np.ndarray:
-    """sigma(n, q_max) for a vector of targets.
+    """sigma(n, q_max) for a vector of targets, in input order.
 
-    The targets go in blocks of 2^13, and each live q's term is added in
-    ascending q, as `truncated_sigma` does, so the two agree bit for bit.
-    The partial sums at some q < q_max are `sigma_batch` at q_max = q:
-    the same terms in the same order.
+    The targets lie on the progression first + step i, 0 <= i < count,
+    with first their least, step the gcd of their differences (1 for a
+    single target), and count reaching their greatest.  One accumulator
+    of ones spans the progression, and each live q adds its period
+    pattern (`_terms`) across it in ascending q; each target reads its
+    entry.  Every target sees the same term, the same operands
+    multiplied in the same order, as `truncated_sigma` on it alone, and
+    the same adds in the same order: a floored term adds +0.0, which
+    leaves the accumulator as it was, since the accumulator starts at
+    1.0 and a sum is -0.0 only when both addends are.  So the two agree
+    bit for bit.  The partial sums at some q < q_max are `sigma_batch`
+    at q_max = q: the same terms in the same order.
+
+    Refused with memory-budget, before the accumulator or any table is
+    built, when its 8 bytes per progression entry are over 1 GiB, as
+    for sparse targets such as [1, 2, 2^40].  A scan is never refused
+    here: its charge of 400 bytes per member of the class s mod R(k),
+    against 4 GiB, admits progressions of at most 86 MB.
     """
     n_values = np.asarray(n_values, dtype=np.int64)
-    if n_values.size and int(n_values.min()) < 0:
+    first = int(n_values.min()) if n_values.size else 0
+    if first < 0:
         raise ParameterDomain("targets must be nonnegative")
+    offsets = n_values - first
+    step = int(np.gcd.reduce(offsets)) or 1
+    count = int(offsets.max(initial=-1)) // step + 1
+    require_bytes(8 * count, _PROGRESSION_BYTES, "sigma progression",
+                  f"the targets' progression of {count} entries needs")
     k, s = ctx.k, ctx.s
     live = _live_q(q_max, k, s)
-    values = np.ones(n_values.size, dtype=np.float64)
-    for start in range(0, n_values.size, _SIGMA_BLOCK):
-        block = n_values[start : start + _SIGMA_BLOCK]
-        acc = values[start : start + block.size]
-        for _, term in _terms(block, live, k, s):
-            # a term at or under the floor adds exactly 0.0
-            np.add(acc, term, out=acc, where=np.abs(term) > _PARTIAL_FLOOR)
-    return values
+    acc = np.ones(count, dtype=np.float64)
+    if not count:
+        return acc
+    for _, pattern in _terms(first, step, count, live, k, s):
+        width = pattern.size
+        whole = count - count % width
+        rows = acc[:whole].reshape(-1, width)
+        rows += pattern
+        acc[whole:] += pattern[: count - whole]
+    return acc[offsets // step]

@@ -3,9 +3,13 @@ script imports is used somewhere in that file, every private
 module-level name is read somewhere in the package, every public
 module-level function or class, and every public method or property of
 such a class, has a reader, no package module imports inside a
-function or class, and no script takes a private name from wglab."""
+function or class, no script takes a private name from wglab, and
+importing the CLI loads no numpy.polynomial."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -328,3 +332,16 @@ def test_catches_a_private_wglab_name():
     assert _private_wglab_names(tree) == [
         (4, "_report_summary"), (5, "_hidden"), (9, "ex._ARC_MEMO"), (10, "wglab.cli._emit"),
     ]
+
+
+def test_cli_import_leaves_numpy_polynomial_out():
+    # numpy.polynomial costs about 6 ms of every process's start
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, wglab.cli; print('numpy.polynomial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -566,6 +566,12 @@ class TestOscillatoryI:
         with pytest.raises(PrecisionOverflow):
             oscillatory_I(1.0, ctx)
 
+    def test_rule_is_numpys_leggauss(self):
+        # the written-out 16-point rule, bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert si._GL_NODES.tobytes() == nodes.tobytes()
+        assert si._GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_node_budget(self):
         # 120 bytes per node against 4 GiB: 2,236,962 panels of 16 nodes
         require_node_budget(2_236_962)

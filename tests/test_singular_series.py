@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import wglab.singular_series as ss
 from wglab.arith import ProblemContext, euler_phi, factorize
+from wglab.experiment import _admissible_targets
 from wglab.errors import MemoryBudgetExceeded, NotCoprime, ParameterDomain, RangeTooLarge
 from wglab.singular_series import (
     a_coefficient_direct,
@@ -238,12 +240,12 @@ class TestSigmaBatch:
         "k,s,checkpoint", [(2, 5, None), (2, 5, 37), (2, 5, 16), (3, 7, 1), (3, 7, 60)]
     )
     def test_columns_match_the_per_q_oracle(self, k, s, checkpoint):
-        # 20,011 targets of every residue: three blocks of 2^13, the last
-        # one short; values byte for byte, and the partial sums at q =
-        # checkpoint are sigma_batch with q_max = checkpoint
+        # 20,011 consecutive targets, every residue; values byte for byte,
+        # and the partial sums at q = checkpoint are sigma_batch with
+        # q_max = checkpoint
         ctx = ProblemContext.from_parts(k, s, 60.0, 20.0)
         targets = np.arange(1_000_003, 1_000_003 + 20_011, dtype=np.int64)
-        assert targets.size > 2 * ss._SIGMA_BLOCK
+        assert targets.size > 2 * 2 ** 13
         want_vals, want_snap = _sigma_per_q(targets, ctx, 120, checkpoint)
         assert sigma_batch(targets, ctx, 120).tobytes() == want_vals.tobytes()
         if checkpoint is None:
@@ -271,12 +273,12 @@ class TestSigmaBatch:
             ss._live_q(0, CTX.k, CTX.s)
 
     def test_tables_built_once_per_prime_power(self):
-        # unbounded caches: each block of three reads the tables that
-        # _live_q built, and none is built again at any count of prime
-        # powers (a bounded cache rebuilt every table per block past it)
+        # unbounded caches: sigma reads the tables that _live_q built, and
+        # none is built again at any count of prime powers (a bounded cache
+        # rebuilt every table past it)
         for cached in (ss._unit_mask, ss._gauss_row, ss._pp_table, ss._live_q):
             cached.cache_clear()
-        targets = np.arange(1_000_003, 1_000_003 + 3 * ss._SIGMA_BLOCK, dtype=np.int64)
+        targets = np.arange(1_000_003, 1_000_003 + 3 * 2 ** 13, dtype=np.int64)
         sigma_batch(targets, CTX, 300)
         count = len(ss._prime_powers(300))
         for table in (ss._unit_mask, ss._gauss_row, ss._pp_table):
@@ -286,4 +288,61 @@ class TestSigmaBatch:
     def test_checkpoint_domain(self):
         with pytest.raises(ParameterDomain):
             sigma_batch(np.array([-3]), CTX, 100)
+
+    def test_full_step_24_progression(self):
+        # the k=2 x=400 scan's targets: every n = 5 mod 24 in the window
+        ns = _admissible_targets(CTX, 800_001, math.floor(800_000 + CTX.window_width))
+        assert np.all(np.diff(ns) == 24)
+        want, _ = _sigma_per_q(ns, CTX, 400)
+        assert sigma_batch(ns, CTX, 400).tobytes() == want.tobytes()
+
+    def test_progression_with_gaps(self):
+        # the k=3 x=60 scan's targets: step 2, less every n = 0 mod 9, so
+        # the progression has 9/8 of their count
+        ctx = ProblemContext.from_scale(3, 7, 0.8, 7 * 60 ** 3)
+        ns = _admissible_targets(ctx, ctx.N + 1, math.floor(ctx.N + ctx.window_width))
+        assert set(np.diff(ns).tolist()) == {2, 4} and not np.any(ns % 9 == 0)
+        want, _ = _sigma_per_q(ns, ctx, 400)
+        assert sigma_batch(ns, ctx, 400).tobytes() == want.tobytes()
+
+    def test_unsorted_targets_with_duplicates(self):
+        # criterion 05's draw, reversed in part and repeated: each value
+        # comes back at its own position
+        rng = np.random.default_rng(2026)
+        ns = (5 + 24 * rng.integers(0, 50_000, size=100)).astype(np.int64)
+        ns = np.concatenate([ns, ns[::-3], ns[:5]])
+        for q_max in (200, 400):
+            want, _ = _sigma_per_q(ns, CTX, q_max)
+            assert sigma_batch(ns, CTX, q_max).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q_max", [1, 50, 400])
+    def test_one_target(self, q_max):
+        for n in (53, 54, 1_000_003, 2 ** 62 + 5):
+            got = sigma_batch(np.array([n]), CTX, q_max)
+            want, _ = _sigma_per_q(np.array([n]), CTX, q_max)
+            assert got.tobytes() == want.tobytes()
+            assert got[0] == truncated_sigma(n, CTX, q_max).value
+
+    def test_progression_budget(self, monkeypatch):
+        # 8 bytes per entry of the progression against 1 GiB: sparse
+        # targets span 2^40 entries and are refused
+        with pytest.raises(MemoryBudgetExceeded, match="progression of 1099511627776 entries"):
+            sigma_batch(np.array([1, 2, 2 ** 40]), CTX, 400)
+        # 2^20 entries, one byte over: refused before the accumulator or
+        # the live moduli are built
+        ns = np.array([2 ** 20, 1, 2], dtype=np.int64)
+        monkeypatch.setattr(ss, "_PROGRESSION_BYTES", 8 * 2 ** 20 - 1)
+        monkeypatch.setattr(ss, "_live_q", lambda *a: pytest.fail("built the live moduli"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded):
+                sigma_batch(ns, CTX, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        monkeypatch.undo()
+        monkeypatch.setattr(ss, "_PROGRESSION_BYTES", 8 * 2 ** 20)
+        want, _ = _sigma_per_q(ns, CTX, 50)
+        assert sigma_batch(ns, CTX, 50).tobytes() == want.tobytes()
 
