@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CacheMiss, CacheVersionMismatch, ParameterDomain
 
-VERSION = 6  # 6: j by the cell route alone; no entry from the np.convolve route is served
+VERSION = 7  # 7: j by cell moments; no entry holding the cell-width walk's j is served
 
 _META = "__meta__"
 

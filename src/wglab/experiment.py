@@ -16,8 +16,8 @@ entries of that class that are no target (k = 3 skips n = 0 mod 9,
 an eighth more entries than targets), so each target is looked up at
 (n - offset) / g; the scan's per-target charge covers sigma's 8 bytes
 per entry.  One target's main term is
-`truncated_sigma(n, ctx, q0).value * j_integral(n, ctx)`, whose j can
-differ from the scan's in the last digits (`singular_integral._cell_table`).
+`truncated_sigma(n, ctx, q0).value * j_integral(n, ctx)`, whose j is the
+scan's bit for bit: j(n) does not depend on the window a table spans.
 
 With a cache directory the scan keeps its computed columns (n, rho,
 tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`, keyed by
@@ -207,12 +207,14 @@ def _admissible_targets(ctx: ProblemContext, n_lo: int, n_hi: int) -> np.ndarray
     Refused before allocation: range-too-large past int64, memory-budget
     over 4 GiB at _TARGET_BYTES per member of the class.  That covers the
     scan's per-target columns, flag masks and sorted ratios (90 bytes),
-    rho's per-target arrays and sigma's accumulator (8 bytes a member).  Whole-scan tracemalloc peaks per
-    target, warm in-process caches: 373, 114 and 97 bytes at k = 3,
-    x = 60, 100 and 150 on the join route (j's FFT sets the one at
-    x = 60), 730 and 257 at k = 2, x = 1000 and 4000 on the lattice,
-    where the FFT arrays set them.  The largest, 730, lies above 400, so
-    the charge is not lowered.  The FFTs also check `require_conv_budget`.
+    rho's per-target arrays and sigma's accumulator (8 bytes a member).
+    Whole-scan tracemalloc peaks per target, warm in-process caches: 83
+    bytes at k = 3, x = 60, 100 and 150 on the join route, 262 and 257 at
+    k = 2, x = 1000 and 4000 on the lattice; rho sets every one of them
+    (j's grid peaks at 104 bytes a target at x = 1000, 54 or less
+    elsewhere).  The charge keeps its margin over the largest, 262.  The
+    FFTs also check their own budgets (`singular_integral.require_conv_budget`
+    and `_require_j_budget`).
     """
     if n_hi >= 2 ** 63:
         raise RangeTooLarge(f"targets up to {n_hi} are past the int64 range")

@@ -11,23 +11,28 @@ as an `expsums.WeightedSequence`.  Two derived quantities matter:
   is the discrete stand-in for the continuous window integral and the
   archimedean factor in the main-term prediction.
 
-j takes one route at every size, through cells: cells of width h cover
-[lo - 1/2, hi + 1/2], each holding the sum of its weights (at h = 1 the
-weights themselves, wider cells from the integral of c), one FFT
-(`wrapped_convolution`, which also serves rho in `representations`)
-convolves the sums s-fold, and j(n) is interpolated between them, with h
-chosen a posteriori.  Every FFT checks a byte budget before allocating.
+j takes one route at every size.  The weights are cut into cells of
+width h, a power of two that depends on (k, s, lo, hi) alone (1 below
+2^12 weights); each cell gives the low band of the weights' spectrum
+through its moments of order 0 to 8 about its centre, in closed form
+from the Taylor series of c, and nine short FFTs of the moment columns,
+combined by Horner and raised to the s-th power, give X = W^s; one inverse FFT
+gives j on a grid of step h over the whole support, and 8-point
+Lagrange interpolation reads the targets off it (`_j_table`).  At h = 1
+the table is the plain transform of the weights (`wrapped_convolution`,
+which also serves rho in `representations`).  So j(n) is one number,
+whatever window a table spans.  Every transform checks a byte budget
+before allocating.
 
-Accuracy: the walk over h holds its error estimate within 2e-10
-relative at the entries it probes.  Near the ends of the support, where
-j falls towards 0, the FFT's absolute error (about eps times the peak of
-j) dominates instead: against repeated `np.convolve`, the whole-support
-table of (k, s, x, y) = (3, 3, 30, 28) reads 1.4e-4 relative at its last
-entry, where j is 1.5e-12 of its peak.  No scan window or golden output
-reads entries that far below the peak, and at the ends of acceptance
-criterion 06's small supports the error stays within 4.0e-12; on the
-scan windows of (2, 3, 60, 60), (3, 3, 30, 28) and (2, 2, 10, 4) the
-tables agree with `np.convolve` within 1.1e-15 relative.
+Accuracy: eps-level against the exact convolution.  On the scan
+windows of k = 2, x = 400 to 4000 and k = 3, x = 60 to 150 the
+tables agree with the unit-width transform within 2.5e-15 relative;
+over whole supports, within 1.5e-15 of the peak against repeated
+`np.convolve`.  Near the ends of the support, where j falls towards 0,
+that absolute error (about eps times the peak of j) dominates: at the
+ends of acceptance criterion 06's small supports the relative error
+against the exact convolution is up to 4.0e-12.  No scan window or
+golden output reads entries that far below the peak.
 
 The oscillatory integral I(beta) over the original window uses composite
 Gauss-Legendre panels with doubling until the change falls below
@@ -54,8 +59,12 @@ from .expsums import WeightedSequence, exact_phase
 
 _CONV_BYTES = 4 * 2 ** 30
 _NODE_BYTES = 4 * 2 ** 30  # quadrature budget, see require_node_budget
-_J_RTOL = 2e-10  # j's error estimate, relative at every probed entry
-_START_CELLS = 2 ** 16
+_TAYLOR = 8  # the order in z of a cell's spectrum, see _grid
+_MIN_CELLS = 2 ** 11  # the widest cells leave at least this many
+_BAND = 8  # X must be below _EPS |X(0)| from f = Mp / _BAND on
+_EPS = 2.0 ** -52  # float64 eps
+_NODES = 8  # Lagrange nodes, -3..4 about the grid point below
+_BLOCK = 1 << 15  # table entries per interpolation block
 _OSC_TOL_FACTOR = 1e-8
 _MAX_DOUBLINGS = 18
 
@@ -137,9 +146,9 @@ def require_conv_budget(L: int) -> None:
 
     Four real arrays of length L are alive at once inside `irfft`: the
     charge is 32 L bytes against 4 GiB, which admits L up to 1.3e8.  At
-    k=2, s=5, theta=0.8, x = 16000 rho's lattice needs L = 1.7e7, and a
-    scan's `j_array` raises the peak (VmHWM, numpy 2.4.6) by 75 MB, most
-    of it arrays over the 1.5e6 targets (12 MB at x = 1000).
+    k=2, s=5, theta=0.8, x = 16000 rho's lattice needs L = 1.7e7; a
+    scan's `j_array` there, on the grid route, raises the peak (VmHWM,
+    numpy 2.4.6) by 11 MB over the 1.5e6 targets (1.4 MB at x = 1000).
     """
     require_bytes(32 * L, _CONV_BYTES, "convolution",
                   f"a cyclic FFT of length {L} needs", ConvolutionTooLarge)
@@ -156,89 +165,213 @@ def wrapped_convolution(w: np.ndarray, s: int, a: int, b: int) -> np.ndarray:
     return np.fft.irfft(spec, L)[a : b + 1].copy()
 
 
-def _cell_masses(k: int, lo: int, hi: int, h: int) -> np.ndarray:
-    """The sums of c_m over the cells [lo - 1/2 + i h, lo - 1/2 + (i + 1) h),
-    the last cut at hi + 1/2.  At h = 1 they are the weights c_m
-    themselves.  A wider cell takes the integral of c, v^(1/k) - u^(1/k)
-    taken as (v - u) / sum_i v^(i/k) u^((k-1-i)/k) so that nothing
-    cancels, less the midpoint Euler-Maclaurin term (c'(v) - c'(u)) / 24.
-    The next term, 7/5760 of the difference of c's third derivative, is
-    left out: `_cell_table`'s floor.  On a unit cell at k = 2 it would be
-    1.2e-2 of the weight at m = 1 and 4.8e-10 at m = 64, which is why
-    unit cells take the weights."""
-    if h == 1:
-        return _weights(k, lo, hi)
-    edges = lo - 0.5 + h * np.arange(-(-(hi - lo + 1) // h) + 1, dtype=np.float64)
-    edges[-1] = hi + 0.5
-    root = edges ** (1.0 / k)
-    u, v = root[:-1], root[1:]
-    den = sum(v ** i * u ** (k - 1 - i) for i in range(k))
-    slope = ((1.0 - k) / k ** 2) * edges ** (1.0 / k - 2.0)  # c'
-    return np.diff(edges) / den - np.diff(slope) / 24
+def _offset_power_sums(h: int, top: int) -> list[float]:
+    """sum over the offsets delta of a width-h cell from its centre of
+    (delta / h)^q, for q = 0..top, each rounded once from exact integers.
+
+    The doubled offsets 2 delta of a width-2w cell are those of width w
+    shifted by -w and by +w, and width 1 has the one offset 0; h is a
+    power of two.  Odd sums are 0 by symmetry."""
+    t = [1] + [0] * top
+    w = 1
+    while w < h:
+        t = [2 * sum(math.comb(q, r) * t[r] * w ** (q - r) for r in range(q % 2, q + 1, 2))
+             for q in range(top + 1)]
+        w *= 2
+    return [t[q] / (2 * h) ** q for q in range(top + 1)]
 
 
-def _cells(k: int, s: int, lo: int, hi: int, h: int, a: int, b: int):
-    """n -> j at float offsets n in [a, b] from s lo, from the s-fold
-    convolution of the width-h cell masses: sum I is centred at
-    s(lo - 1/2) + (I + s/2) h, so offset n sits at u = (n + s/2) / h - s/2,
-    and j interpolates the sums at floor(u) and floor(u) + 1, over h."""
-    count = -(-(hi - lo + 1) // h)
-    first = math.floor((a + s / 2) / h - s / 2)
-    last = math.floor((b + s / 2) / h - s / 2) + 1
-    lo_c, hi_c = max(first, 0), min(last, s * (count - 1))
-    if lo_c > hi_c:  # every sum the window reads lies past an end: j is 0
-        return np.zeros_like
-    require_conv_budget(wrap_length(count, s, lo_c, hi_c))
-    nu = np.zeros(last - first + 1)  # sums outside the support stay 0
-    nu[lo_c - first : hi_c - first + 1] = wrapped_convolution(
-        _cell_masses(k, lo, hi, h), s, lo_c, hi_c
-    )
-    np.maximum(nu, 0.0, out=nu)  # clip FFT noise below true zero
+def _cell_moments(k: int, lo: int, hi: int, h: int) -> np.ndarray:
+    """Row j, column I: mu_j(I) / j!, where mu_j(I) is the sum over the
+    members m of cell I of c_m ((m - centre) / h)^j, j = 0.._TAYLOR.
 
-    def at(n: np.ndarray) -> np.ndarray:
-        if h == 1:  # unit cells: the sums are j itself, u = n exactly
-            return nu[n.astype(np.int64) - first]
-        u = (n + s / 2) / h - s / 2
-        below = np.floor(u)
-        u -= below
-        i = below.astype(np.int64) - first
-        return ((1.0 - u) * nu[i] + u * nu[i + 1]) / h
+    Cell I holds m = lo + I h, ..., lo + I h + h - 1 (the last cut at
+    hi) around the centre lo + I h + (h - 1) / 2.  A full cell whose
+    centre lies at 4h or more takes its moments in closed form from the
+    Taylor series of c about the centre, c(mu + delta) = c(mu) times the
+    sum of binom(1/k - 1, r) (delta / mu)^r, against the exact
+    `_offset_power_sums`; the series stops at the first r with
+    (h / 2 mu)^r <= 2^-56, which bounds every later term relative to the
+    cell's mass.  Any other cell, the last partial one among them, is
+    summed from its own weights."""
+    R = hi - lo + 1
+    count = -(-R // h)
+    alpha = 1.0 / k - 1.0
+    centre = lo + (h - 1) / 2 + h * np.arange(count, dtype=np.float64)
+    taylor = centre >= 4 * h
+    taylor[-1] &= R % h == 0
+    direct = np.flatnonzero(~taylor).tolist()
+    mu = centre[taylor]
+    mom = np.empty((_TAYLOR + 1, count))
+    if mu.size:
+        terms = math.ceil(56 / math.log2(2 * float(mu[0]) / h))
+        sums = _offset_power_sums(h, _TAYLOR + terms)
+        binom = [1.0]
+        for r in range(1, terms + 1):
+            binom.append(binom[-1] * (alpha - r + 1) / r)
+        rho = h / mu
+        rho2 = rho * rho
+        c = (1.0 / k) * mu ** alpha
+        for j in range(_TAYLOR + 1):
+            coef = [binom[r] * sums[j + r] / math.factorial(j)
+                    for r in range(j % 2, terms + 1, 2)]
+            acc = np.full(mu.size, coef[-1])
+            for b in coef[-2::-1]:
+                acc *= rho2
+                acc += b
+            acc *= c
+            if j % 2:
+                acc *= rho
+            mom[j, taylor] = acc
+    for i in direct:
+        m0 = lo + i * h
+        m1 = min(m0 + h - 1, hi)
+        term = _weights(k, m0, m1)
+        delta = (np.arange(m1 - m0 + 1) - (h - 1) / 2) / h
+        for j in range(_TAYLOR + 1):
+            mom[j, i] = np.sum(term)  # of c_m delta^j / j!
+            term *= delta / (j + 1)
+    return mom
 
-    return at
+
+def _cell_width(R: int) -> int:
+    """The largest power of two leaving at least _MIN_CELLS cells of R
+    weights, 1 when R < 2 _MIN_CELLS."""
+    return 1 << max((R // _MIN_CELLS).bit_length() - 1, 0)
 
 
-def _cell_table(ctx: ProblemContext, lo: int, hi: int, a: int, b: int, step: int) -> np.ndarray:
-    """j at offsets a, a + step, ..., b from s lo, from cells of width h.
+def _require_j_budget(count: int, Mp: int, h: int, a: int, b: int, step: int) -> None:
+    """Refuse j's grid route at width h before any of it is allocated.
 
-    h starts at the largest power of two up to R / 2^16 (1 for a window
-    reaching an end of the support, where j tends to 0 and no h > 1
-    holds) and halves until the error estimate, the difference of the
-    tables at h and 2h plus a floor no h > 1 removes (s times the wide
-    masses' relative Euler-Maclaurin remainder (7/5760) |c''''/c| at
-    lo - 1/2), holds 2e-10 relative at a, b and every centre and midpoint
-    of the width-h sums between, where the interpolation error peaks.
-    These probes do not depend on the step, so neither does j(n).  They
-    do depend on [a, b]: two windows holding n can stop at different h,
-    so j(n) from `j_integral` (a one-entry window) and from a scan's
-    table differ within the tolerance, 7.1e-11 relative at k = 3, x = 60.
-    At h = 1 the masses are the weights and the walk ends.
+    The charge: the moment columns (8 (_TAYLOR + 1) bytes a cell); the
+    spectra and the grid, 40 bytes per grid entry (the Horner
+    accumulator, one moment's transform and its zero-padded input, the
+    phases z, the irfft's work); the grid nodes the table reads with
+    their indices, 16 bytes each, at most 2 (b - a) / h + 9 of them; and
+    `_interpolate`'s table, its block and its weights.  tracemalloc
+    peaks of `j_array` read 0.38 to 0.69 of it on scan windows, one-entry
+    windows and whole supports at k = 2, x = 400 to 4000 and k = 3,
+    x = 60 and 150."""
+    T = (b - a) // step + 1
+    g = math.gcd(step, h)
+    P = min(h // g, T)
+    cols = min(step // g, (b - a) // h + 1) + _NODES
+    need = (8 * (_TAYLOR + 1) * count + 40 * Mp + 16 * (2 * (b - a) // h + _NODES + 1)
+            + 8 * (2 * T + _BLOCK + (cols + 16) * P))
+    require_bytes(need, _CONV_BYTES, "convolution",
+                  f"j from {count} cells on a grid of {Mp} needs", ConvolutionTooLarge)
+
+
+def _grid(k: int, s: int, lo: int, hi: int, h: int, Mp: int) -> np.ndarray | None:
+    """j at s(h - 1)/2 + I h for I = 0..Mp - 1 (periodic in Mp) from the
+    width-h cells, or None when X = W^s exceeds eps |X(0)| anywhere on
+    f >= Mp / 8, leaving the interpolant too little room.
+
+    W is the weights' spectrum at period h Mp, on f = 0..Mp/2, each
+    cell's phase taken at its centre less (h - 1) / 2: the sum over j of
+    A_j(f) z^j by Horner, A_j the rfft of row j of `_cell_moments` and
+    z = -2 pi i f / Mp."""
+    mom = _cell_moments(k, lo, hi, h)
+    z = (-2j * np.pi / Mp) * np.arange(Mp // 2 + 1)
+    spec = np.fft.rfft(mom[_TAYLOR], Mp)
+    for j in range(_TAYLOR - 1, -1, -1):
+        spec *= z
+        spec += np.fft.rfft(mom[j], Mp)
+    spec **= s
+    if np.max(np.abs(spec[-(-Mp // _BAND):])) > _EPS * abs(spec[0]):
+        return None
+    grid = np.fft.irfft(spec, Mp)
+    grid /= h  # h is a power of two: exact
+    return grid
+
+
+def _lagrange_weights(phi: np.ndarray) -> np.ndarray:
+    """Row r: the weight of node r - 3 in the 8-point Lagrange
+    interpolant at phi, nodes -3..4.  Elementwise in phi, so the same
+    phi gets the same bits in any array."""
+    out = np.empty((_NODES, phi.size))
+    for r in range(_NODES):
+        num = np.ones_like(phi)
+        den = 1
+        for q in range(_NODES):
+            if q != r:
+                num *= phi - (q - 3)
+                den *= r - q
+        out[r] = num / den
+    return out
+
+
+def _interpolate(grid: np.ndarray, h: int, s: int, a: int, step: int, T: int) -> np.ndarray:
+    """j at offsets a, a + step, ..., a + (T - 1) step from the grid
+    (grid[I] = j at s(h - 1)/2 + I h, periodic in len(grid)), 8-point
+    Lagrange, polyphase.
+
+    Offset t sits at 2t - s(h - 1) = 2h I + rem: between nodes I and
+    I + 1, at phi = rem / 2h, which repeats every P = h / gcd(step, h)
+    entries while I moves on D = step / gcd(step, h).  The table is cut
+    into rows of P entries; row q reads the (at most D + 8) columns of
+    nodes from I_0 - 3 + qD, and each column adds its node times its
+    weight for every phase, one multiply-add over a block of rows, in
+    column order.  An entry's nonzero terms come in node order whatever
+    the window, and a zero weight adds an exact zero, so j(n) has the
+    same bits in every table that holds n.  No BLAS, so no thread count
+    changes them."""
+    g = math.gcd(step, h)
+    P = min(h // g, T)
+    D = step // g
+    num = 2 * a - s * (h - 1) + 2 * step * np.arange(P, dtype=np.int64)
+    node, rem = np.divmod(num, 2 * h)
+    rel = node - node[0]
+    cols = int(rel[-1]) + _NODES
+    weight = np.zeros((cols, P))
+    lagrange = _lagrange_weights(rem / (2 * h))
+    for r in range(_NODES):
+        weight[rel + r, np.arange(P)] = lagrange[r]
+    rows = -(-T // P)
+    first = int(node[0]) - 3
+    nodes = grid[np.arange(first, first + (rows - 1) * D + cols) % grid.size]
+    view = np.lib.stride_tricks.sliding_window_view(nodes, cols)[::D]
+    out = np.zeros((rows, P))
+    block = max(_BLOCK // P, 1)  # rows of a block, which stays in cache
+    term = np.empty((min(block, rows), P))
+    for q in range(0, rows, block):
+        part, src = out[q : q + block], view[q : q + block]
+        for c in range(cols):
+            np.multiply(src[:, c, None], weight[c], out=term[: len(part)])
+            part += term[: len(part)]
+    return out.ravel()[:T]
+
+
+def _j_table(k: int, s: int, lo: int, hi: int, a: int, b: int, step: int) -> np.ndarray:
+    """j at offsets a, a + step, ..., b from s lo.
+
+    h depends on (k, s, lo, hi) alone: `_cell_width`, halved while
+    `_grid` finds X = W^s above eps |X(0)| on f >= Mp / 8, so the grid
+    holds j's band with room for the interpolant.  At h = 1 the
+    table is the plain transform of the weights over the whole support.
+    Either way j(n) is one number, whatever the window.
     """
-    k, s = ctx.k, ctx.s
-    h = 1 << max(((hi - lo + 1) // _START_CELLS).bit_length() - 1, 0)
-    if a == 0 or b == s * (hi - lo):
-        h = 1
-    floor = s * 7 / 5760 * abs(math.prod(1 / k - i for i in range(1, 5))) / (lo - 0.5) ** 4
-    coarse = _cells(k, s, lo, hi, 2 * h, a, b) if h > 1 else None
-    fine = _cells(k, s, lo, hi, h, a, b)
+    R = hi - lo + 1
+    S = s * (R - 1)
+    T = (b - a) // step + 1
+    h = _cell_width(R)
     while h > 1:
-        half = np.arange(math.ceil(2 * (a + s / 2) / h), math.floor(2 * (b + s / 2) / h) + 1)
-        probe = np.concatenate(([a, b], half * (h / 2) - s / 2))
-        want = fine(probe)
-        if np.all(np.abs(want - coarse(probe)) <= (_J_RTOL - floor) * want):
+        # the period h Mp passes the support [0, S] by 8 cells, so no
+        # interpolation node, all within 4h of it, reads a wrapped image
+        Mp = _smooth_at_least(-(-(S + 1) // h) + 8)
+        _require_j_budget(-(-R // h), Mp, h, a, b, step)
+        grid = _grid(k, s, lo, hi, h, Mp)
+        if grid is not None:
+            table = _interpolate(grid, h, s, a, step, T)
             break
-        coarse, h = fine, h // 2
-        fine = _cells(k, s, lo, hi, h, a, b)
-    return fine(np.arange(a, b + 1, step, dtype=np.float64))
+        h //= 2
+    else:
+        require_conv_budget(wrap_length(R, s, 0, S))
+        require_bytes(8 * T, _CONV_BYTES, "convolution", f"a table of {T} entries needs",
+                      ConvolutionTooLarge)
+        table = wrapped_convolution(_weights(k, lo, hi), s, 0, S)[a : b + 1 : step].copy()
+    np.maximum(table, 0.0, out=table)  # clip FFT noise below true zero
+    return table
 
 
 def j_array(
@@ -252,7 +385,7 @@ def j_array(
     Without a window the table is the whole support [s lo, s hi] and
     offset = s lo.  With one, it covers exactly the n = n_lo (mod step)
     of [n_lo, n_hi] inside the support; a window outside the support
-    gives an empty table.  Every table comes from `_cell_table`.
+    gives an empty table.  Every table comes from `_j_table`.
     """
     if step < 1:
         raise ParameterDomain(f"need step >= 1, got {step}")
@@ -266,12 +399,13 @@ def j_array(
     if a > b:
         return base + a, np.zeros(0)
     b -= (b - a) % step
-    return base + a, _cell_table(ctx, lo, hi, a, b, step)
+    return base + a, _j_table(ctx.k, ctx.s, lo, hi, a, b, step)
 
 
 def j_integral(n: int, ctx: ProblemContext) -> float:
     """The window convolution j(n); zero outside [s*lo, s*hi].  Only n is
-    asked for, so the table holds one entry, not the support."""
+    asked for, so the table holds one entry, with the bits the same n has
+    in any other table."""
     offset, conv = j_array(ctx, n, n)
     i = int(n) - offset
     return float(conv[i]) if 0 <= i < conv.size else 0.0

@@ -260,8 +260,8 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_jay_just_above_the_bottom_of_the_support(self, capsys):
-        # n = s lo + 1 with lo = 560719, where the probe window can lie
-        # wholly below the cell sums; the values are pinned in
+        # n = s lo + 1 with lo = 560719, where the interpolant reads grid
+        # nodes below the support; the values are pinned in
         # test_singular_integral
         assert main(["jay", "--n", "2803596", "--x", "1000", "--k", "2", "--s", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] >= 0
@@ -300,6 +300,19 @@ class TestReportArtifacts:
         lines = stream.read_text().splitlines()
         assert lines[0] == "n,rho,tuple_count,sigma,jay,ratio,flagged"
         assert lines[1].startswith("218,")
+
+    def test_jay_prints_the_per_n_cell(self, tmp_path, capsys):
+        # j(n) is one number: `wglab jay` and the report's per-n stream
+        # print the same cell for a k = 3 target
+        ctx = ["--k", "3", "--s", "7", "--theta", "0.8", "--x", "60"]
+        assert main(["jay", "--n", "1514443", *ctx]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert main(["report", *ctx, "--out", str(tmp_path / "rep.json")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "rep.per-n.csv").read_text().splitlines()
+        col = lines[0].split(",").index("jay")
+        (row,) = [line.split(",") for line in lines if line.startswith("1514443,")]
+        assert row[col] == format_float(value)
 
     def test_stdout_report_has_no_stream(self, capsys):
         assert main(["report", "--q0", "50", *W]) == 0

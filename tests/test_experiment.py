@@ -431,7 +431,7 @@ class TestExceptionalScan:
         # today's, is never read back
         import wglab.experiment as experiment
 
-        assert cache.VERSION == 6
+        assert cache.VERSION == 7
         cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
         (path,) = tmp_path.glob("scan-*.wgc")
         raw = path.read_bytes()
@@ -452,6 +452,29 @@ class TestExceptionalScan:
         assert warm.jay.tobytes() == cold.jay.tobytes()
         assert path.read_bytes() == raw
         assert len(list(tmp_path.glob("scan-*.wgc"))) == 2
+
+    def test_version_6_entry_is_recomputed(self, tmp_path, monkeypatch):
+        # VERSION 6 entries hold j from the walk over cell widths, whose
+        # j(n) followed the window; one under the same key is a miss,
+        # recomputed and rewritten
+        import wglab.experiment as experiment
+
+        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        (path,) = tmp_path.glob("scan-*.wgc")
+        raw = path.read_bytes()
+        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
+        with monkeypatch.context() as old:
+            old.setattr(cache, "VERSION", 6)
+            cache.store(tmp_path, "scan", key, {
+                "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
+                "sigma": cold.sigma, "jay": cold.jay * (1 + 2e-11),
+            })
+        assert path.read_bytes() != raw
+        with pytest.raises(CacheVersionMismatch, match="version 6"):
+            cache.load(tmp_path, "scan", key)
+        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
+        assert warm.jay.tobytes() == cold.jay.tobytes()
+        assert path.read_bytes() == raw
 
     @pytest.mark.parametrize("k,s", [(2, 5), (2, 4), (3, 7), (3, 8)])
     def test_targets_on_their_class_equal_the_mask(self, k, s):

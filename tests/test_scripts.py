@@ -102,7 +102,9 @@ def test_ladder_extra_rungs_join_the_label(tmp_path, monkeypatch):
 
 def test_ladder_rung_k3_x60_report_is_unchanged(tmp_path):
     # the k=3, s=7 join-route rung; the pinned fingerprint holds every
-    # byte of its CLI output fixed
+    # byte of its CLI output fixed (it moved from 753c193f... when j came
+    # from cell moments, whose jay agrees with the exact convolution to
+    # 1.2e-15 where the walk over cell widths was off by 3.2e-11)
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "ladder.py"),
          "--rung", "3", "7", "0.8", "60", "--cache-dir", str(tmp_path)],
@@ -112,7 +114,7 @@ def test_ladder_rung_k3_x60_report_is_unchanged(tmp_path):
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (record["route"], record["targets"]) == ("mitm", 42329)
     assert record["output_sha256"] == (
-        "753c193fe4d799714d8a72a4d58f4134986065444b5af45f6e05235f59cba872"
+        "0e5612dc8ae3ca40426043de3ab6f98a1271a08d57595893994b68857dcccc82"
     )
 
 
