@@ -9,8 +9,8 @@ theta=0.8 at x = 400, 1000, 2000, 4000, plus k=3, s=7, x=60;
 ones.  Per rung the record holds, for the cold process:
 
   * the stage times of the scan: prime window (inside rho), rho, sigma
-    and j, taken by wrapping the names `experiment` looks up and read
-    as soon as the scan returns;
+    and j, taken by wrapping `arith.prime_window` and the names
+    `experiment` looks up, and read as soon as the scan returns;
   * the rho route the cost rule took ("lattice" or "mitm");
   * the peak RSS of the process (VmHWM);
   * the seconds `wglab.csvtext.write_csv` takes to write the per-n stream
@@ -87,7 +87,7 @@ def fingerprint(rep, stream: Path) -> str:
 def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
     """One scan in this process, against cache_dir when given; the
     record described above."""
-    from wglab import experiment, representations
+    from wglab import arith, experiment, representations
     from wglab.arith import ProblemContext
     from wglab.cli import per_n_table
     from wglab.csvtext import write_csv
@@ -107,7 +107,7 @@ def run_rung(k: int, s: int, theta: float, x: int, cache_dir=None) -> dict:
 
         setattr(module, name, wrapper)
 
-    timed(representations, "prime_window", "prime_window")
+    timed(arith, "prime_window", "prime_window")
     timed(experiment, "rho_scan", "rho")
     timed(experiment, "sigma_batch", "sigma")
     timed(experiment, "j_array", "j")

@@ -181,11 +181,9 @@ class ArcDecomposition:
         arcs: list[MajorArc] = []
         for q in range(1, pmax + 1):
             hw = 1.0 / (q * params.Q)
-            if q == 1:
-                arcs.append(MajorArc(q=1, a=0, center=0.0, half_width=hw))
-                arcs.append(MajorArc(q=1, a=1, center=1.0, half_width=hw))
-                continue
-            for a in range(1, q):
+            # a in 0..q coprime to q, as `expsums.major_mask` takes them:
+            # q = 1 gives both ends, 0/1 and 1/1
+            for a in range(q + 1):
                 if math.gcd(a, q) == 1:
                     arcs.append(MajorArc(q=q, a=a, center=a / q, half_width=hw))
         arcs.sort(key=lambda m: (m.center, m.q))

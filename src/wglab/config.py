@@ -102,9 +102,10 @@ def _parse_value(key: str, val: str, lineno: int):
 
 def format_float(v: float) -> str:
     """12-significant-digit rendering used in all textual output; nan,
-    inf and -inf print as such.  The oracle of `csvtext`'s byte-column
-    renderer, which writes the same text for numpy float columns and
-    hands back here every cell it cannot decide."""
+    inf and -inf print as such.  Both the oracle of `csvtext`'s
+    byte-column renderer, which writes the same text for numpy float
+    columns, and its one fallback for every float cell its byte slots
+    do not decide, -0, nan and the infinities among them."""
     return f"{v:.12g}"
 
 

@@ -1,16 +1,18 @@
 """CSV text of column tables, rendered a block of rows at a time.
 
 `csv_lines` and `write_csv` take a header and equal-length columns.  A
-numpy float, int or bool column is rendered without a Python string per
-cell: each block of up to `_BLOCK_ROWS` rows lays every column out as
-fixed-width byte slots, one uint8 vector of the block's cells per slot,
-NUL where a cell has no byte; the block's slots and separators, read
-row by row without the NULs, are its text.  Floats read as
+numpy float, bool or int64 column is rendered without a Python string
+per cell: each block of up to `_BLOCK_ROWS` rows lays every column out
+as fixed-width byte slots, one uint8 vector of the block's cells per
+slot, NUL where a cell has no byte; the block's slots and separators,
+read row by row without the NULs, are its text.  Floats read as
 `config.format_float` writes them (12 significant digits, `%g` layout),
-ints as `str`, bools as "true"/"false".  Cells the byte route cannot
-decide, and list columns (plot tables, flattened payloads), go through
-`format_float` and `str`, which stay its oracle.  No cell text holds a
-NUL byte.
+ints as `str`, bools as "true"/"false".  Every cell the slots do not
+decide takes one fallback, `_cell` (`format_float` or `str`), which is
+also the slots' oracle: floats the slots cannot decide, -0, nan and the
+infinities, and every cell of any other column (other integer dtypes,
+an int64 column holding -2^63, lists and object arrays).  No cell text
+holds a NUL byte.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .config import format_float
 
 def _cell(v) -> str:
     """One CSV cell by value: floats at 12 significant digits, bools
-    lowercase.  The route of list columns, and the oracle of `_segment`."""
+    lowercase.  The one fallback of the byte slots, and their oracle."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -142,55 +144,43 @@ def _float_slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_segment(col: np.ndarray) -> np.ndarray:
-    """Byte slots of a float column.  Only finite nonzero cells are
-    formatted; +0 reads "0", and -0, nan and the infinities are fixed
-    texts."""
+    """Byte slots of a float column: +0 reads "0", and the finite nonzero
+    cells `_float_slots` decides read from its slots.  Every other cell
+    (the undecided ones, -0, nan and the infinities) goes through `_cell`."""
     col = col.astype(np.float64, copy=False)
     live = np.flatnonzero(np.isfinite(col) & (col != 0))
     part, undecided = _float_slots(col[live])
-    if undecided.any():
-        at = np.flatnonzero(undecided)
-        _put(part, at, _text_segment(map(format_float, col[live[at]].tolist())))
     if live.size == col.size:
-        return part
+        return _scalar_cells(part, col, live[undecided])
     text = np.zeros((_F_SLOTS, col.size), np.uint8)
     text[0] = ord("0")
     _put(text, live, part)
-    words = {
-        b"-0": (col == 0) & np.signbit(col),
-        b"nan": np.isnan(col),
-        b"inf": col == np.inf,
-        b"-inf": col == -np.inf,
-    }
-    for word, where in words.items():
-        if where.any():
-            _put(text, np.flatnonzero(where), np.frombuffer(word, np.uint8)[:, None])
+    rest = (col != 0) | np.signbit(col)  # every cell but +0
+    rest[live] = undecided
+    return _scalar_cells(text, col, np.flatnonzero(rest))
+
+
+def _scalar_cells(text: np.ndarray, col: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """text with the cells of col at `at` rewritten by `_cell`."""
+    if at.size:
+        _put(text, at, _text_segment(map(_cell, col[at].tolist())))
     return text
 
 
 def _int_segment(col: np.ndarray) -> np.ndarray:
-    """Byte slots of an integer column as `str` writes it; -2^63 and
-    uint64 of 2^63 or more, which int64 cannot negate or hold, go
-    through `str` into slots wide enough for any 64-bit integer."""
-    if col.dtype.kind == "u":
-        odd = col.astype(np.uint64) >= np.uint64(2 ** 63)
-    else:
-        odd = col.astype(np.int64) == np.iinfo(np.int64).min
-    v = np.where(odd, 0, col).astype(np.int64)
-    a = np.abs(v)
-    width = 19 if odd.any() else len(str(a.max()))
+    """Byte slots of an int64 column holding no -2^63, as `str` writes it."""
+    a = np.abs(col)
+    width = len(str(a.max()))
     groups, rest = [], a
     for _ in range(0, width, 4):
         rest, g = np.divmod(rest, 10 ** 4)
         groups.insert(0, g)
     text = np.empty((1 + width, col.size), np.uint8)
-    text[0] = _byte(v < 0, "-")
+    text[0] = _byte(col < 0, "-")
     text[1:] = _digits(groups)[-width:]
     # no leading zeros; a zero keeps its last digit
     for j in range(width - 1):
         text[1 + j] *= a >= 10 ** (width - 1 - j)
-    if odd.any():
-        _put(text, np.flatnonzero(odd), _text_segment([str(x) for x in col[odd].tolist()]))
     return text
 
 
@@ -202,15 +192,18 @@ def _bool_segment(col: np.ndarray) -> np.ndarray:
 
 def _segment(col) -> np.ndarray:
     """(width, cells) byte slots of one block of a column, NUL where a
-    cell has no byte: numpy float, int and bool arrays in 1-D operations
-    per slot, anything else cell by cell through `_cell`."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fiub":
+    cell has no byte: numpy float and bool arrays, and int64 arrays
+    without -2^63 (which int64 cannot negate), in 1-D operations per
+    slot; any other column cell by cell through `_cell`."""
+    if isinstance(col, np.ndarray):
         if col.dtype.kind == "f":
             return _float_segment(col)
         if col.dtype.kind == "b":
             return _bool_segment(col)
-        return _int_segment(col)
-    return _text_segment([_cell(v) for v in col])
+        if col.dtype == np.int64 and col.min(initial=0) > np.iinfo(np.int64).min:
+            return _int_segment(col)
+        col = col.tolist()
+    return _text_segment(map(_cell, col))
 
 
 def _csv_blocks(header: list[str], columns: list):

@@ -52,14 +52,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import ProblemContext, prime_window
+from .arith import ProblemContext
 from .errors import (
-    EmptyWindow,
     EnumerationTooLarge,
     ParameterDomain,
     PrecisionOverflow,
     require_bytes,
 )
+from .expsums import build_sequence
 from .singular_integral import require_conv_budget, wrap_length, wrapped_convolution
 
 _ENUM_CEILING = 10 ** 8
@@ -81,11 +81,9 @@ class MomentValue:
 
 
 def _window_powers(ctx: ProblemContext) -> tuple[list[int], list[float]]:
-    win = prime_window(ctx.x, ctx.y)
-    if not win.primes:
-        raise EmptyWindow(f"no primes in ({ctx.x - ctx.y}, {ctx.x + ctx.y}]")
-    pk = [p ** ctx.k for p in win.primes]
-    return pk, list(win.weights)
+    """p^k and log p over the window's primes; empty-window when it has none."""
+    seq = build_sequence(ctx, "prime_log")
+    return [p ** ctx.k for p in seq.support.tolist()], seq.weights.tolist()
 
 
 def _is_integer(v) -> bool:

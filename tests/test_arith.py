@@ -112,6 +112,12 @@ class TestFactorize:
         p = 1_000_003
         assert factorize(7 * p) == ((7, 1), (p, 1))
 
+    def test_composite_cofactor_is_refused(self):
+        # both primes lie past the 1e6 trial bound, so their product is
+        # left whole and Miller-Rabin must reject it
+        with pytest.raises(ParameterDomain, match="composite cofactor"):
+            factorize(1_000_003 * 1_000_033)
+
     def test_domain(self):
         with pytest.raises(ParameterDomain):
             factorize(0)
@@ -144,6 +150,11 @@ class TestCongruenceLayer:
         assert tau_eta(2, 2) == (1, 3)
         assert tau_eta(3, 2) == (0, 1)
         assert tau_eta(4, 3) == (0, 1)
+
+    def test_tau_eta_refuses_a_non_prime(self):
+        for p in (0, 1):
+            with pytest.raises(ParameterDomain):
+                tau_eta(2, p)
 
     def test_tau_eta_odd_k_at_two(self):
         for k in range(3, 100, 2):

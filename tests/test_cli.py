@@ -361,6 +361,21 @@ class TestReportArtifacts:
         want = truncated_sigma(218, ctx, 50).value
         assert float(lines[-1].rsplit(",", 1)[1]) == pytest.approx(want, rel=1e-11)
 
+    def test_partial_sums_plot_defaults_to_the_first_target(self, tmp_path, capsys):
+        ctx = ["--k", "3", "--s", "4", "--x", "20", "--y", "8", "--q0", "40"]
+        out = tmp_path / "partials.csv"
+        argv = ["report", *ctx, "--out", str(tmp_path / "rep.json"), "--plot", "partial_sums"]
+        assert main([*argv, "--plot-out", str(out)]) == 0
+        capsys.readouterr()
+        targets = [line.split(",", 1)[0] for line in
+                   (tmp_path / "rep.per-n.csv").read_text().splitlines()[1:]]
+        assert len(targets) > 1
+        for n, same in ((targets[0], True), (targets[-1], False)):
+            at_n = tmp_path / f"partials-{n}.csv"
+            assert main([*argv, "--plot-out", str(at_n), "--plot-n", n]) == 0
+            capsys.readouterr()
+            assert (at_n.read_bytes() == out.read_bytes()) == same
+
     def test_arc_profile_plot(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
         assert main(
@@ -419,6 +434,16 @@ class TestColumnRenderer:
         want = _csv_lines_by_row(header, rows)
         assert csv_lines(header, columns) == want
         assert ",-0," in want and ",nan," in want and ",-inf," in want
+
+    def test_flat_payload_bools_are_lowercase(self, capsys):
+        assert main(["admissible", "--n", "5", "--output", "csv"]) == 0
+        assert capsys.readouterr().out == "admissible,k,modulus,n,s\ntrue,2,24,5,5\n"
+
+    def test_empty_scan_prints_the_header_alone(self, capsys):
+        # (1, 5] holds no target admissible at k = 2, s = 5
+        argv = ["exceptional", "--k", "2", "--s", "5", "--x", "3", "--y", "2", "--output", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "n,rho,tuple_count,sigma,jay,ratio,flagged\n"
 
     def test_mixed_columns_match_row_oracle(self):
         # numpy columns beside plain lists, as the plot and flat views pass them
@@ -537,6 +562,23 @@ class TestBlockRendererOracle:
         assert lines == [1, min(rows, csvtext._BLOCK_ROWS)] + ([1] if offset == 1 else [])
         csvtext.write_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [ProblemContext.from_scale(2, 5, 0.8, 800_000), RunConfig(k=3, s=7, theta=0.8, x=60).context()],
+    ids=["N800000", "k3-x60"],
+)
+def test_per_n_cells_stay_on_the_byte_slots(ctx, monkeypatch):
+    # the oracle tests pass whichever route a cell takes; this one fails
+    # when per-n cells move onto the per-cell fallback (measured: 19 of
+    # 14,077 cells and 2,389 of 296,303, nearly all of them nan ratios)
+    header, columns = per_n_table(exceptional_scan(ctx, 400))
+    fallback = []
+    cell = csvtext._cell
+    monkeypatch.setattr(csvtext, "_cell", lambda v: fallback.append(v) or cell(v))
+    csv_lines(header, columns)
+    assert 0 < len(fallback) < 0.01 * len(header) * len(columns[0])
 
 
 def test_rho_output_is_unchanged(capsys):

@@ -697,6 +697,15 @@ class TestArtifactCache:
             cache.store(tmp_path, "probe", PROBE_KEY, {"__meta__": np.ones(2)})
         assert not cache.cache_path(tmp_path, "probe", PROBE_KEY).exists()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", fail)
+        with pytest.raises(OSError):
+            cache.store(tmp_path, "probe", PROBE_KEY, {"v": np.ones(2)})
+        assert list(tmp_path.iterdir()) == []
+
     def test_concurrent_writers_single_winner(self, tmp_path):
         # eight writers race on one key with different payloads; the
         # stored entry must be exactly one of them, not a blend

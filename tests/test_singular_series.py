@@ -236,6 +236,10 @@ class TestSigmaBatch:
                 assert v == truncated_sigma(n, ctx, 200).value
                 assert sigma_batch(np.array([n]), ctx, 200)[0] == v
 
+    def test_no_targets(self):
+        out = sigma_batch(np.zeros(0, dtype=np.int64), CTX, 200)
+        assert out.dtype == np.float64 and out.shape == (0,)
+
     @pytest.mark.parametrize(
         "k,s,checkpoint", [(2, 5, None), (2, 5, 37), (2, 5, 16), (3, 7, 1), (3, 7, 60)]
     )
