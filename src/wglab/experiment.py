@@ -371,9 +371,9 @@ def minor_arc_moment(
 ) -> float:
     """Riemann estimate of the integral of |f|^t over the minor arcs.
 
-    f is taken by `grid_sums` at the exact rationals j/grid_size of the
-    region.  region="full" integrates over the whole grid instead (used
-    to calibrate the grid against the exact even moments).  When no grid
+    |f| is taken by `grid_magnitudes` at the exact rationals j/grid_size
+    of the region.  region="full" integrates over the whole grid instead
+    (used to calibrate the grid against the exact even moments).  When no grid
     point is minor and the arc family provably blankets the circle, the
     minor contribution is 0; an uncovered empty grid raises empty-region,
     and a sum past the largest float range-too-large.

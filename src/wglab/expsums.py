@@ -30,27 +30,29 @@ one-row case.
 
 Circle points
 -------------
-`grid_points` lists the indices j of the grid points j/G in a region, and
-`grid_sums` returns f at those points.  At alpha = j/G the phase is exact
-in integers: frac(alpha * n^k) = (j * R(n) mod G)/G with R(n) = n^k mod G,
-so the phases are gathered from one table E[r] = e(r/G) at
-(j * R) mod G, and no limb loop runs.  The table, f, the grid indices
-and one block must fit a byte budget (`require_grid_budget`), which
-also keeps j * R inside int64.  At a
-power-of-two G the limb route gives exactly r/G and E applies the same
-expression to it, so the two routes agree bit for bit; elsewhere
-`grid_sums` evaluates the exact rational j/G, not its float.
+`grid_points` lists the indices j of the grid points j/G in a region.
+At alpha = j/G the phase is exact in integers: frac(alpha * n^k) =
+(j * R(n) mod G)/G with R(n) = n^k mod G, and no limb loop runs.
+`grid_magnitudes` bins the weights by R (one `np.bincount`), so f(j/G)
+is the conjugate of the j-th entry of their FFT, at every j at once in
+O(len(support) + G log G); the weights are real, so |f| at j and G - j
+agree and one `np.fft.rfft` covers the grid, to a few 1e-16 of
+W = sum w(n) >= |f|.  `grid_sums`, the oracle, takes f at chosen j as
+the left-to-right sum of the phases e(r/G), r = j * R mod G; at a
+power-of-two G the limb route gives exactly r/G, so the two agree bit
+for bit.  |f| ties exactly (at every j/8 when k = 2 and the support is
+odd), so `sup_scan` re-evaluates by `grid_sums` the points within
+1e-12 W of the transform's maximum.  A byte budget
+(`require_grid_budget`) refuses both grid routes before allocating and
+keeps j * R inside int64.
 `eval_sums` takes f at arbitrary float alphas (the arc quadrature, the
-pointwise reports) through `PhasePowers`.  Both build phases for blocks
-of about 2^13 entries, laid out (support, alphas), and reduce each block
-with `_reduce`, strictly left to right, so every f is the pointwise
-left-to-right sum bit for bit.  In that layout numpy adds a block of two
-or more columns one support row at a time, in a fifth of the time of a
-running sum along the support; a one-column block, which numpy would sum
-pairwise, keeps the running sum.  `sup_scan`, `arc_profile` and
-`minor_arc_moment` take the grid indices of their region and |f| there
-from `grid_magnitudes`, which keeps its last result, so scans of one
-grid take |f| once.  Major/minor labels of the
+pointwise reports) through `PhasePowers`, for blocks of about 2^13
+phases.  Both it and `grid_sums` lay phases out (support, alphas) and
+reduce them with `_reduce`, strictly left to right, so every f is the
+pointwise left-to-right sum bit for bit.  In that layout numpy adds a
+block of two or more columns one support row at a time, in a fifth of
+the time of a running sum along the support; a one-column block, which
+numpy would sum pairwise, keeps the running sum.  Major/minor labels of the
 grid come from `major_mask`, also on the exact rational j/G: the point is
 on the arc |alpha - a/q| <= 1/(qQ), q <= floor(P), exactly when the
 integer |qj - aG| is at most G/Q, so every arc is an integer index range.
@@ -73,10 +75,9 @@ from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge, re
 _M26 = (1 << 26) - 1
 _M53 = (1 << 53) - 1
 
-_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and grid_sums
+_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums
 _GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
 _DICHOTOMY_BYTES = 4 * 2 ** 30  # dichotomy window budget, see dichotomy_report
-_GRID_MEMO: dict = {}  # grid_magnitudes' last result, at most one entry
 
 
 class PhasePowers:
@@ -235,60 +236,55 @@ def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
     return out
 
 
-def require_grid_budget(grid_size: int, support_size: int) -> int:
-    """Refuse a grid scan before any of it is allocated; returns the
-    rows per block of `grid_sums`.
+def require_grid_budget(grid_size: int, support_size: int, points: int = 0) -> None:
+    """Refuse a grid scan before any of it is allocated.
 
-    The charge, against 4 GiB, is 40 bytes per grid point: the phase
-    table and f at up to every point (16 bytes each; the 8-byte
-    fractions the table is built from are freed before f is allocated)
-    and the caller's int64 grid indices.  One block's phases and their
-    running sums add 32 bytes per entry (its 8-byte gather indices are
-    freed first), and n^k mod G 16 bytes per support point.  The scans'
-    other per-point arrays are never live next to the table and fit
-    under the same charge: `major_mask` needs at most 17 bytes per
-    point, `grid_magnitudes`' |f| 8, and `arc_profile`'s alphas and
-    labels 16 more.  After a scan, `grid_magnitudes` keeps its indices
-    and |f|, 16 bytes per point (and its key, 16 per support point),
-    until the next miss drops them before anything is allocated.
-    This admits grid sizes up to 1.07e8: 2^26 fits, 2^27 does not.
-    Every index j and residue n^k mod G is then below 2^27, so their
-    product stays below 2^54 < 2^63.
+    The charge, against 4 GiB, is 36 bytes per grid point: a scan's int64
+    grid indices and |f| (16), and at any one time at most 20 more: the
+    bins and the transform's half spectrum (16), or |f| on half the grid
+    and the mirror indices (12), or `major_mask`'s arrays (17), or
+    `arc_profile`'s labels (17: a bool, a list slot and a tuple slot).
+    n^k mod G adds 24 bytes per support point.  `grid_sums` at `points`
+    grid points adds 32 bytes per support point and point for its one
+    block (the residues, their fractions and the phases).  This admits
+    grid sizes up to 1.19e8: 2^26 fits, 2^27 does not.
     """
-    rows = max(1, _BLOCK_PHASES // max(support_size, 1))
-    need = 40 * grid_size + 32 * rows * support_size + 16 * support_size
+    need = 36 * grid_size + 24 * support_size + 32 * support_size * points
     require_bytes(need, _GRID_BYTES, "grid", f"a grid of {grid_size} points needs")
-    return rows
+
+
+def _residues(support: np.ndarray, k: int, G: int) -> np.ndarray:
+    """n^k mod G for every n in the support, as int64."""
+    if k < 1:
+        raise ParameterDomain(f"need k >= 1, got {k}")
+    base = support % G
+    R = base
+    for _ in range(k - 1):
+        R = (R * base) % G
+    return R
 
 
 def grid_sums(seq: WeightedSequence, k: int, grid_size: int, idx) -> np.ndarray:
     """f(j / grid_size) for each grid index j in idx, in order, as complex128.
 
-    The phase e(j n^k / G) is E[(j * R) mod G] with R = n^k mod G and
-    E[r] = e(r/G), so every point is the exact rational j/G.  Raises
-    memory-budget before allocating when the table E and one index
-    block exceed the grid budget.
+    The oracle of `grid_magnitudes`, and `sup_scan`'s evaluator of its
+    argmax candidates.  The phase e(j n^k / G) is e(r/G) at r = j * R mod G,
+    R = n^k mod G, so every point is the exact rational j/G, and f is
+    summed left to right by `_reduce`.  Raises memory-budget before
+    allocating when the grid and the one (support, idx) block exceed the
+    grid budget.
     """
     G = int(grid_size)
     if G < 1:
         raise ParameterDomain(f"need grid_size >= 1, got {grid_size}")
-    if k < 1:
-        raise ParameterDomain(f"need k >= 1, got {k}")
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= G):
         raise ParameterDomain(f"grid indices must lie in [0, {G})")
-    rows = require_grid_budget(G, len(seq))
-    table = (2j * np.pi) * (np.arange(G) / G)
-    np.exp(table, out=table)
-    base = seq.support % G
-    R = base
-    for _ in range(k - 1):
-        R = (R * base) % G
-    out = np.zeros(idx.size, dtype=np.complex128)
-    for start in range(0, idx.size, rows):
-        j = idx[start : start + rows]
-        out[start : start + j.size] = _reduce(seq.weights, table[(R[:, None] * j) % G])
-    return out
+    require_grid_budget(G, len(seq), idx.size)
+    R = _residues(seq.support, k, G)
+    # j and R lie below G < 2^27 on an admitted grid, so j * R < 2^54
+    z = (2j * np.pi) * ((R[:, None] * idx % G) / G)
+    return _reduce(seq.weights, np.exp(z, out=z))
 
 
 def eval_sum(seq: WeightedSequence, k: int, alpha: float) -> complex:
@@ -338,35 +334,19 @@ def grid_magnitudes(
     seq: WeightedSequence, k: int, params: ArcParams, region: str, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(idx, |f|) at the grid points j/grid_size of a region: idx from
-    `grid_points`, f from `grid_sums`.  Refuses a grid over the budget
-    before the indices are listed.
-
-    The last result is kept, read-only, keyed by the sequence's support
-    and weights, k, params, region and grid_size, so `sup_scan` and
-    `minor_arc_moment` on one grid take |f| once.  A miss drops the kept
-    result before it computes, so the grid budget's charge stays the
-    whole peak.
+    `grid_points`, |f| from one real FFT of the weights binned by
+    n^k mod grid_size, taken by `np.hypot`.  Refuses a grid over the
+    budget before the indices are listed.
     """
     if grid_size < 2:
         raise ParameterDomain(f"need grid_size >= 2, got {grid_size}")
-    if not isinstance(region, str):  # the key must hash; grid_points checks the name
-        raise ParameterDomain(f"unknown region {region!r}")
-    key = (seq.support.tobytes(), seq.weights.tobytes(), k, params, region, grid_size)
-    hit = _GRID_MEMO.get(key)
-    if hit is not None:
-        return hit
-    _GRID_MEMO.clear()
     require_grid_budget(grid_size, len(seq))
     idx = grid_points(params, region, grid_size)
-    # |f| by hypot, the routine Python's abs(complex) uses: np.abs differs
-    # from it in the last bit, and the scan_sup.json golden's tied maxima
-    # pick their argmax by those bits
-    f = grid_sums(seq, k, grid_size, idx)
-    mags = np.hypot(f.real, f.imag)
-    for a in (idx, mags):
-        a.flags.writeable = False
-    _GRID_MEMO[key] = idx, mags
-    return idx, mags
+    f = np.fft.rfft(np.bincount(_residues(seq.support, k, grid_size), seq.weights, grid_size))
+    f = np.hypot(f.real, f.imag)  # |f(j/G)| for j <= G/2; frees the spectrum
+    half = grid_size - idx  # |f| at j is |f| at G - j
+    np.minimum(idx, half, out=half)
+    return idx, f[half]
 
 
 @dataclass(frozen=True)
@@ -393,8 +373,11 @@ def sup_scan(
     Region membership is the arc label of the exact rational j/grid_size
     on the decomposition's parameters, read by `major_mask` off the arcs'
     integer index ranges; it is the label of `arcs.classify`, the minimal
-    Dirichlet witness.  f is taken by `grid_sums` at the same rational;
-    the reported argmax is its float j/grid_size, and the witness is the
+    Dirichlet witness.  |f| comes from `grid_magnitudes` at the same
+    rationals; the points within 1e-12 W (W = the sum of the weights,
+    which bounds |f|) of its maximum are re-evaluated by `grid_sums`, and
+    the first maximum among them is reported, with its |f| by `hypot`.
+    The reported argmax is its float j/grid_size, and the witness is the
     rational point attached to it.
 
     Raises empty-region when no grid point falls in the region.
@@ -402,8 +385,11 @@ def sup_scan(
     idx, mags = grid_magnitudes(seq, k, arcs.params, region, grid_size)
     if not idx.size:
         raise EmptyRegion(f"no grid points in region {region!r}")
+    near = idx[mags >= mags.max() - 1e-12 * float(np.sum(seq.weights))]
+    f = grid_sums(seq, k, grid_size, near)
+    mags = np.hypot(f.real, f.imag)  # Python's abs(complex), bit for bit
     best = int(np.argmax(mags))  # the first maximum
-    alpha = int(idx[best]) / grid_size
+    alpha = int(near[best]) / grid_size
     return SupScanReport(
         region=region,
         grid_size=grid_size,
@@ -424,8 +410,8 @@ class ArcProfile:
 
 
 def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
-    """|f| at every grid point j/grid_size, taken by `grid_sums` at the
-    exact rational j/grid_size, with that rational's arc label from
+    """|f| at every grid point j/grid_size, taken by `grid_magnitudes` at
+    the exact rational j/grid_size, with that rational's arc label from
     `major_mask`; `alphas` holds the floats j/grid_size."""
     seq = build_sequence(ctx, "prime_log")
     idx, mags = grid_magnitudes(seq, ctx.k, params, "full", grid_size)
