@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wglab.arcs import ArcDecomposition, ArcParams, classify
+from wglab import expsums
 from wglab.arith import ProblemContext
 from wglab.errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain
 from wglab.experiment import minor_arc_moment
@@ -324,11 +325,23 @@ class TestSupScan:
         idx, mags = grid_magnitudes(seq, 2, params, "full", 200)
         assert int(idx[np.argmax(mags)]) / 200 == 0.0 and rep.argmax_alpha == 0.625
 
-    def test_domain(self):
-        seq, arcs = self._setup()
+    def test_region_must_be_a_name(self, monkeypatch):
+        # a bad region is refused before any binning or re-evaluation
+        def no_pass(*args):
+            raise AssertionError("a pass ran before the region was checked")
+
+        monkeypatch.setattr(expsums, "_residues", no_pass)
+        monkeypatch.setattr(expsums, "grid_sums", no_pass)
+        arcs = ArcDecomposition.build(ArcParams.from_context(CTX_800K))
+        seq = build_sequence(CTX_800K, "prime_log")
         for bad in (["minor"], "everything"):
             with pytest.raises(ParameterDomain, match="unknown region"):
-                sup_scan(seq, 2, arcs, bad, 100)
+                sup_scan(seq, 2, arcs, bad, 32768)
+
+    def test_domain(self):
+        seq, arcs = self._setup()
+        with pytest.raises(ParameterDomain):
+            sup_scan(seq, 2, arcs, "everything", 100)
         with pytest.raises(ParameterDomain):
             sup_scan(seq, 2, arcs, "full", 1)
 
