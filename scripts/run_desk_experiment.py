@@ -74,11 +74,9 @@ def render_pngs(out: Path, rep, profile) -> list[str]:
         written.append("ratio_histogram.png")
 
     fig, ax = plt.subplots(figsize=(8, 4))
-    colors = {"major": "#d65f5f", "minor": "#4878d0"}
-    pts = np.array([colors[lab] == "#d65f5f" for lab in profile.labels])
     ax.plot(profile.alphas, profile.magnitudes, lw=0.5, color="#aaaaaa")
     ax.scatter(
-        profile.alphas[pts], profile.magnitudes[pts], s=4, color=colors["major"],
+        profile.alphas[profile.major], profile.magnitudes[profile.major], s=4, color="#d65f5f",
         label="major", zorder=3,
     )
     ax.set_xlabel("alpha")

@@ -1,17 +1,17 @@
 """On-disk cache for the columns of an exceptional-set scan.
 
 One entry of kind `scan` holds the arrays n, rho, tuple_count, sigma and
-jay of one scan window; its key (`experiment._scan_key`) names every
-input that picks their bits, the rho route and numpy's version among
-them.  A change to how rho, sigma or j is computed must add a key
-field (or bump VERSION), so a cache never serves what an older algorithm
-computed.  The reader also checks that the stored n equals the targets
-before serving the columns.  A key holds plain JSON values (no numpy
+jay of one scan window.  Its key (`experiment._scan_key`) names the
+scan's inputs, and every entry records `_code`, the sha256 of the
+package's modules.  An entry written by other code is refused and
+recomputed, so a cache never serves what an older algorithm computed
+(any edit, a docstring included, costs one recompute).  The reader also
+checks that the stored n equals the targets before serving the columns.  A key holds plain JSON values (no numpy
 scalars, which raise TypeError); its text is `json.dumps`, keys sorted.
 
 A cache file is an uncompressed numpy archive (`np.savez`): one `.npy`
 member per named array, plus a `__meta__` member holding the canonical
-JSON object {"key": ..., "kind": ..., "version": ...} as a unicode array.
+JSON object {"key": ..., "kind": ..., "code": ...} as a unicode array.
 `np.load(..., allow_pickle=False)` checks every member's header, dtype,
 shape and size, and the zip layer checks each member's CRC-32, so a
 truncated, garbled or foreign file fails to load instead of serving
@@ -28,6 +28,7 @@ timestamp, so storing the same arrays twice writes the same bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -39,9 +40,19 @@ import numpy as np
 
 from .errors import CacheMiss, CacheVersionMismatch, ParameterDomain
 
-VERSION = 7  # 7: j by cell moments; no entry holding the cell-width walk's j is served
-
 _META = "__meta__"
+
+
+@functools.cache
+def _code() -> str:
+    """sha256 of the package's modules, file by file in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+_code()  # at import, so the digest names the code this process loaded
 
 
 def _canonical_key(key: dict) -> str:
@@ -49,7 +60,7 @@ def _canonical_key(key: dict) -> str:
 
 
 def _meta(kind: str, key: dict) -> dict:
-    return {"key": json.loads(_canonical_key(key)), "kind": kind, "version": VERSION}
+    return {"key": json.loads(_canonical_key(key)), "kind": kind, "code": _code()}
 
 
 def cache_path(cache_dir: str | Path, kind: str, key: dict) -> Path:
@@ -88,8 +99,8 @@ def load(cache_dir: str | Path, kind: str, key: dict) -> dict[str, np.ndarray]:
 
     Raises cache-miss when absent (or when the stored key disagrees,
     which only happens on a hash collision) and cache-version when the
-    file comes from a different format version or cannot be read back
-    intact: truncated, garbled, empty, or not a numpy archive.
+    file was written by other code or cannot be read back intact:
+    truncated, garbled, empty, or not a numpy archive.
     """
     path = cache_path(cache_dir, kind, key)
     if not path.exists():
@@ -98,14 +109,12 @@ def load(cache_dir: str | Path, kind: str, key: dict) -> dict[str, np.ndarray]:
         with np.load(path, allow_pickle=False) as archive:
             out = {name: archive[name] for name in archive.files}
         meta = json.loads(str(out.pop(_META)))
-        if not isinstance(meta, dict) or set(meta) != {"key", "kind", "version"}:
+        if not isinstance(meta, dict) or set(meta) != {"key", "kind", "code"}:
             raise ValueError("__meta__ is not a cache manifest")
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise CacheVersionMismatch(f"{path.name}: unreadable cache file ({exc})") from None
-    if meta["version"] != VERSION:
-        raise CacheVersionMismatch(
-            f"{path.name}: format version {meta['version']}, expected {VERSION}"
-        )
+    if meta["code"] != _code():
+        raise CacheVersionMismatch(f"{path.name}: written by other code")
     if meta != _meta(kind, key):
         raise CacheMiss(f"{path.name}: key mismatch (hash collision)")
     return out

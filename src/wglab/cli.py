@@ -349,7 +349,8 @@ def partial_sums_table(tr: SeriesTruncation) -> tuple[list[str], list]:
 
 def arc_profile_table(profile: ArcProfile) -> tuple[list[str], list]:
     """(header, columns) of |f| over the grid, each point labelled by arc."""
-    return ["alpha", "abs_f", "label"], [profile.alphas, profile.magnitudes, profile.labels]
+    labels = ["major" if m else "minor" for m in profile.major.tolist()]
+    return ["alpha", "abs_f", "label"], [profile.alphas, profile.magnitudes, labels]
 
 
 # ---------------------------------------------------------------- parser

@@ -21,10 +21,10 @@ scan's bit for bit: j(n) does not depend on the window a table spans.
 
 With a cache directory the scan keeps its computed columns (n, rho,
 tuple_count, sigma, jay) as one `scan` entry of `wglab.cache`, keyed by
-everything that picks their bits (`_scan_key`: the window and targets,
-q0, the partial floor, the rho route, numpy's version).  A rerun
-whose key and stored targets match reads the columns and computes no
-rho, sigma or j; the ratios, flags and summary are derived afresh.
+the scan's inputs (`_scan_key`: the context, q0 and numpy's version)
+and stamped with the digest of the code that computed it.  A rerun
+whose key, code and stored targets match reads the columns and computes
+no rho, sigma or j; the ratios, flags and summary are derived afresh.
 
 The arc quadrature `major_arc_rho_numeric` computes f^s at its nodes,
 and the phase-jump check on it, once per (context, arcs, node count,
@@ -40,18 +40,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import cache, singular_series
+from . import cache
 from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible_rule, modulus_R
 from .errors import (EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, RangeTooLarge,
                      require_bytes)
 from .expsums import PhasePowers, build_sequence, eval_sums, grid_magnitudes
-from .representations import rho_route, rho_scan
+from .representations import rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, require_node_budget
 from .singular_series import sigma_batch
 
@@ -267,7 +267,7 @@ def exceptional_scan(
             exceptional_one_sided=0, threshold=threshold, ratios=None, per_n=None,
         )
 
-    cols = _scan_columns(ns, ctx, q0, n_lo, n_hi, cache_dir)
+    cols = _scan_columns(ns, ctx, q0, cache_dir)
     rho, sigma, jay = cols["rho"], cols["sigma"], cols["jay"]
 
     main = sigma * jay
@@ -317,40 +317,20 @@ def _compute_columns(ns: np.ndarray, ctx: ProblemContext, q0: int) -> dict[str, 
     return {"rho": rho, "tuple_count": tuples, "sigma": sigma, "jay": jay}
 
 
-def _scan_key(ns: np.ndarray, ctx: ProblemContext, q0: int, n_lo: int, n_hi: int) -> dict:
-    """Everything that picks the bits of the scan's columns: [n_lo, n_hi]
-    is the integer window the targets are drawn from; j is computed on
-    the targets' class over their span."""
-    first, last = int(ns[0]), int(ns[-1])
-    return {
-        "k": ctx.k,
-        "s": ctx.s,
-        "x": ctx.x,
-        "y": ctx.y,
-        "q0": int(q0),
-        "window": [int(n_lo), int(n_hi)],
-        "n_lo": first,
-        "n_hi": last,
-        "count": int(ns.size),
-        "floor": singular_series._PARTIAL_FLOOR,
-        "rho_route": rho_route(ctx, first, last),
-        "numpy": np.__version__,
-    }
+def _scan_key(ctx: ProblemContext, q0: int) -> dict:
+    """What a scan takes: the window and targets follow from the context,
+    and numpy's FFTs set the last bits of rho and j."""
+    return {"ctx": asdict(ctx), "q0": int(q0), "numpy": np.__version__}
 
 
 def _scan_columns(
-    ns: np.ndarray,
-    ctx: ProblemContext,
-    q0: int,
-    n_lo: int,
-    n_hi: int,
-    cache_dir: Optional[str],
+    ns: np.ndarray, ctx: ProblemContext, q0: int, cache_dir: Optional[str]
 ) -> dict[str, np.ndarray]:
     """rho, tuple_count, sigma and jay at the targets; read from the
-    `scan` cache entry when one with the same key and targets exists."""
+    `scan` cache entry when one with the same key, code and targets exists."""
     if cache_dir is None:
         return _compute_columns(ns, ctx, q0)
-    key = _scan_key(ns, ctx, q0, n_lo, n_hi)
+    key = _scan_key(ctx, q0)
     try:
         hit = cache.load(cache_dir, "scan", key)
         if set(hit) == {"n", *_SCAN_COLUMNS} and np.array_equal(hit["n"], ns):

@@ -242,8 +242,8 @@ def require_grid_budget(grid_size: int, support_size: int, points: int = 0) -> N
     The charge, against 4 GiB, is 36 bytes per grid point: a scan's int64
     grid indices and |f| (16), and at any one time at most 20 more: the
     bins and the transform's half spectrum (16), or |f| on half the grid
-    and the mirror indices (12), or `major_mask`'s arrays (17), or
-    `arc_profile`'s labels (17: a bool, a list slot and a tuple slot).
+    and the mirror indices (12), or `major_mask`'s running sum and mask
+    (9), or `arc_profile`'s alphas and mask (9).
     n^k mod G adds 24 bytes per support point.  `grid_sums` at `points`
     grid points adds 32 bytes per support point and point for its one
     block (the residues, their fractions and the phases).  This admits
@@ -316,7 +316,7 @@ def major_mask(params: ArcParams, grid_size: int) -> np.ndarray:
         keep = start < stop
         np.add.at(inside, start[keep], 1)
         np.add.at(inside, stop[keep], -1)
-    return np.cumsum(inside[:G]) > 0
+    return np.cumsum(inside, out=inside)[:G] > 0
 
 
 def grid_points(params: ArcParams, region: str, grid_size: int) -> np.ndarray:
@@ -402,11 +402,11 @@ def sup_scan(
 
 @dataclass(eq=False)
 class ArcProfile:
-    """|f| sampled on the circle grid, each point labeled major/minor."""
+    """|f| sampled on the circle grid, True in `major` at a major point."""
 
     alphas: np.ndarray
     magnitudes: np.ndarray
-    labels: tuple[str, ...]
+    major: np.ndarray
 
 
 def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcProfile:
@@ -415,8 +415,8 @@ def arc_profile(ctx: ProblemContext, params: ArcParams, grid_size: int) -> ArcPr
     `major_mask`; `alphas` holds the floats j/grid_size."""
     seq = build_sequence(ctx, "prime_log")
     idx, mags = grid_magnitudes(seq, ctx.k, params, "full", grid_size)
-    labels = tuple("major" if m else "minor" for m in major_mask(params, grid_size).tolist())
-    return ArcProfile(alphas=idx / grid_size, magnitudes=mags, labels=labels)
+    major = major_mask(params, grid_size)  # before alphas: its running sum is transient
+    return ArcProfile(alphas=idx / grid_size, magnitudes=mags, major=major)
 
 
 def _t_exponent(k: int) -> int:

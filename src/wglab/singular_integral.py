@@ -234,10 +234,18 @@ def _cell_moments(k: int, lo: int, hi: int, h: int) -> np.ndarray:
     return mom
 
 
-def _cell_width(R: int) -> int:
-    """The largest power of two leaving at least _MIN_CELLS cells of R
-    weights, 1 when R < 2 _MIN_CELLS."""
-    return 1 << max((R // _MIN_CELLS).bit_length() - 1, 0)
+def _cell_width(k: int, s: int, lo: int, hi: int) -> int:
+    """The widest power of two h, at most the widest leaving _MIN_CELLS
+    cells, at which X = W^s is estimated to pass `_grid`'s band check:
+    summed by parts, W at the band edge (frequency 1/(8h)) is about
+    (c(lo) + c(hi)) / (2 sin(pi/8h)), against W(0) = hi^(1/k) -
+    (lo - 1)^(1/k), and h is kept once that ratio's s-th power <= eps."""
+    h = 1 << max(((hi - lo + 1) // _MIN_CELLS).bit_length() - 1, 0)
+    edge = (lo ** (1 / k - 1) + hi ** (1 / k - 1)) / k
+    mass = hi ** (1 / k) - (lo - 1) ** (1 / k)
+    while h > 1 and edge / (2 * mass * math.sin(math.pi / (_BAND * h))) > _EPS ** (1 / s):
+        h //= 2
+    return h
 
 
 def _require_j_budget(count: int, Mp: int, h: int, a: int, b: int, step: int) -> None:
@@ -345,16 +353,16 @@ def _interpolate(grid: np.ndarray, h: int, s: int, a: int, step: int, T: int) ->
 def _j_table(k: int, s: int, lo: int, hi: int, a: int, b: int, step: int) -> np.ndarray:
     """j at offsets a, a + step, ..., b from s lo.
 
-    h depends on (k, s, lo, hi) alone: `_cell_width`, halved while
-    `_grid` finds X = W^s above eps |X(0)| on f >= Mp / 8, so the grid
-    holds j's band with room for the interpolant.  At h = 1 the
-    table is the plain transform of the weights over the whole support.
-    Either way j(n) is one number, whatever the window.
+    h depends on (k, s, lo, hi) alone: `_cell_width`'s estimate, halved
+    while `_grid` still finds X = W^s above eps |X(0)| on f >= Mp / 8,
+    so the grid holds j's band with room for the interpolant.  At h = 1
+    the table is the plain transform of the weights over the whole
+    support.  Either way j(n) is one number, whatever the window.
     """
     R = hi - lo + 1
     S = s * (R - 1)
     T = (b - a) // step + 1
-    h = _cell_width(R)
+    h = _cell_width(k, s, lo, hi)
     while h > 1:
         # the period h Mp passes the support [0, S] by 8 cells, so no
         # interpolation node, all within 4h of it, reads a wrapped image

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import io
 import json
 import math
@@ -317,17 +318,6 @@ class TestExceptionalScan:
         assert rep.threshold == pytest.approx(expect, rel=1e-13)
         assert ctx.y ** 4 / ctx.x / math.log(ctx.x) > 0  # formula shape sanity
 
-    def test_sigma_cache_key_carries_floor(self, tmp_path, monkeypatch):
-        # a changed partial-sum floor must miss the cache and recompute
-        import wglab.singular_series as ss
-
-        ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
-        exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
-        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == 1
-        monkeypatch.setattr(ss, "_PARTIAL_FLOOR", 1e-6)
-        exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
-        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == 2
-
     def test_sigma_cache_round_trip(self, tmp_path):
         ctx = ProblemContext.from_parts(2, 3, 40.0, 15.0)
         cold = exceptional_scan(ctx, q0=40, cache_dir=str(tmp_path))
@@ -353,19 +343,20 @@ class TestExceptionalScan:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "change", ["x", "y", "window", "q0", "floor", "rho_route", "numpy"]
-    )
+    @pytest.mark.parametrize("change", ["x", "y", "window", "q0", "code", "numpy"])
     def test_scan_key_change_misses(self, tmp_path, monkeypatch, change):
-        # every input that picks the columns' bits is in the key: a change
-        # misses and writes a second entry beside the first
+        # every input that picks the columns' bits is in the key or the
+        # code digest: a changed input misses and writes a second entry
+        # beside the first, other code recomputes the entry in place
         import dataclasses
-
-        import wglab.representations as reps
-        import wglab.singular_series as ss
 
         ctx, q0 = SCAN_CTX, 40
         cold = exceptional_scan(ctx, q0=q0, cache_dir=str(tmp_path))
+        computed = []
+        compute = experiment._compute_columns
+        monkeypatch.setattr(
+            experiment, "_compute_columns", lambda *args: (computed.append(1), compute(*args))[1]
+        )
         if change == "x":
             ctx = dataclasses.replace(ctx, x=ctx.x + 1e-9)  # same window
         elif change == "y":
@@ -375,16 +366,15 @@ class TestExceptionalScan:
             ctx = dataclasses.replace(ctx, N=ctx.N - 1)
         elif change == "q0":
             q0 = 41
-        elif change == "floor":
-            monkeypatch.setattr(ss, "_PARTIAL_FLOOR", 1e-6)
-        elif change == "rho_route":
-            assert reps.rho_route(ctx, ctx.N, ctx.N + 600) == "mitm"
-            monkeypatch.setattr(reps, "_lattice_pays", lambda ctx, plan: plan is not None)
+        elif change == "code":
+            monkeypatch.setattr(cache, "_code", lambda: "0" * 64)
         else:
             monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
         other = exceptional_scan(ctx, q0=q0, cache_dir=str(tmp_path))
         assert other.per_n.n.tobytes() == cold.per_n.n.tobytes()
-        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == 2
+        assert computed == [1]
+        entries = 1 if change == "code" else 2
+        assert len(glob.glob(str(tmp_path / "scan-*.wgc"))) == entries
 
     def test_entry_with_other_targets_is_recomputed(self, tmp_path):
         import wglab.experiment as experiment
@@ -393,7 +383,7 @@ class TestExceptionalScan:
         (path,) = tmp_path.glob("scan-*.wgc")
         raw = path.read_bytes()
         # same key, shifted targets and doubled columns: never served
-        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
+        key = experiment._scan_key(SCAN_CTX, 40)
         cache.store(tmp_path, "scan", key, {
             "n": cold.n + 1, "rho": 2 * cold.rho, "tuple_count": 2 * cold.tuple_count,
             "sigma": 2 * cold.sigma, "jay": 2 * cold.jay,
@@ -404,76 +394,23 @@ class TestExceptionalScan:
             assert getattr(warm, col).tobytes() == getattr(cold, col).tobytes()
         assert path.read_bytes() == raw
 
-    def test_version_3_entry_is_recomputed(self, tmp_path, monkeypatch):
-        # VERSION 3 entries hold j from the unit-step inverse FFT: one under
-        # the same key is a miss, recomputed and rewritten
-        import wglab.experiment as experiment
-
+    def test_entry_from_other_code_is_recomputed(self, tmp_path, monkeypatch):
+        # an entry whose code digest is not the running package's, under
+        # the same key and with other bits in every column, is never
+        # served: the scan recomputes it and rewrites the cold entry
         cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
         (path,) = tmp_path.glob("scan-*.wgc")
         raw = path.read_bytes()
-        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
         with monkeypatch.context() as old:
-            old.setattr(cache, "VERSION", 3)
-            cache.store(tmp_path, "scan", key, {
-                "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
-                "sigma": cold.sigma, "jay": 2 * cold.jay,
-            })
-        with pytest.raises(CacheVersionMismatch, match="version 3"):
-            cache.load(tmp_path, "scan", key)
-        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        assert warm.jay.tobytes() == cold.jay.tobytes()
-        assert path.read_bytes() == raw
-
-    def test_version_5_entry_is_recomputed(self, tmp_path, monkeypatch):
-        # VERSION 5 entries may hold j from np.convolve (j_route "direct",
-        # up to 10^4 weights); such an entry, under the old key or under
-        # today's, is never read back
-        import wglab.experiment as experiment
-
-        assert cache.VERSION == 7
-        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        (path,) = tmp_path.glob("scan-*.wgc")
-        raw = path.read_bytes()
-        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
-        assert "j_route" not in key
-        doubled = {
-            "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
-            "sigma": cold.sigma, "jay": 2 * cold.jay,
-        }
-        with monkeypatch.context() as old:
-            old.setattr(cache, "VERSION", 5)
-            cache.store(tmp_path, "scan", {**key, "j_route": "direct"}, doubled)
-            cache.store(tmp_path, "scan", key, doubled)
-        with pytest.raises(CacheVersionMismatch, match="version 5"):
-            cache.load(tmp_path, "scan", key)
-        cache.store(tmp_path, "scan", {**key, "j_route": "direct"}, doubled)
-        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        assert warm.jay.tobytes() == cold.jay.tobytes()
-        assert path.read_bytes() == raw
-        assert len(list(tmp_path.glob("scan-*.wgc"))) == 2
-
-    def test_version_6_entry_is_recomputed(self, tmp_path, monkeypatch):
-        # VERSION 6 entries hold j from the walk over cell widths, whose
-        # j(n) followed the window; one under the same key is a miss,
-        # recomputed and rewritten
-        import wglab.experiment as experiment
-
-        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        (path,) = tmp_path.glob("scan-*.wgc")
-        raw = path.read_bytes()
-        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
-        with monkeypatch.context() as old:
-            old.setattr(cache, "VERSION", 6)
-            cache.store(tmp_path, "scan", key, {
-                "n": cold.n, "rho": cold.rho, "tuple_count": cold.tuple_count,
-                "sigma": cold.sigma, "jay": cold.jay * (1 + 2e-11),
+            old.setattr(cache, "_code", lambda: "0" * 64)
+            cache.store(tmp_path, "scan", experiment._scan_key(SCAN_CTX, 40), {
+                "n": cold.n, "rho": 2 * cold.rho, "tuple_count": 2 * cold.tuple_count,
+                "sigma": 2 * cold.sigma, "jay": cold.jay * (1 + 2e-11),
             })
         assert path.read_bytes() != raw
-        with pytest.raises(CacheVersionMismatch, match="version 6"):
-            cache.load(tmp_path, "scan", key)
         warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        assert warm.jay.tobytes() == cold.jay.tobytes()
+        for col in ("rho", "tuple_count", "sigma", "jay"):
+            assert getattr(warm, col).tobytes() == getattr(cold, col).tobytes()
         assert path.read_bytes() == raw
 
     @pytest.mark.parametrize("k,s", [(2, 5), (2, 4), (3, 7), (3, 8)])
@@ -506,27 +443,6 @@ class TestExceptionalScan:
         assert _admissible_targets(ctx, top - 999, top).max() <= top
         with pytest.raises(RangeTooLarge):
             _admissible_targets(ctx, top - 999, top + 1)
-
-    def test_version_2_entry_is_recomputed(self, tmp_path, monkeypatch):
-        # VERSION 2 entries hold rho from the unit-step lattice: one under
-        # the same key is a miss, recomputed and rewritten
-        import wglab.experiment as experiment
-
-        cold = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        (path,) = tmp_path.glob("scan-*.wgc")
-        raw = path.read_bytes()
-        key = experiment._scan_key(cold.n, SCAN_CTX, 40, 4801, 5400)
-        with monkeypatch.context() as old:
-            old.setattr(cache, "VERSION", 2)
-            cache.store(tmp_path, "scan", key, {
-                "n": cold.n, "rho": 2 * cold.rho, "tuple_count": cold.tuple_count,
-                "sigma": cold.sigma, "jay": cold.jay,
-            })
-        with pytest.raises(CacheVersionMismatch, match="version 2"):
-            cache.load(tmp_path, "scan", key)
-        warm = exceptional_scan(SCAN_CTX, q0=40, cache_dir=str(tmp_path)).per_n
-        assert warm.rho.tobytes() == cold.rho.tobytes()
-        assert path.read_bytes() == raw
 
     @pytest.mark.parametrize(
         "ctx",
@@ -684,11 +600,24 @@ class TestArtifactCache:
         with pytest.raises(cache.CacheMiss):
             cache.load(tmp_path, "probe", other)
 
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        cache.store(tmp_path, "probe", PROBE_KEY, {"v": np.ones(2)})
-        monkeypatch.setattr(cache, "VERSION", cache.VERSION + 1)
-        with pytest.raises(CacheVersionMismatch):
+    def test_entry_from_other_code_is_refused(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as old:
+            old.setattr(cache, "_code", lambda: "0" * 64)
+            cache.store(tmp_path, "probe", PROBE_KEY, {"v": np.ones(2)})
+            assert cache.load(tmp_path, "probe", PROBE_KEY)["v"].tolist() == [1.0, 1.0]
+        with pytest.raises(CacheVersionMismatch, match="written by other code"):
             cache.load(tmp_path, "probe", PROBE_KEY)
+
+    def test_code_digest_is_the_package_sha256(self, tmp_path):
+        # every module of the package, file by file in name order; an
+        # entry records it beside its key and kind
+        digest = hashlib.sha256()
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "wglab").glob("*.py")):
+            digest.update(path.read_bytes())
+        assert cache._code() == digest.hexdigest()
+        with np.load(cache.store(tmp_path, "probe", PROBE_KEY, {})) as archive:
+            meta = json.loads(str(archive["__meta__"]))
+        assert meta == {"key": PROBE_KEY, "kind": "probe", "code": digest.hexdigest()}
 
     def test_refuses_object_arrays_and_reserved_name(self, tmp_path):
         with pytest.raises(ParameterDomain):

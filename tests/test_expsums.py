@@ -436,13 +436,19 @@ class TestCircleGrid:
         assert minor_arc_moment(CTX_800K, blanket, 4, 4096) == 0.0
 
     def test_callers_share_the_grid(self):
+        # the profile's |f| is `grid_magnitudes`' route exactly; the sup
+        # re-evaluates its argmax by `grid_sums`, within 1e-12 W of it
         ctx, seq, params = self._setup()
         arcs = ArcDecomposition.build(params)
         prof = arc_profile(ctx, params, 1000)
-        for region in ("major", "minor"):
-            rep = sup_scan(seq, 2, arcs, region, 1000)
-            assert prof.labels.count(region) == rep.points_in_region
-        assert max(prof.magnitudes) == sup_scan(seq, 2, arcs, "full", 1000).sup_abs
+        for region, count in (("major", np.count_nonzero(prof.major)),
+                              ("minor", np.count_nonzero(~prof.major))):
+            assert count == sup_scan(seq, 2, arcs, region, 1000).points_in_region
+        _, mags = grid_magnitudes(seq, 2, params, "full", 1000)
+        assert prof.magnitudes.max() == mags.max()
+        W = float(np.sum(seq.weights))
+        sup = sup_scan(seq, 2, arcs, "full", 1000).sup_abs
+        assert abs(sup - mags.max()) <= 1e-12 * W
 
 
 class TestGridSums:

@@ -3,8 +3,9 @@ script imports is used somewhere in that file, every private
 module-level name is read somewhere in the package, every public
 module-level function or class, and every public method or property of
 such a class, has a reader, no package module imports inside a
-function or class, no script takes a private name from wglab, and
-importing the CLI loads no numpy.polynomial."""
+function or class, no package module or script takes another module's
+private name from wglab, and importing the CLI loads no
+numpy.polynomial."""
 
 import ast
 import os
@@ -97,8 +98,8 @@ def _private_defs(tree: ast.Module) -> dict[str, int]:
 
 def _read(tree: ast.Module) -> set[str]:
     """Names the module reads: loaded names, attribute names
-    (`singular_series._PARTIAL_FLOOR`) and names in string annotations;
-    a name only assigned is not read."""
+    (`self._size`, `cache.load`) and names in string annotations; a name
+    only assigned is not read."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -287,16 +288,19 @@ def test_catches_a_hand_written_budget():
 def _private_wglab_names(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, name) of every underscore name a file takes from wglab: a
     private module or name it imports, or a private attribute it reads
-    off a name that a wglab import bound (`wglab.cli._emit`)."""
+    off a name that a wglab import bound (`wglab.cli._emit`).  Relative
+    imports (`from . import cache`) are wglab imports."""
     bound, out = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             aliases = [a for a in node.names if a.name.split(".")[0] == "wglab"]
             bound |= {a.asname or "wglab" for a in aliases}
             names = [part for a in aliases for part in a.name.split(".")]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wglab":
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "wglab"
+        ):
             bound |= {a.asname or a.name for a in node.names}
-            names = node.module.split(".") + [a.name for a in node.names]
+            names = (node.module or "").split(".") + [a.name for a in node.names]
         else:
             continue
         out += [(node.lineno, name) for name in names if name.startswith("_")]
@@ -316,6 +320,12 @@ def test_scripts_take_only_public_wglab_names(path):
     assert not names, f"{path.name} takes private wglab names: {names}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_read_no_other_modules_private_names(path):
+    names = _private_wglab_names(ast.parse(path.read_text(), filename=str(path)))
+    assert not names, f"{path.name} reads other modules' private names: {names}"
+
+
 def test_catches_a_private_wglab_name():
     tree = ast.parse(
         "import json\n"
@@ -332,6 +342,21 @@ def test_catches_a_private_wglab_name():
     assert _private_wglab_names(tree) == [
         (4, "_report_summary"), (5, "_hidden"), (9, "ex._ARC_MEMO"), (10, "wglab.cli._emit"),
     ]
+
+
+def test_catches_a_module_reading_a_private_name():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from . import cache, singular_series\n"
+        "from .arith import _sieve, modulus_R\n"
+        "from .errors import CacheMiss\n"
+        "def f(self):\n"
+        "    np._NoValue\n"
+        "    self._memo\n"
+        "    cache.load(modulus_R(2))\n"
+        "    return singular_series._PARTIAL_FLOOR\n"
+    )
+    assert _private_wglab_names(tree) == [(3, "_sieve"), (9, "singular_series._PARTIAL_FLOOR")]
 
 
 def test_cli_import_leaves_numpy_polynomial_out():

@@ -501,11 +501,10 @@ class TestCells:
 
     def test_width_does_not_depend_on_the_window(self, monkeypatch):
         # windows at either end, in the middle and over the whole support
-        # try the same widths: here 64, whose spectrum fails the band
-        # check, then 32
+        # take the same width, in one pass: 32, below the cap of 64
         ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
         lo, hi = si._power_window(ctx)
-        assert si._cell_width(hi - lo + 1) == 64
+        assert si._cell_width(ctx.k, ctx.s, lo, hi) == 32
         widths = []
         grid = si._grid
         monkeypatch.setattr(
@@ -515,7 +514,27 @@ class TestCells:
                            (None, None)]:
             widths.clear()
             j_array(ctx, n_lo, n_hi)
-            assert widths == [64, 32]
+            assert widths == [32]
+
+    @pytest.mark.parametrize("parts", [
+        (2, 5, 400.0, 0.8), (2, 5, 1000.0, 0.8), (2, 5, 2000.0, 0.8), (2, 5, 4000.0, 0.8),
+        (3, 7, 60.0, 0.8), (3, 7, 100.0, 0.8), (3, 7, 150.0, 0.8), (2, 5, 1000.0, 0.5),
+        (3, 7, 30.0, 0.95), (2, 3, 1000.0, 0.8), (3, 3, 30.0, 0.8),
+    ], ids=lambda p: "k{}-s{}-x{:g}-t{:g}".format(*p))
+    def test_width_rule_is_the_widest_that_passes(self, parts):
+        # the estimate's width passes the band check, and twice it, when
+        # still within the cap of 2^11 cells, fails it
+        k, s, x, theta = parts
+        lo, hi = si._power_window(ProblemContext.from_parts(k, s, x, x ** theta))
+        h = si._cell_width(k, s, lo, hi)
+        S = s * (hi - lo)
+
+        def passes(h):
+            return si._grid(k, s, lo, hi, h, si._smooth_at_least(-(-(S + 1) // h) + 8)) is not None
+
+        assert h == 1 or passes(h)
+        if 2 * h <= (hi - lo + 1) // si._MIN_CELLS:
+            assert not passes(2 * h)
 
     def test_cell_moments_match_the_weights(self):
         # closed-form moments (Taylor series of c against the exact offset
@@ -567,8 +586,8 @@ class TestCells:
         monkeypatch.setattr(
             si, "_grid", lambda *args: (widths.append(args[4]), grid(*args))[1]
         )
-        monkeypatch.setattr(si, "_MIN_CELLS", 2 ** 6)
-        start = si._cell_width(hi - lo + 1)
+        start = 1 << ((hi - lo + 1) // 2 ** 6).bit_length() - 1
+        monkeypatch.setattr(si, "_cell_width", lambda *args: start)
         off, tab = j_array(ctx, int(ns[0]), int(ns[-1]), g)
         assert widths[0] == start and widths[-1] <= start // 16
         assert widths == [start >> i for i in range(len(widths))]
