@@ -42,8 +42,6 @@ _WINDOW_BYTES = 4 * 2 ** 30  # prime-window budget, see prime_window
 @lru_cache(maxsize=8)
 def _base_primes(limit: int) -> np.ndarray:
     """Primes up to ``limit`` via a plain boolean sieve (built once, shared)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

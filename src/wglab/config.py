@@ -22,10 +22,6 @@ from typing import Optional
 from .arith import ProblemContext
 from .errors import ParameterDomain
 
-_INT_FIELDS = ("k", "s", "Q0", "grid_size", "batch_size", "threads")
-_FLOAT_FIELDS = {"theta", "N", "x", "A"}
-
-
 @dataclass
 class RunConfig:
     """All knobs of a run.  N and x are alternatives: set at most one."""
@@ -62,7 +58,11 @@ class RunConfig:
         raise ParameterDomain("need N or x to build a problem context")
 
 
-_FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
+_FIELDS = dataclasses.fields(RunConfig)
+_FIELD_NAMES = [f.name for f in _FIELDS]
+# the annotations are strings under `from __future__ import annotations`
+_INT_FIELDS = tuple(f.name for f in _FIELDS if f.type == "int")
+_FLOAT_FIELDS = {f.name for f in _FIELDS if f.type in ("float", "Optional[float]")}
 
 
 def parse_config(text: str) -> RunConfig:

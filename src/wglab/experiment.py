@@ -27,9 +27,10 @@ whose key, code and stored targets match reads the columns and computes
 no rho, sigma or j; the ratios, flags and summary are derived afresh.
 
 The arc quadrature `major_arc_rho_numeric` computes f^s at its nodes,
-and the phase-jump check on it, once per (context, arcs, node count,
-region) and reuses them across targets; each target adds only its
-e(-n alpha) block.
+times each node's Gauss-Legendre weight and half panel width, and the
+phase-jump check on f^s, once per (context, arcs, node count, region)
+and reuses them across targets; each target adds only its e(-n alpha)
+block and one dot.
 
 The deviation test here is |rho - prediction| >= threshold.  A one-sided
 reading (only an excess counts) is also tallied and reported alongside,
@@ -65,13 +66,13 @@ _ARC_MEMO: dict = {}  # _arc_integrand's last result, at most one entry
 def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: str):
     """The part of `major_arc_rho_numeric` that does not depend on n.
 
-    Returns (alphas, fs, halves, weights, worst_jump): every interval's
-    Gauss-Legendre nodes in order, f^s at them, each interval's half
-    panel width, the per-interval weights (the same for every interval),
-    and the largest phase jump of f^s between adjacent nodes of one
-    interval.  The last result is kept, read-only, and shared by every
-    later call with the same key; a miss drops it before it computes,
-    so the node budget charges only the new set.
+    Returns (alphas, fw, worst_jump): every interval's Gauss-Legendre
+    nodes in order, f^s at them times each node's weight and its
+    interval's half panel width, and the largest phase jump of f^s
+    between adjacent nodes of one interval.  The last result is kept,
+    read-only, and shared by every later call with the same key; a miss
+    drops it before it computes, so the node budget charges only the
+    new set.
     """
     key = (ctx, params, panels, region)
     hit = _ARC_MEMO.get(key)
@@ -91,16 +92,17 @@ def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: 
     require_node_budget(len(intervals) * panels)
     quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
     alphas = np.concatenate([pts for _, pts, _ in quads])
-    fs = eval_sums(build_sequence(ctx, "prime_log"), ctx.k, alphas) ** ctx.s
-    weights = quads[0][2]
-    worst_jump = 0.0
-    for start in range(0, fs.size, weights.size):
-        f_arc = fs[start : start + weights.size]
-        jumps = np.abs(np.angle(f_arc[1:] * np.conj(f_arc[:-1])))
-        worst_jump = max(worst_jump, float(np.max(jumps)))
-    for a in (alphas, fs, weights):
+    fw = eval_sums(build_sequence(ctx, "prime_log"), ctx.k, alphas) ** ctx.s
+    # the jumps are taken on f^s, before the weights go in; the product is
+    # formed in place, since one more whole-array temporary shows in peak RSS
+    per_arc = fw.reshape(len(quads), -1)
+    jumps = np.conj(per_arc[:, :-1])
+    jumps *= per_arc[:, 1:]
+    worst_jump = float(np.max(np.abs(np.angle(jumps))))
+    fw *= np.concatenate([half * weights for half, _, weights in quads])
+    for a in (alphas, fw):
         a.flags.writeable = False
-    _ARC_MEMO[key] = alphas, fs, tuple(half for half, _, _ in quads), weights, worst_jump
+    _ARC_MEMO[key] = alphas, fw, worst_jump
     return _ARC_MEMO[key]
 
 
@@ -117,17 +119,17 @@ def major_arc_rho_numeric(
     major intervals, "full" over the whole circle [0, 1), "zero_arc" over
     the single glued arc at the origin.  Composite 16-point Gauss-Legendre
     per interval; the nodes of every interval go through one `eval_sums`
-    call, e(-n alpha) comes from one `PhasePowers` block, and f^s e(-n
-    alpha) is one array product.  Emits a warning when the phase of f^s
-    jumps by more than pi/4 between adjacent nodes (under-resolution).
+    call, e(-n alpha) comes from one `PhasePowers` block, and the whole
+    quadrature is one dot of it with the weighted f^s.  Emits a warning
+    when the phase of f^s jumps by more than pi/4 between adjacent nodes
+    (under-resolution).
 
-    f^s at the nodes and the phase-jump check do not depend on n: they
+    The weighted f^s and the phase-jump check do not depend on n: they
     are computed once per (context, arcs, node count, region) by
     `_arc_integrand`, which keeps the last such set (dropped before a
     new key computes), and reused across targets.  A run of targets at
     one setting pays for f^s once; each target adds one e(-n alpha)
-    block and the per-interval dots.  The warning fires on every call,
-    cached or not.
+    block and one dot.  The warning fires on every call, cached or not.
 
     Known defect: region "major" integrates the origin arc twice.
     `ArcDecomposition.build` lists 0/1 and 1/1, each with the full
@@ -145,13 +147,9 @@ def major_arc_rho_numeric(
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomain(f"need an integer target n >= 1, got {n!r}")
     panels = max(1, math.ceil(nodes_per_arc / 16))
-    alphas, fs, halves, weights, worst_jump = _arc_integrand(ctx, params, panels, region)
-    # e(-n alpha) is the conjugate of the exactly reduced e(n alpha)
-    c = PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas)[:, 0].conj()
-    vals = fs * c
-    total = 0.0 + 0.0j
-    for start, half in zip(range(0, vals.size, weights.size), halves):
-        total += half * np.dot(vals[start : start + weights.size], weights)
+    alphas, fw, worst_jump = _arc_integrand(ctx, params, panels, region)
+    # np.vdot conjugates the exactly reduced e(n alpha) into e(-n alpha)
+    total = np.vdot(PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas), fw)
     if worst_jump > math.pi / 4:
         warnings.warn(
             f"arc quadrature under-resolved: adjacent-node phase jump "

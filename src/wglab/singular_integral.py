@@ -438,14 +438,14 @@ def require_node_budget(panels: int) -> None:
     """Refuse composite 16-point Gauss-Legendre over `panels` panels in
     all, before any node is allocated.
 
-    The charge is 120 bytes per node against 4 GiB, which admits 3.6e7
-    nodes.  Tracemalloc peaks per node: 120 bytes for a cold
-    `experiment.major_arc_rho_numeric` (every interval's nodes and
-    weights, their concatenation, f and f^s), 88 on a memo hit, and 48
-    for one refinement of `oscillatory_I`.
+    The charge is 128 bytes per node against 4 GiB, which admits 3.4e7
+    nodes.  Tracemalloc peaks per node at N = 800,000: 121 bytes for a
+    cold `experiment.major_arc_rho_numeric` (the kept nodes and weighted
+    f^s, 24, and the target's phases e(n alpha)), 96 on a memo hit (the
+    phases alone), and 56 for one refinement of `oscillatory_I`.
     """
     nodes = 16 * panels
-    require_bytes(120 * nodes, _NODE_BYTES, "quadrature", f"{nodes} Gauss-Legendre nodes need")
+    require_bytes(128 * nodes, _NODE_BYTES, "quadrature", f"{nodes} Gauss-Legendre nodes need")
 
 
 def gauss_legendre_panels(lo: float, hi: float, panels: int):

@@ -152,6 +152,13 @@ class TestArcParams:
         with pytest.raises(ParameterDomain):
             ArcParams.explicit(0.5, 10.0)
 
+    def test_nonpositive_A_rejected(self):
+        ctx = ProblemContext.from_scale(2, 5, 0.8, 800_000)
+        for A in (0.0, -1.0):
+            with pytest.raises(ParameterDomain, match="need A > 0") as err:
+                ArcParams.from_context(ctx, A=A)
+            assert err.value.code == "parameter-domain"
+
     def test_small_x_rejected(self):
         # log(x)^A < 1 leaves no admissible denominator level
         ctx = ProblemContext.from_parts(2, 2, 2.0, 1.0)
@@ -232,6 +239,10 @@ class TestDecomposition:
             assert dec.covers(m.center)
         assert dec.covers(0.0)
         assert dec.covers(1.0 - 0.5 / params.Q)  # wrap-around half
+
+    def test_covers_nothing_without_arcs(self):
+        dec = ArcDecomposition(ArcParams.explicit(10.0, 1e4), ())
+        assert not any(dec.covers(alpha) for alpha in (0.0, 0.5, 1.0))
 
     def test_covers_matches_classify(self):
         # membership by interval scan must agree with the exact Dirichlet

@@ -156,6 +156,18 @@ class TestCongruenceLayer:
             with pytest.raises(ParameterDomain):
                 tau_eta(2, p)
 
+    def test_k_below_two_refused(self):
+        # modulus_R(1) would reach tau_eta's check; modulus_R(0) reaches none
+        for call in (lambda: tau_eta(1, 2), lambda: modulus_R(0)):
+            with pytest.raises(ParameterDomain, match="need k >= 2") as err:
+                call()
+            assert err.value.code == "parameter-domain"
+
+    def test_admissible_refuses_n_below_one(self):
+        with pytest.raises(ParameterDomain, match="need n >= 1") as err:
+            admissible(0, 2, 5)
+        assert err.value.code == "parameter-domain"
+
     def test_tau_eta_odd_k_at_two(self):
         for k in range(3, 100, 2):
             assert tau_eta(k, 2) == (0, 1)
@@ -226,6 +238,10 @@ class TestProblemContext:
             ProblemContext.from_scale(2, 5, 0.8, 0)
         with pytest.raises(ParameterDomain):
             ProblemContext.from_parts(2, 5, 10.0, 11.0)  # y > x
+        # from_scale refuses N < 1 itself; the constructor checks it too
+        with pytest.raises(ParameterDomain, match="need N >= 1") as err:
+            ProblemContext(k=2, s=5, theta=0.8, N=0, x=10.0, y=4.0)
+        assert err.value.code == "parameter-domain"
 
 
 class TestPrimeWindow:
@@ -241,6 +257,11 @@ class TestPrimeWindow:
         assert win.primes == (11, 13)
         win = prime_window(9.0, 2.0)
         assert win.primes == (11,)
+
+    def test_one_weight_per_prime(self):
+        with pytest.raises(ParameterDomain, match="equal length") as err:
+            arith.PrimeWindow(10.0, 4.0, (7, 11, 13), (1.0, 2.0))
+        assert err.value.code == "parameter-domain"
 
     def test_empty_window_allowed(self):
         win = prime_window(10.0, 0.5)

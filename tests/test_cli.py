@@ -128,6 +128,10 @@ class TestExitCodes:
         assert main(["rho", "--n", "5", "--N", "200", "--x", "10"]) == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_y_without_x_is_one(self, capsys):
+        assert main(["rho", "--n", "5", "--N", "800000", "--y", "5"]) == 1
+        assert capsys.readouterr().err == "error[parameter-domain]: --y needs --x\n"
+
     def test_lone_cutoff_flag_is_one(self, capsys):
         assert main(["arcs", *W, "--P", "5"]) == 1
         assert "--P and --Q" in capsys.readouterr().err

@@ -35,6 +35,11 @@ class TestRunConfig:
         with pytest.raises(ParameterDomain):
             RunConfig(grid_size=-5)
 
+    def test_every_annotation_is_parsed(self):
+        # parse_config reads the int and float fields off these strings
+        kinds = {f.type for f in dataclasses.fields(RunConfig)}
+        assert kinds <= {"int", "float", "Optional[float]", "str", "Optional[str]"}
+
 
 class TestParseRender:
     def test_every_field(self):
@@ -46,10 +51,15 @@ class TestParseRender:
         )
         keys = {line.partition("=")[0].strip() for line in text.splitlines()}
         assert keys | {"x"} == {f.name for f in dataclasses.fields(RunConfig)}
-        assert parse_config(text) == RunConfig(
+        cfg = parse_config(text)
+        assert cfg == RunConfig(
             k=3, s=7, theta=0.75, N=216000.0, x=None, A=1.5, Q0=250, grid_size=2000,
             batch_size=1024, cache_dir="runs/cache", output="csv", threads=2,
         )
+        # each value is parsed to its field's annotated type
+        for f in dataclasses.fields(RunConfig):
+            v = getattr(cfg, f.name)
+            assert v is None or type(v).__name__ == f.type.removeprefix("Optional[").rstrip("]")
         assert parse_config("x = 250\n") == RunConfig(x=250.0)
 
     def test_parse_basic(self):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,7 @@ import pytest
 
 import wglab.cache as cache
 import wglab.experiment as experiment
+import wglab.singular_integral as si
 from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab.arith import ProblemContext
 from wglab.errors import (
@@ -218,10 +220,38 @@ class TestArcIntegrandMemo:
     def test_cached_arrays_read_only(self):
         params = ArcParams.from_context(TINY)
         major_arc_rho_numeric(218, TINY, params, 64)
-        alphas, fs, _, weights, _ = _arc_integrand(TINY, params, 4, "major")
-        for a in (alphas, fs, weights):
+        alphas, fw, _ = _arc_integrand(TINY, params, 4, "major")
+        for a in (alphas, fw):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_budget_covers_the_measured_peak(self, monkeypatch):
+        # require_node_budget charges 128 bytes per node: a cold call
+        # peaks at about 121 of them (the kept arrays and one target's
+        # phases), a memo hit at 96 and one oscillatory_I refinement at 56
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = self.TARGETS[0]
+        for A, nodes in ((1.0, 2048), (2.0, 64)):
+            params = ArcParams.from_context(self.CTX, A=A)
+            arcs = len(ArcDecomposition.build(params).intervals)
+            count = 16 * math.ceil(nodes / 16) * arcs
+            self._cold(n, self.CTX, params, nodes)  # the prime window is built once
+            _ARC_MEMO.clear()
+            cold = peak(lambda: major_arc_rho_numeric(n, self.CTX, params, nodes))
+            hit = peak(lambda: major_arc_rho_numeric(n + 24, self.CTX, params, nodes))
+            assert hit < cold <= 128 * count, (A, nodes)
+        panels = []
+        real = si.require_node_budget
+        monkeypatch.setattr(si, "require_node_budget", lambda p: (panels.append(p), real(p)))
+        osc = peak(lambda: si.oscillatory_I(0.05, ProblemContext.from_parts(2, 2, 1e3, 1e2)))
+        assert osc <= 128 * 16 * panels[-1]
 
     def test_no_budget_check_on_a_hit(self, monkeypatch):
         params = ArcParams.from_context(TINY)
@@ -587,6 +617,12 @@ class TestArtifactCache:
         later = time.time() + 86400.0
         monkeypatch.setattr(time, "time", lambda: later)
         assert cache.store(tmp_path, "probe", PROBE_KEY, arrays).read_bytes() == raw
+
+    def test_kind_must_be_a_plain_name(self, tmp_path):
+        for kind in ("", "a/b", "a\\b", "a.b", "a b"):
+            with pytest.raises(ParameterDomain, match="bad cache kind") as err:
+                cache.cache_path(tmp_path, kind, PROBE_KEY)
+            assert err.value.code == "parameter-domain"
 
     def test_miss_raises(self, tmp_path):
         with pytest.raises(cache.CacheMiss):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from wglab.arcs import ArcDecomposition, ArcParams, classify
 from wglab import expsums
 from wglab.arith import ProblemContext
-from wglab.errors import EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain
+from wglab.errors import (
+    EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain, RangeTooLarge,
+)
 from wglab.experiment import minor_arc_moment
 from wglab.expsums import (
     _GRID_BYTES,
@@ -230,6 +232,17 @@ class TestBatchedPhases:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterDomain):
                 pw.fractions([0.5, bad])
+
+    def test_support_and_k_domain(self):
+        cases = [
+            (RangeTooLarge, "range-too-large", "exceed 2\\*\\*48", [2, 2 ** 48 + 1], 2),
+            (ParameterDomain, "parameter-domain", "nonnegative", [-1, 2], 2),
+            (ParameterDomain, "parameter-domain", "need k >= 1", [2], 0),
+        ]
+        for error, code, message, support, k in cases:
+            with pytest.raises(error, match=message) as err:
+                PhasePowers(np.array(support, dtype=np.int64), k)
+            assert err.value.code == code
 
     def test_eval_sums_matches_pointwise_dot(self):
         # more points than one block holds, so block edges are crossed
@@ -497,6 +510,9 @@ class TestGridSums:
                 grid_sums(seq, 3, 1000, bad)
         with pytest.raises(ParameterDomain):
             grid_sums(seq, 0, 1000, [1])
+        with pytest.raises(ParameterDomain, match="need grid_size >= 1") as err:
+            grid_sums(seq, 3, 0, [])
+        assert err.value.code == "parameter-domain"
 
     def test_budget_covers_the_measured_peak(self):
         # every grid scan, its index array included, peaks within the
@@ -645,6 +661,14 @@ class TestDichotomy:
     def test_alpha_domain(self):
         with pytest.raises(ParameterDomain):
             dichotomy_report(self._ctx(), 0.25, 1.0)
+
+    def test_window_without_integers(self):
+        # y < 1 can leave (x, x + y] without an integer; theta is then
+        # set by hand, since the window's own exponent is negative
+        ctx = ProblemContext(k=2, s=2, theta=0.8, N=220, x=10.5, y=0.4)
+        with pytest.raises(EmptyWindow, match="no integers") as err:
+            dichotomy_report(ctx, 0.25, 0.1)
+        assert err.value.code == "empty-window"
 
     def test_window_charge_covers_the_measured_peak(self):
         ctx = _window_ctx(1e5, 1e5 ** 0.8)

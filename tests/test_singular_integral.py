@@ -10,6 +10,7 @@ from wglab.errors import (
     ConvolutionTooLarge,
     EmptyWindow,
     MemoryBudgetExceeded,
+    NoConvergence,
     ParameterDomain,
     PrecisionOverflow,
 )
@@ -642,6 +643,19 @@ class TestOscillatoryI:
         oracle = complex(np.sum(np.exp(2j * np.pi * beta * mid ** 2)) * step)
         assert oscillatory_I(beta, ctx) == pytest.approx(oracle, abs=1e-7)
 
+    def test_degenerate_window(self):
+        # y = x puts the window's left end at 0
+        with pytest.raises(ParameterDomain, match="degenerate window") as err:
+            oscillatory_I(0.1, ProblemContext.from_parts(2, 2, 10.0, 10.0))
+        assert err.value.code == "parameter-domain"
+
+    def test_no_convergence(self, monkeypatch):
+        # one refinement has nothing to compare with
+        monkeypatch.setattr(si, "_MAX_DOUBLINGS", 1)
+        with pytest.raises(NoConvergence, match="did not stabilize") as err:
+            oscillatory_I(0.0, self._ctx())
+        assert err.value.code == "no-convergence"
+
     def test_precision_ceiling(self):
         ctx = ProblemContext.from_parts(2, 2, 1e9, 10.0)
         with pytest.raises(PrecisionOverflow):
@@ -654,10 +668,10 @@ class TestOscillatoryI:
         assert si._GL_WEIGHTS.tobytes() == weights.tobytes()
 
     def test_node_budget(self):
-        # 120 bytes per node against 4 GiB: 2,236,962 panels of 16 nodes
-        require_node_budget(2_236_962)
-        with pytest.raises(MemoryBudgetExceeded, match="35791408 Gauss-Legendre nodes"):
-            require_node_budget(2_236_963)
+        # 128 bytes per node against 4 GiB: 2,097,152 panels of 16 nodes
+        require_node_budget(2_097_152)
+        with pytest.raises(MemoryBudgetExceeded, match="33554448 Gauss-Legendre nodes"):
+            require_node_budget(2_097_153)
 
     def test_refused_before_the_first_panels(self, monkeypatch):
         # phase span 4e7: 4e7 + 1 panels, 4.77 GiB of nodes alone
@@ -667,6 +681,6 @@ class TestOscillatoryI:
 
     def test_refused_before_a_doubling(self, monkeypatch):
         # a budget of 4 panels: beta = 0 would converge at the second step
-        monkeypatch.setattr(si, "_NODE_BYTES", 120 * 16 * 4)
+        monkeypatch.setattr(si, "_NODE_BYTES", 128 * 16 * 4)
         with pytest.raises(MemoryBudgetExceeded, match="128 Gauss-Legendre nodes"):
             oscillatory_I(0.0, self._ctx())

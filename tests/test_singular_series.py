@@ -10,7 +10,9 @@ import pytest
 import wglab.singular_series as ss
 from wglab.arith import ProblemContext, euler_phi, factorize
 from wglab.experiment import _admissible_targets
-from wglab.errors import MemoryBudgetExceeded, NotCoprime, ParameterDomain, RangeTooLarge
+from wglab.errors import (
+    ImaginaryResidue, MemoryBudgetExceeded, NotCoprime, ParameterDomain, RangeTooLarge,
+)
 from wglab.singular_series import (
     a_coefficient_direct,
     gauss_sum,
@@ -134,6 +136,32 @@ class TestACoefficient:
         assert chi[3] == [0, 0, 3]
         assert chi[5] == [Fraction(5, 16), Fraction(25, 16), Fraction(25, 32),
                           Fraction(25, 32), Fraction(25, 16)]
+
+    def test_direct_domain(self):
+        cases = [
+            (ParameterDomain, "parameter-domain", "q >= 1, n >= 0", (0, 10, 2, 5)),
+            (ParameterDomain, "parameter-domain", "q >= 1, n >= 0", (3, -1, 2, 5)),
+            (ParameterDomain, "parameter-domain", "k >= 2, s >= 2", (3, 10, 2, 1)),
+            (ParameterDomain, "parameter-domain", "k >= 2, s >= 2", (3, 10, 1, 5)),
+            (RangeTooLarge, "range-too-large", "exceeds modulus ceiling",
+             (ss._Q_CEILING + 1, 10, 2, 5)),
+        ]
+        for error, code, message, args in cases:
+            with pytest.raises(error, match=message) as err:
+                a_coefficient_direct(*args)
+            assert err.value.code == code
+
+    def test_imaginary_residue_refused(self, monkeypatch):
+        # a negative tolerance refuses even an exactly real value; the
+        # (modulus, k, s) of the table is one no other test builds, since
+        # _pp_table keeps what it built
+        monkeypatch.setattr(ss, "_IMAG_TOL", -1.0)
+        with pytest.raises(ImaginaryResidue, match="A\\(5, 3\\) has imaginary residue") as err:
+            a_coefficient_direct(5, 3, 2, 5)
+        assert err.value.code == "imaginary-residue"
+        with pytest.raises(ImaginaryResidue, match="A-table at modulus 13") as err:
+            ss._pp_table(13, 4, 9)
+        assert err.value.code == "imaginary-residue"
 
     def test_size_bound(self):
         # |A(q, n)| <= phi(q)^(1-s) * max_a |S(q, a)|^s
