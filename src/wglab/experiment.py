@@ -26,11 +26,13 @@ and stamped with the digest of the code that computed it.  A rerun
 whose key, code and stored targets match reads the columns and computes
 no rho, sigma or j; the ratios, flags and summary are derived afresh.
 
-The arc quadrature `major_arc_rho_numeric` computes f^s at its nodes,
-times each node's Gauss-Legendre weight and half panel width, and the
-phase-jump check on f^s, once per (context, arcs, node count, region)
-and reuses them across targets; each target adds only its e(-n alpha)
-block and one dot.
+The arc quadrature `major_arc_rho_numeric` lays its Gauss-Legendre
+nodes out by panel (`expsums.PanelNodes`) and takes f at them by
+`expsums.panel_sums`, from exact phases at the panel midpoints and the
+shared offsets only.  It computes f^s, times each node's weight and
+half panel width, and the phase-jump check on f^s, once per (context,
+arcs, node count, region) and reuses them across targets; each target
+adds its e(n alpha) from the same layout and one dot.
 
 The deviation test here is |rho - prediction| >= threshold.  A one-sided
 reading (only an excess counts) is also tallied and reported alongside,
@@ -51,7 +53,7 @@ from .arcs import ArcDecomposition, ArcParams, major_measure
 from .arith import ProblemContext, admissible_rule, modulus_R
 from .errors import (EmptyRegion, EmptyWindow, OverlapDetected, ParameterDomain, RangeTooLarge,
                      require_bytes)
-from .expsums import PhasePowers, build_sequence, eval_sums, grid_magnitudes
+from .expsums import PanelNodes, build_sequence, grid_magnitudes, panel_sums
 from .representations import rho_scan
 from .singular_integral import gauss_legendre_panels, j_array, require_node_budget
 from .singular_series import sigma_batch
@@ -66,13 +68,13 @@ _ARC_MEMO: dict = {}  # _arc_integrand's last result, at most one entry
 def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: str):
     """The part of `major_arc_rho_numeric` that does not depend on n.
 
-    Returns (alphas, fw, worst_jump): every interval's Gauss-Legendre
-    nodes in order, f^s at them times each node's weight and its
-    interval's half panel width, and the largest phase jump of f^s
-    between adjacent nodes of one interval.  The last result is kept,
-    read-only, and shared by every later call with the same key; a miss
-    drops it before it computes, so the node budget charges only the
-    new set.
+    Returns (nodes, fw, worst_jump): every interval's Gauss-Legendre
+    nodes as a `PanelNodes`, panel after panel, f^s at them, shaped
+    (panels, 16), times each node's weight and its interval's half panel
+    width, and the largest phase jump of f^s between adjacent nodes of
+    one interval.  The last result is kept, read-only, and shared by
+    every later call with the same key; a miss drops it before it
+    computes, so the node budget charges only the new set.
     """
     key = (ctx, params, panels, region)
     hit = _ARC_MEMO.get(key)
@@ -80,29 +82,29 @@ def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: 
         return hit
     _ARC_MEMO.clear()
     if region == "major":
-        decomp = ArcDecomposition.build(params)
-        intervals = [
-            (m.center - m.half_width, m.center + m.half_width) for m in decomp.intervals
-        ]
+        arcs = ArcDecomposition.build(params).intervals
+        lo = np.array([m.center - m.half_width for m in arcs])
+        hi = np.array([m.center + m.half_width for m in arcs])
     elif region == "full":
-        intervals = [(0.0, 1.0)]
+        lo, hi = np.zeros(1), np.ones(1)
     else:
         hw = 1.0 / params.Q
-        intervals = [(-hw, hw)]
-    require_node_budget(len(intervals) * panels)
-    quads = [gauss_legendre_panels(lo, hi, panels) for lo, hi in intervals]
-    alphas = np.concatenate([pts for _, pts, _ in quads])
-    fw = eval_sums(build_sequence(ctx, "prime_log"), ctx.k, alphas) ** ctx.s
+        lo, hi = np.array([-hw]), np.array([hw])
+    require_node_budget(lo.size * panels)
+    half, mid, x, w = gauss_legendre_panels(lo, hi, panels)
+    nodes = PanelNodes.build(mid.ravel(), np.repeat(half, panels), x)
+    fw = panel_sums(build_sequence(ctx, "prime_log"), ctx.k, nodes)
+    fw **= ctx.s
     # the jumps are taken on f^s, before the weights go in; the product is
     # formed in place, since one more whole-array temporary shows in peak RSS
-    per_arc = fw.reshape(len(quads), -1)
+    per_arc = fw.reshape(lo.size, -1)
     jumps = np.conj(per_arc[:, :-1])
     jumps *= per_arc[:, 1:]
     worst_jump = float(np.max(np.abs(np.angle(jumps))))
-    fw *= np.concatenate([half * weights for half, _, weights in quads])
-    for a in (alphas, fw):
-        a.flags.writeable = False
-    _ARC_MEMO[key] = alphas, fw, worst_jump
+    per_panel = fw.reshape(lo.size, panels, -1)
+    per_panel *= (half[:, None] * w)[:, None]
+    fw.flags.writeable = False
+    _ARC_MEMO[key] = nodes, fw, worst_jump
     return _ARC_MEMO[key]
 
 
@@ -118,11 +120,11 @@ def major_arc_rho_numeric(
     region selects the domain: "major" integrates over the enumerated
     major intervals, "full" over the whole circle [0, 1), "zero_arc" over
     the single glued arc at the origin.  Composite 16-point Gauss-Legendre
-    per interval; the nodes of every interval go through one `eval_sums`
-    call, e(-n alpha) comes from one `PhasePowers` block, and the whole
-    quadrature is one dot of it with the weighted f^s.  Emits a warning
-    when the phase of f^s jumps by more than pi/4 between adjacent nodes
-    (under-resolution).
+    per interval, laid out by panel: f at every node comes from one
+    `panel_sums` call, e(n alpha) from `PanelNodes.phases`, and the
+    whole quadrature is one dot of it with the weighted f^s.  Emits a
+    warning when the phase of f^s jumps by more than pi/4 between
+    adjacent nodes (under-resolution).
 
     The weighted f^s and the phase-jump check do not depend on n: they
     are computed once per (context, arcs, node count, region) by
@@ -147,9 +149,9 @@ def major_arc_rho_numeric(
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomain(f"need an integer target n >= 1, got {n!r}")
     panels = max(1, math.ceil(nodes_per_arc / 16))
-    alphas, fw, worst_jump = _arc_integrand(ctx, params, panels, region)
-    # np.vdot conjugates the exactly reduced e(n alpha) into e(-n alpha)
-    total = np.vdot(PhasePowers(np.array([n], dtype=np.int64), 1).phases(alphas), fw)
+    nodes, fw, worst_jump = _arc_integrand(ctx, params, panels, region)
+    # np.vdot conjugates e(n alpha) into e(-n alpha)
+    total = np.vdot(nodes.phases(n), fw)
     if worst_jump > math.pi / 4:
         warnings.warn(
             f"arc quadrature under-resolved: adjacent-node phase jump "

@@ -45,17 +45,32 @@ odd), so `sup_scan` re-evaluates by `grid_sums` the points within
 1e-12 W of the transform's maximum.  A byte budget
 (`require_grid_budget`) refuses both grid routes before allocating and
 keeps j * R inside int64.
-`eval_sums` takes f at arbitrary float alphas (the arc quadrature, the
-pointwise reports) through `PhasePowers`, for blocks of about 2^13
-phases.  Both it and `grid_sums` lay phases out (support, alphas) and
-reduce them with `_reduce`, strictly left to right, so every f is the
-pointwise left-to-right sum bit for bit.  In that layout numpy adds a
+`eval_sums` takes f at arbitrary float alphas (the pointwise reports)
+through `PhasePowers`, for blocks of about 2^13 phases.  Both it and
+`grid_sums` lay phases out (support, alphas) and reduce them with
+`_reduce`, strictly left to right, so every f is the pointwise
+left-to-right sum bit for bit.  In that layout numpy adds a
 block of two or more columns one support row at a time, in a fifth of
 the time of a running sum along the support; a one-column block, which
 numpy would sum pairwise, keeps the running sum.  Major/minor labels of the
 grid come from `major_mask`, also on the exact rational j/G: the point is
 on the arc |alpha - a/q| <= 1/(qQ), q <= floor(P), exactly when the
 integer |qj - aG| is at most G/Q, so every arc is an integer index range.
+
+Quadrature panels
+-----------------
+The arc quadrature's node of panel i is alpha = mid_i + h x_j rounded:
+the panel's midpoint plus one of 16 offsets h x_j (rounded), which every
+panel of the half width h shares.  Knuth's TwoSum gives the rounding's
+remainder err exactly, so alpha = mid + off - err and e(alpha n^k) is
+e(mid n^k) e(off n^k) e(-err n^k).  `panel_sums` takes the first two
+as exact `PhasePowers` phases, one per panel and one per offset in
+place of one per node, and the third as its Taylor series, which
+reaches double precision at order 1 wherever 2 pi |err| n^k is below
+about 1e-8.  `eval_sums` stays its oracle.  It sums over the support
+left to right, one Python step per support point, vectorised over a
+block of panels; no reduction goes through BLAS, so f does not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -75,7 +90,9 @@ from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge, re
 _M26 = (1 << 26) - 1
 _M53 = (1 << 53) - 1
 
-_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums
+_BLOCK_PHASES = 1 << 13  # phases per block in eval_sums and _phase_rows
+_PANEL_NODES = 1 << 13  # nodes per block in panel_sums
+_PANEL_PHASES = 1 << 16  # about the exact phases per block in panel_sums
 _GRID_BYTES = 4 * 2 ** 30  # grid scan budget, see require_grid_budget
 _DICHOTOMY_BYTES = 4 * 2 ** 30  # dichotomy window budget, see dichotomy_report
 
@@ -233,6 +250,146 @@ def eval_sums(seq: WeightedSequence, k: int, alphas) -> np.ndarray:
     for start in range(0, alphas.size, rows):
         block = np.ascontiguousarray(pw.phases(alphas[start : start + rows]).T)
         out[start : start + block.shape[1]] = _reduce(seq.weights, block)
+    return out
+
+
+def _phase_rows(pw: PhasePowers, alphas: np.ndarray) -> np.ndarray:
+    """e(alpha n^k) laid out (support, alphas), as complex128, taken
+    about _BLOCK_PHASES phases at a time."""
+    out = np.empty((pw.size, alphas.size), dtype=np.complex128)
+    step = max(1, _BLOCK_PHASES // max(pw.size, 1))
+    for start in range(0, alphas.size, step):
+        out[:, start : start + step] = pw.phases(alphas[start : start + step]).T
+    return out
+
+
+def _two_sum_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The e with a + b = fl(a + b) + e exactly, whatever the order of |a|
+    and |b|: Knuth's TwoSum (TAOCP vol. 2, 4.2.2), with s = fl(a + b),
+    bv = s - a and e = (a - (s - bv)) + (b - bv).  b, an array of the
+    result's shape, is overwritten."""
+    s = a + b
+    bv = s - a
+    b -= bv
+    s -= bv
+    np.subtract(a, s, out=s)
+    s += b
+    return s
+
+
+def _taylor_order(t: float) -> int:
+    """The least M with t^(M+1) / (M+1)! <= 2^-53: past it, the Taylor
+    series of e(-u) at |2 pi u| <= t <= 1 adds nothing a double holds."""
+    M, term = 0, t
+    while term > 2.0 ** -53:
+        M += 1
+        term *= t / (M + 1)
+    return M
+
+
+@dataclass(eq=False)
+class PanelNodes:
+    """Quadrature nodes laid out by panel, with read-only arrays.
+
+    Node j of panel i is the float alpha = mid[i] + off rounded, where
+    off = offsets[table[i], j] is h * x[j] rounded, h the panel's half
+    width and x the rule's unit abscissae; the panels of one half width
+    share one row of `offsets`.  err[i, j] is the remainder of that
+    rounding (`_two_sum_err`), so alpha = mid + off - err exactly and
+    e(alpha m) = e(mid m) e(off m) e(-err m) for every integer m.
+    """
+
+    mid: np.ndarray
+    table: np.ndarray
+    offsets: np.ndarray
+    err: np.ndarray
+
+    @classmethod
+    def build(cls, mid, half, x) -> "PanelNodes":
+        """The nodes mid[i] + half[i] * x[j], rounded as written; mid and
+        half hold one entry per panel."""
+        mid = np.array(mid, dtype=np.float64)
+        halves, table = np.unique(half, return_inverse=True)
+        offsets = halves[:, None] * x
+        nodes = cls(mid, table, offsets, _two_sum_err(mid[:, None], offsets[table]))
+        for a in (nodes.mid, nodes.table, nodes.offsets, nodes.err):
+            a.flags.writeable = False
+        return nodes
+
+    def alphas(self, rows=slice(None)) -> np.ndarray:
+        """The nodes of the panels in rows, shaped (panels, len(x))."""
+        return self.mid[rows, None] + self.offsets[self.table[rows]]
+
+    def phases(self, n: int) -> np.ndarray:
+        """e(n alpha) at every node, shaped (panels, len(x)): the exact
+        phases e(n mid) and e(n off) times exp(-2 pi i n err)."""
+        pw = PhasePowers(np.array([n], dtype=np.int64), 1)
+        out = (-2j * np.pi * n) * self.err
+        np.exp(out, out=out)
+        out *= pw.phases(self.mid)
+        out *= pw.phases(self.offsets)[self.table, :, 0]
+        return out
+
+
+def panel_sums(seq: WeightedSequence, k: int, nodes: PanelNodes) -> np.ndarray:
+    """f at every node of `nodes`, shaped (panels, len(x)), as complex128.
+
+    With e(alpha n^k) = e(mid n^k) e(off n^k) e(-err n^k) (see
+    `PanelNodes`), f is the sum over m <= M of u^m / m! S_m, where
+    u = -2 pi i err, S_m = sum of w(n) n^(km) e(mid n^k) e(off n^k) on
+    exact `PhasePowers` phases, summed left to right over the support,
+    and M is the least order with t^(M+1) / (M+1)! <= 2^-53 at the
+    block's t = 2 pi max|err| max n^k.  Panels go in blocks sorted by
+    offset row, of at most _PANEL_NODES nodes and about _PANEL_PHASES
+    exact phases; a block with t > 1, where the series would cancel,
+    takes `eval_sums` at its nodes.
+    """
+    P, J = nodes.mid.size, nodes.offsets.shape[1]
+    out = np.empty((P, J), dtype=np.complex128)
+    if not P:
+        return out
+    pw = PhasePowers(seq.support, k)
+    powers = seq.support.astype(np.float64) ** k
+    top = float(powers.max(initial=0.0))
+    order = np.argsort(nodes.table, kind="stable")
+    rows_by_table = nodes.table[order]
+    new_row = np.ones(P, dtype=bool)
+    new_row[1:] = rows_by_table[1:] != rows_by_table[:-1]
+    # exact phases per support point, panel by panel: a panel's own
+    # midpoint and its offset row where that row first appears
+    cost = np.cumsum(1 + J * new_row)
+    cap = max(J + 1, min(_PANEL_NODES // J, _PANEL_PHASES // max(pw.size, 1)))
+    cuts = np.flatnonzero(np.diff((cost - 1) // cap)) + 1
+    for rows in np.split(order, cuts):
+        err = nodes.err[rows]
+        t = 2 * np.pi * float(np.max(np.abs(err))) * top
+        if t > 1:
+            out[rows] = eval_sums(seq, k, nodes.alphas(rows).ravel()).reshape(err.shape)
+            continue
+        M = _taylor_order(t)
+        local = nodes.table[rows]  # ascending: rows go by offset row
+        first = int(local[0])
+        local -= first
+        count = int(local[-1]) + 1  # the offset rows this block reads
+        phases = _phase_rows(pw, np.concatenate(
+            [nodes.mid[rows], nodes.offsets[first : first + count].ravel()]))
+        mids = phases[:, : rows.size]
+        mids *= seq.weights[:, None]
+        offs = phases[:, rows.size :].reshape(pw.size, count, J)
+        S = np.zeros((M + 1, rows.size, J), dtype=np.complex128)
+        g = np.empty((rows.size, J), dtype=np.complex128)
+        for i in range(pw.size):
+            np.take(offs[i], local, axis=0, out=g)
+            g *= mids[i, :, None]
+            S[0] += g
+            for m in range(1, M + 1):
+                g *= powers[i]
+                S[m] += g
+        u = (-2j * np.pi) * err
+        f = S[M]
+        for m in range(M, 0, -1):  # Horner in u
+            f = S[m - 1] + (u / m) * f
+        out[rows] = f
     return out
 
 

@@ -432,6 +432,8 @@ _GL_UPPER_WEIGHTS = np.array([
 ])
 _GL_NODES = np.concatenate([-_GL_UPPER_NODES[::-1], _GL_UPPER_NODES])
 _GL_WEIGHTS = np.concatenate([_GL_UPPER_WEIGHTS[::-1], _GL_UPPER_WEIGHTS])
+_GL_NODES.setflags(write=False)  # gauss_legendre_panels hands both out
+_GL_WEIGHTS.setflags(write=False)
 
 
 def require_node_budget(panels: int) -> None:
@@ -439,23 +441,32 @@ def require_node_budget(panels: int) -> None:
     all, before any node is allocated.
 
     The charge is 128 bytes per node against 4 GiB, which admits 3.4e7
-    nodes.  Tracemalloc peaks per node at N = 800,000: 121 bytes for a
-    cold `experiment.major_arc_rho_numeric` (the kept nodes and weighted
-    f^s, 24, and the target's phases e(n alpha)), 96 on a memo hit (the
-    phases alone), and 56 for one refinement of `oscillatory_I`.
+    nodes.  Tracemalloc peaks per node at N = 800,000: 103 bytes for a
+    cold `experiment.major_arc_rho_numeric` at 22,528 nodes and 89 at
+    24,640 (the kept panel layout and weighted f^s, 25, f itself, and
+    `expsums.panel_sums`' blocks of at most 2^13 nodes, about 1.7 MB
+    whatever the node count: 66 bytes at 941,040 nodes), 33 on a memo
+    hit (the target's e(n alpha)), and 49 for one refinement of
+    `oscillatory_I`.
     """
     nodes = 16 * panels
     require_bytes(128 * nodes, _NODE_BYTES, "quadrature", f"{nodes} Gauss-Legendre nodes need")
 
 
-def gauss_legendre_panels(lo: float, hi: float, panels: int):
-    """(half, nodes, weights) of composite 16-point Gauss-Legendre on
-    [lo, hi]; the integral of g is half * np.dot(g(nodes), weights)."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    return half, nodes, np.tile(_GL_WEIGHTS, panels)
+def gauss_legendre_panels(lo, hi, panels: int):
+    """Composite 16-point Gauss-Legendre on [lo, hi], or on every interval
+    [lo[i], hi[i]] at once when lo and hi are arrays.
+
+    Returns (half, mid, x, w): the half panel width (shaped like lo), the
+    panel midpoints (lo's shape plus one axis of `panels`), and the
+    rule's unit abscissae x and weights w.  Node j of a panel is
+    mid + half * x[j], rounded as written; the integral of g over an
+    interval is half * (sum over its panels and j of w[j] g(node)).
+    """
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1] - edges[..., 0])
+    return half, mid, _GL_NODES, _GL_WEIGHTS
 
 
 def oscillatory_I(beta: float, ctx: ProblemContext) -> complex:
@@ -478,9 +489,10 @@ def oscillatory_I(beta: float, ctx: ProblemContext) -> complex:
     prev: complex | None = None
     for _ in range(_MAX_DOUBLINGS):
         require_node_budget(panels)
-        half, pts, weights = gauss_legendre_panels(a, b, panels)
+        half, mid, x, w = gauss_legendre_panels(a, b, panels)
+        pts = (mid[:, None] + half * x).ravel()
         vals = np.exp((2j * np.pi * beta) * pts ** ctx.k)
-        cur = complex(half * np.dot(vals, weights))
+        cur = complex(half * np.dot(vals, np.tile(w, panels)))
         if prev is not None and abs(cur - prev) <= tol:
             return cur
         prev = cur

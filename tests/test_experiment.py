@@ -55,12 +55,12 @@ def _quadrature_per_node(n, ctx, params, nodes_per_arc, region):
     panels = max(1, math.ceil(nodes_per_arc / 16))
     total = 0.0 + 0.0j
     for lo, hi in intervals:
-        half, pts, weights = gauss_legendre_panels(lo, hi, panels)
+        half, mid, x, w = gauss_legendre_panels(lo, hi, panels)
         vals = [
             eval_sum(seq, ctx.k, a) ** ctx.s * exact_phase(a, n).conjugate()
-            for a in pts.tolist()
+            for a in (mid[:, None] + half * x).ravel().tolist()
         ]
-        total += half * np.dot(vals, weights)
+        total += half * np.dot(vals, np.tile(w, panels))
     return total.real
 
 
@@ -169,17 +169,17 @@ class TestArcIntegrandMemo:
 
     @pytest.fixture(autouse=True)
     def _count_evaluations(self, monkeypatch):
-        # every f^s set calls eval_sums once; the kept entry must be gone
+        # every f^s set calls panel_sums once; the kept entry must be gone
         # by then
         self.evaluations = 0
-        real = experiment.eval_sums
+        real = experiment.panel_sums
 
         def counted(*args):
             assert not _ARC_MEMO
             self.evaluations += 1
             return real(*args)
 
-        monkeypatch.setattr(experiment, "eval_sums", counted)
+        monkeypatch.setattr(experiment, "panel_sums", counted)
         _ARC_MEMO.clear()
 
     def test_hit_equals_cold(self):
@@ -220,15 +220,16 @@ class TestArcIntegrandMemo:
     def test_cached_arrays_read_only(self):
         params = ArcParams.from_context(TINY)
         major_arc_rho_numeric(218, TINY, params, 64)
-        alphas, fw, _ = _arc_integrand(TINY, params, 4, "major")
-        for a in (alphas, fw):
+        nodes, fw, _ = _arc_integrand(TINY, params, 4, "major")
+        for a in (nodes.mid, nodes.table, nodes.offsets, nodes.err, fw):
             with pytest.raises(ValueError):
                 a[0] = 0
 
     def test_budget_covers_the_measured_peak(self, monkeypatch):
         # require_node_budget charges 128 bytes per node: a cold call
-        # peaks at about 121 of them (the kept arrays and one target's
-        # phases), a memo hit at 96 and one oscillatory_I refinement at 56
+        # peaks at about 103 of them here (the kept arrays, f and
+        # panel_sums' blocks), a memo hit at 33 and one oscillatory_I
+        # refinement at 49
         def peak(call):
             tracemalloc.start()
             try:
@@ -265,13 +266,13 @@ class TestArcIntegrandMemo:
         params = ArcParams.from_context(TINY)
         major_arc_rho_numeric(218, TINY, params, 64, region="full")
         old = weakref.ref(_arc_integrand(TINY, params, 4, "full")[1])
-        evaluate = experiment.eval_sums
+        evaluate = experiment.panel_sums
 
         def after_release(*args):
             assert old() is None
             return evaluate(*args)
 
-        monkeypatch.setattr(experiment, "eval_sums", after_release)
+        monkeypatch.setattr(experiment, "panel_sums", after_release)
         major_arc_rho_numeric(218, TINY, params, 64, region="zero_arc")
         assert self.evaluations == 2 and len(_ARC_MEMO) == 1
 

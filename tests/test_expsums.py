@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from wglab.arith import ProblemContext
 from wglab.errors import (
     EmptyRegion, EmptyWindow, MemoryBudgetExceeded, ParameterDomain, RangeTooLarge,
 )
-from wglab.experiment import minor_arc_moment
+from wglab.experiment import _arc_integrand, minor_arc_moment
 from wglab.expsums import (
     _GRID_BYTES,
     _M26,
     _M53,
+    PanelNodes,
     PhasePowers,
     WeightedSequence,
     arc_profile,
@@ -30,11 +32,13 @@ from wglab.expsums import (
     grid_points,
     grid_sums,
     major_mask,
+    panel_sums,
     phase_fraction_exact,
     _reduce,
     require_grid_budget,
     sup_scan,
 )
+from wglab.singular_integral import gauss_legendre_panels
 
 
 def _window_ctx(x, y, k=2, s=2):
@@ -614,6 +618,123 @@ class TestReductionOrder:
         assert eval_sums(empty, 2, [0.1, 0.2, 0.3]).tolist() == [0j] * 3
         assert grid_sums(empty, 2, 100, [1, 2, 3, 4]).tolist() == [0j] * 4
         assert _reduce(np.zeros(0), np.zeros((0, 5), dtype=np.complex128)).shape == (5,)
+
+
+def _rule_nodes(params, panels, region):
+    """The quadrature's nodes interval by interval, each from its own
+    `gauss_legendre_panels` call, as (panels, 16) rows."""
+    if region == "major":
+        arcs = ArcDecomposition.build(params).intervals
+        intervals = [(m.center - m.half_width, m.center + m.half_width) for m in arcs]
+    elif region == "full":
+        intervals = [(0.0, 1.0)]
+    else:
+        intervals = [(-1.0 / params.Q, 1.0 / params.Q)]
+    rows = []
+    for lo, hi in intervals:
+        half, mid, x, _ = gauss_legendre_panels(lo, hi, panels)
+        rows.append(mid[:, None] + half * x)
+    return np.concatenate(rows)
+
+
+def _unit_nodes(panels):
+    """PanelNodes of composite Gauss-Legendre on [0, 1]."""
+    half, mid, x, _ = gauss_legendre_panels(0.0, 1.0, panels)
+    return PanelNodes.build(mid, np.full(panels, half), x)
+
+
+class TestPanelSums:
+    """f on the quadrature's panel layout against `eval_sums` at the same
+    nodes, and e(n alpha) against the limb route."""
+
+    SETS = [("major", 2, 1.0), ("major", 4, 2.0), ("full", 16, 1.0), ("zero_arc", 4, 1.0)]
+
+    @staticmethod
+    def _nodes(region, panels, A):
+        params = ArcParams.from_context(CTX_800K, A=A)
+        return _arc_integrand(CTX_800K, params, panels, region)[0], params
+
+    @pytest.mark.parametrize("region, panels, A", SETS)
+    def test_nodes_are_the_rules(self, region, panels, A):
+        nodes, params = self._nodes(region, panels, A)
+        want = _rule_nodes(params, panels, region)
+        assert np.array_equal(_bits(nodes.alphas()), _bits(want))
+        # one offset row per half width, each row read, at most one per interval
+        assert np.array_equal(np.unique(nodes.table), np.arange(len(nodes.offsets)))
+        assert len(nodes.offsets) <= nodes.mid.size // panels
+
+    @pytest.mark.parametrize("region, panels, A", SETS)
+    def test_matches_eval_sums_at_every_node(self, region, panels, A):
+        nodes, _ = self._nodes(region, panels, A)
+        seq = build_sequence(CTX_800K, "prime_log")
+        got = panel_sums(seq, 2, nodes)
+        want = eval_sums(seq, 2, nodes.alphas().ravel()).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(seq.weights)
+
+    @pytest.mark.parametrize("region, panels, A", SETS)
+    def test_remainder_is_exact(self, region, panels, A):
+        nodes, params = self._nodes(region, panels, A)
+        alphas = _rule_nodes(params, panels, region)
+        rng = np.random.default_rng(panels)
+        rows = np.concatenate([[0, nodes.mid.size - 1], rng.integers(0, nodes.mid.size, 40)])
+        for i in rows.tolist():
+            off = nodes.offsets[nodes.table[i]]
+            for j in range(16):
+                exact = Fraction(nodes.mid[i]) + Fraction(off[j]) - Fraction(nodes.err[i, j])
+                assert exact == Fraction(alphas[i, j]), (i, j)
+        if region == "zero_arc":  # the midpoints change sign across the origin
+            assert nodes.mid.min() < 0 < nodes.mid.max()
+
+    def test_order_two_context(self, monkeypatch):
+        # p^3 >= 3.4e9: t = 2 pi max|err| max p^k needs the u^2 term,
+        # and without it f misses the oracle by more than 1e-13 W
+        seq = build_sequence(ProblemContext.from_parts(3, 2, 1500.0, 100.0), "prime_log")
+        nodes = _unit_nodes(64)
+        t = 2 * np.pi * np.max(np.abs(nodes.err)) * float(seq.support[-1]) ** 3
+        assert expsums._taylor_order(t) >= 2
+        want = eval_sums(seq, 3, nodes.alphas().ravel()).reshape(64, 16)
+        W = np.sum(seq.weights)
+        assert np.max(np.abs(panel_sums(seq, 3, nodes) - want)) <= 1e-13 * W
+        real = expsums._taylor_order
+        monkeypatch.setattr(expsums, "_taylor_order", lambda t: min(real(t), 1))
+        assert np.max(np.abs(panel_sums(seq, 3, nodes) - want)) > 1e-13 * W
+
+    def test_past_the_series_takes_eval_sums(self):
+        # p^3 near 8e15: t > 1, where the series would cancel, so every
+        # block takes the limb route, bit for bit
+        seq = build_sequence(ProblemContext.from_parts(3, 2, 2e5, 60.0), "prime_log")
+        nodes = _unit_nodes(8)
+        assert 2 * np.pi * np.max(np.abs(nodes.err)) * float(seq.support[0]) ** 3 > 1
+        want = eval_sums(seq, 3, nodes.alphas().ravel()).reshape(8, 16)
+        assert np.array_equal(_bits(panel_sums(seq, 3, nodes)), _bits(want))
+
+    def test_small_blocks_share_offset_rows(self, monkeypatch):
+        # blocks of one to three panels, most of them starting inside an
+        # offset row that an earlier block began
+        monkeypatch.setattr(expsums, "_PANEL_NODES", 48)
+        nodes, _ = self._nodes("major", 4, 1.0)
+        seq = build_sequence(CTX_800K, "prime_log")
+        want = eval_sums(seq, 2, nodes.alphas().ravel()).reshape(-1, 16)
+        assert np.max(np.abs(panel_sums(seq, 2, nodes) - want)) <= 1e-13 * np.sum(seq.weights)
+
+    def test_empty_sequence_gives_zeros(self):
+        empty = WeightedSequence(support=np.zeros(0, dtype=np.int64), weights=np.zeros(0))
+        assert not panel_sums(empty, 2, _unit_nodes(3)).any()
+
+    @pytest.mark.parametrize("region, panels, A", SETS)
+    def test_target_phases_match_the_limb_route(self, region, panels, A):
+        nodes, _ = self._nodes(region, panels, A)
+        alphas = nodes.alphas()
+        for n in (801125, 848261, 2 ** 40 + 1, 2 ** 48):
+            want = PhasePowers(np.array([n]), 1).phases(alphas)[..., 0]
+            # each of the three factors, and the oracle itself, is good to about 2 pi 2^-53
+            assert np.max(np.abs(nodes.phases(n) - want)) <= 4e-15, n
+
+    def test_read_only(self):
+        nodes = _unit_nodes(2)
+        for a in (nodes.mid, nodes.table, nodes.offsets, nodes.err):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestDichotomy:
