@@ -13,11 +13,13 @@ convergents are scanned in increasing denominator order, so the witness
 returned by `dirichlet_approx` is the one with the smallest denominator,
 deterministically.
 
-Disjointness of the arc family has a sharp criterion, and construction
-enforces it; nothing else checks it.  Consecutive centers a/q < a'/q' of
-the family are Farey neighbours of order floor(P), so a'q - aq' = 1 and
-the gap between them is 1/(qq').  Their arcs, of half-widths 1/(qQ) and
-1/(q'Q), overlap exactly when Q <= q + q'.  Neighbours of order
+`arc_table` lists the family of centers a/q, q <= floor(P), once, for
+`ArcDecomposition`, `expsums.major_mask` and the arc quadrature.  Its
+disjointness has a sharp criterion, checked only by
+`ArcDecomposition.build` and `major_measure`.  Consecutive centers
+a/q < a'/q' are Farey neighbours of order floor(P), so a'q - aq' = 1
+and the gap between them is 1/(qq').  Their arcs, of half-widths 1/(qQ)
+and 1/(q'Q), overlap exactly when Q <= q + q'.  Neighbours of order
 floor(P) >= 2 have distinct denominators, both at most floor(P), so the
 largest such sum is 2*floor(P) - 1, reached at 0/1 and 1/floor(P).  The
 family is pairwise disjoint if and only if Q > 2*floor(P) - 1.  At
@@ -26,11 +28,12 @@ floor(P) = 1 the only arcs are the glued halves at 0/1 and 1/1.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .arith import ProblemContext, euler_phi, factorize
 from .errors import OverlapDetected, ParameterDomain, require_bytes
@@ -131,8 +134,6 @@ def dirichlet_approx(alpha: float, q_bound: float) -> RationalPoint:
         err_num = abs(q * num - h * den)
         if err_num * qb_num <= den * qb_den:
             return RationalPoint(a=h, q=q, beta=alpha - h / q)
-        if d == 0:  # pragma: no cover - final convergent always satisfies
-            raise ParameterDomain("continued fraction exhausted")
         step = n // d
         n, d = d, n - step * d
         h_prev, h = h, step * h + h_prev
@@ -158,68 +159,68 @@ class MajorArc:
     half_width: float
 
 
-@dataclass(frozen=True)
-class ArcDecomposition:
-    """The explicit list of major arcs for a cutoff pair (P, Q).
+def arc_table(params: ArcParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every reduced a/q with q <= floor(P) and 0 <= a <= q (so q = 1
+    gives 0/1 and 1/1), as read-only int64 arrays (q, a), ascending in
+    a/q: distinct centers are at least 1/floor(P)^2 apart, so the floats
+    a/q sort exactly.  Refused by `require_arc_budget` before anything
+    is enumerated; disjointness is not checked."""
+    q, a = np.tril_indices(require_arc_budget(math.floor(params.P)) + 1)
+    keep = np.gcd(a, q) == 1  # drops row q = 0 too: gcd(0, 0) = 0
+    q, a = q[keep], a[keep]
+    order = np.argsort(a / q)
+    q, a = q[order], a[order]
+    q.flags.writeable = a.flags.writeable = False
+    return q, a
 
-    Arcs are listed by ascending center.  The two half-arcs at 0/1 and 1/1
-    are the wrap-around halves of a single glued arc at the origin and are
-    exempt from the pairwise-disjointness requirement with each other.
-    """
+
+@dataclass(frozen=True, eq=False)
+class ArcDecomposition:
+    """The major arcs a/q +- 1/(qQ) for (P, Q), by ascending center from
+    `arc_table`.  The half-arcs at 0/1 and 1/1 are the wrap-around halves
+    of one glued arc at the origin, exempt from disjointness with each other."""
 
     params: ArcParams
-    intervals: tuple[MajorArc, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_centers", [m.center for m in self.intervals])
+    q: np.ndarray
+    a: np.ndarray
 
     @classmethod
     def build(cls, params: ArcParams) -> "ArcDecomposition":
-        pmax = math.floor(params.P)
-        _require_disjoint(pmax, params.Q)
-        require_arc_budget(pmax)
-        arcs: list[MajorArc] = []
-        for q in range(1, pmax + 1):
-            hw = 1.0 / (q * params.Q)
-            # a in 0..q coprime to q, as `expsums.major_mask` takes them:
-            # q = 1 gives both ends, 0/1 and 1/1
-            for a in range(q + 1):
-                if math.gcd(a, q) == 1:
-                    arcs.append(MajorArc(q=q, a=a, center=a / q, half_width=hw))
-        arcs.sort(key=lambda m: (m.center, m.q))
-        return cls(params=params, intervals=tuple(arcs))
+        _require_disjoint(math.floor(params.P), params.Q)
+        return cls(params, *arc_table(params))
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) = a/q -/+ 1/(qQ), every arc's ends as float arrays."""
+        center, half = self.a / self.q, 1.0 / (self.q * self.params.Q)
+        return center - half, center + half
+
+    @cached_property
+    def intervals(self) -> tuple[MajorArc, ...]:
+        """One `MajorArc` per arc; shared int and half-width objects keep it in budget."""
+        ints = list(range(math.floor(self.params.P) + 1))
+        half = [1.0 / (q * self.params.Q) if q else 0.0 for q in ints]
+        return tuple(MajorArc(ints[q], ints[a], ints[a] / ints[q], half[q])
+                     for q, a in zip(self.q, self.a))
 
     def measure(self) -> float:
         return major_measure(self.params)
 
     def covers(self, alpha: float) -> bool:
-        """Direct interval membership (mod 1), independent of classify().
-
-        Arcs are disjoint and sorted by center, so only the neighbours of
-        alpha in center order (plus the two wrap-around arcs) can contain
-        it; bisect narrows the scan to those.
-        """
-        if not self.intervals:
-            return False
-        idx = bisect.bisect_left(self._centers, alpha)
-        last = len(self.intervals) - 1
-        for i in {max(idx - 1, 0), min(idx, last), min(idx + 1, last), 0, last}:
-            m = self.intervals[i]
-            lo, hi = m.center - m.half_width, m.center + m.half_width
-            if lo <= alpha <= hi or lo <= alpha + 1.0 <= hi or lo <= alpha - 1.0 <= hi:
-                return True
-        return False
+        """Whether alpha, alpha + 1 or alpha - 1 is on an arc; no classify()."""
+        lo, hi = self.bounds
+        return any(np.any((lo <= t) & (t <= hi)) for t in (alpha, alpha + 1.0, alpha - 1.0))
 
 
 def require_arc_budget(pmax: int, per_arc: int = 280) -> int:
     """Refuse the arcs with q <= pmax before any is enumerated; returns pmax.
 
     There are 1 + sum over q <= pmax of phi(q), about 3/pi^2 pmax^2 + 1,
-    of them: 2,736,189 at pmax = 3000, where `ArcDecomposition.build`
-    took 774 MB of maxrss, 280 bytes per arc.  The charge is per_arc
-    bytes per arc against 2 GiB; at the default 280 it admits pmax up
-    to about 5000.  `major_measure` and `expsums.major_mask` loop over
-    the same q and take the same charge.
+    of them: 2,736,189 at pmax = 3000, where the tracemalloc peak per arc
+    is 44 bytes in `arc_table` and `ArcDecomposition.build`, 48 in
+    `expsums.major_mask`, and 154 in `build` plus its lazy `intervals`.
+    The charge is per_arc bytes per arc against 2 GiB; the default 280
+    admits pmax up to about 5000.  `arc_table` and `major_measure` take it.
     """
     arcs = round(3 / math.pi ** 2 * pmax ** 2) + 1
     require_bytes(per_arc * arcs, _ARC_BYTES, "arc", f"the arcs with q <= {pmax} need")

@@ -5,9 +5,9 @@ jay of one scan window.  Its key (`experiment._scan_key`) names the
 scan's inputs, and every entry records `_code`, the sha256 of the
 package's modules.  An entry written by other code is refused and
 recomputed, so a cache never serves what an older algorithm computed
-(any edit, a docstring included, costs one recompute).  The reader also
-checks that the stored n equals the targets before serving the columns.  A key holds plain JSON values (no numpy
-scalars, which raise TypeError); its text is `json.dumps`, keys sorted.
+(any edit, a docstring included, costs one recompute).  A key holds
+plain JSON values (no numpy scalars, which raise TypeError); its text is
+`json.dumps`, keys sorted.
 
 A cache file is an uncompressed numpy archive (`np.savez`): one `.npy`
 member per named array, plus a `__meta__` member holding the canonical

@@ -82,9 +82,7 @@ def _arc_integrand(ctx: ProblemContext, params: ArcParams, panels: int, region: 
         return hit
     _ARC_MEMO.clear()
     if region == "major":
-        arcs = ArcDecomposition.build(params).intervals
-        lo = np.array([m.center - m.half_width for m in arcs])
-        hi = np.array([m.center + m.half_width for m in arcs])
+        lo, hi = ArcDecomposition.build(params).bounds
     elif region == "full":
         lo, hi = np.zeros(1), np.ones(1)
     else:
@@ -326,8 +324,8 @@ def _scan_key(ctx: ProblemContext, q0: int) -> dict:
 def _scan_columns(
     ns: np.ndarray, ctx: ProblemContext, q0: int, cache_dir: Optional[str]
 ) -> dict[str, np.ndarray]:
-    """rho, tuple_count, sigma and jay at the targets; read from the
-    `scan` cache entry when one with the same key, code and targets exists."""
+    """rho, tuple_count, sigma and jay at the targets; read from the `scan`
+    cache entry of the same key and code when its stored n is the targets."""
     if cache_dir is None:
         return _compute_columns(ns, ctx, q0)
     key = _scan_key(ctx, q0)

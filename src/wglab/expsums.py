@@ -54,8 +54,9 @@ block of two or more columns one support row at a time, in a fifth of
 the time of a running sum along the support; a one-column block, which
 numpy would sum pairwise, keeps the running sum.  Major/minor labels of the
 grid come from `major_mask`, also on the exact rational j/G: the point is
-on the arc |alpha - a/q| <= 1/(qQ), q <= floor(P), exactly when the
-integer |qj - aG| is at most G/Q, so every arc is an integer index range.
+on the arc |alpha - a/q| <= 1/(qQ) at an `arcs.arc_table` center exactly
+when the integer |qj - aG| is at most G/Q, so every arc is an integer
+index range.
 
 Quadrature panels
 -----------------
@@ -82,8 +83,7 @@ from typing import Optional
 import numpy as np
 
 from . import arith
-from .arcs import (ArcDecomposition, ArcParams, RationalPoint, dirichlet_approx,
-                   require_arc_budget, w_k)
+from .arcs import ArcDecomposition, ArcParams, RationalPoint, arc_table, dirichlet_approx, w_k
 from .arith import ProblemContext
 from .errors import EmptyRegion, EmptyWindow, ParameterDomain, RangeTooLarge, require_bytes
 
@@ -451,28 +451,26 @@ def eval_sum(seq: WeightedSequence, k: int, alpha: float) -> complex:
 
 def major_mask(params: ArcParams, grid_size: int) -> np.ndarray:
     """For each grid point j/grid_size, True when the exact rational
-    j/grid_size lies on an arc |alpha - a/q| <= 1/(qQ) with q <= floor(P).
+    j/grid_size lies on an arc |alpha - a/q| <= 1/(qQ) of `arc_table`,
+    which lists overlapping families too.
 
     That is the label `classify` gives the float j/grid_size wherever the
     float is exact, as at a power-of-two grid_size (its minimal Dirichlet
-    witness is then at most that q).  The arcs are listed here, not taken
-    from `ArcDecomposition.build`, so overlapping parameters work too.
-    With Q = num/den, j/G is on the arc at a/q exactly when the integer
-    |qj - aG| is at most G/Q, i.e. at most T = (G * den) // num, so each
-    arc is the index range ceil((aG - T)/q) .. floor((aG + T)/q).
+    witness is then at most that q).  With Q = num/den, j/G is on the arc
+    at a/q exactly when the integer |qj - aG| is at most G/Q, i.e. at most
+    T = (G * den) // num, so each arc is the index range
+    ceil((aG - T)/q) .. floor((aG + T)/q).
     """
     G = grid_size
     num, den = float(params.Q).as_integer_ratio()
     T = (G * den) // num
+    q, a = arc_table(params)
+    aG = a * G
+    start = np.clip(-((T - aG) // q), 0, G)  # start <= stop, equal on an empty range
+    stop = np.clip((aG + T) // q + 1, 0, G)
     inside = np.zeros(G + 1, dtype=np.int64)  # +1/-1 at starts/ends of arc ranges
-    for q in range(1, require_arc_budget(math.floor(params.P)) + 1):
-        a = np.arange(q + 1, dtype=np.int64)
-        aG = a[np.gcd(a, q) == 1] * G
-        start = np.clip(-((T - aG) // q), 0, G)
-        stop = np.clip((aG + T) // q + 1, 0, G)
-        keep = start < stop
-        np.add.at(inside, start[keep], 1)
-        np.add.at(inside, stop[keep], -1)
+    np.add.at(inside, start, 1)
+    np.add.at(inside, stop, -1)
     return np.cumsum(inside, out=inside)[:G] > 0
 
 

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wglab.arcs as arcs
+import wglab.experiment as experiment
+import wglab.expsums as expsums
 from wglab.arcs import (
     ArcDecomposition,
     ArcParams,
     RationalPoint,
+    arc_table,
     classify,
     dirichlet_approx,
     major_measure,
@@ -241,8 +244,17 @@ class TestDecomposition:
         assert dec.covers(1.0 - 0.5 / params.Q)  # wrap-around half
 
     def test_covers_nothing_without_arcs(self):
-        dec = ArcDecomposition(ArcParams.explicit(10.0, 1e4), ())
+        empty = np.empty(0, dtype=np.int64)
+        dec = ArcDecomposition(ArcParams.explicit(10.0, 1e4), empty, empty)
         assert not any(dec.covers(alpha) for alpha in (0.0, 0.5, 1.0))
+
+    def test_covers_is_taken_mod_one(self):
+        params = ArcParams.explicit(10.0, 1e4)
+        dec = ArcDecomposition.build(params)
+        for m in dec.intervals:
+            assert dec.covers(m.center + 1.0) and dec.covers(m.center - 1.0)
+        off = 13 / 24  # every a/q with q <= 10 is at least 1/240 away
+        assert not any(dec.covers(off + shift) for shift in (-1.0, 0.0, 1.0))
 
     def test_covers_matches_classify(self):
         # membership by interval scan must agree with the exact Dirichlet
@@ -254,3 +266,56 @@ class TestDecomposition:
             for alpha in rng.random(2000):
                 label, _ = classify(float(alpha), params)
                 assert dec.covers(float(alpha)) == (label == "major")
+
+
+def _fraction_listing(pmax):
+    """Every a/q with q <= pmax and 0 <= a <= q, reduced by Fraction and
+    listed once, by value, as (q, a)."""
+    values = {Fraction(a, q) for q in range(1, pmax + 1) for a in range(q + 1)}
+    return [(f.denominator, f.numerator) for f in sorted(values)]
+
+
+class TestArcTable:
+    @pytest.mark.parametrize("pmax", [*range(1, 61), 300])
+    def test_matches_fraction_listing(self, pmax):
+        q, a = arc_table(ArcParams.explicit(pmax + 0.5, 1e6))
+        assert q.dtype == a.dtype == np.int64
+        assert list(zip(q.tolist(), a.tolist())) == _fraction_listing(pmax)
+
+    def test_overlapping_family_is_listed(self):
+        # Q = 9 <= 2*5 - 1: build refuses this family, the table lists it
+        params = ArcParams.explicit(5.0, 9.0)
+        q, a = arc_table(params)
+        assert list(zip(q.tolist(), a.tolist())) == _fraction_listing(5)
+        with pytest.raises(OverlapDetected):
+            ArcDecomposition.build(params)
+
+    def test_read_only(self):
+        for column in arc_table(ArcParams.explicit(7.0, 100.0)):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_every_reader_takes_the_one_table(self, monkeypatch):
+        calls = []
+
+        def spy(params):
+            calls.append(params)
+            return arc_table(params)
+
+        def no_arc(*args):
+            raise AssertionError("built a MajorArc")
+
+        monkeypatch.setattr(arcs, "arc_table", spy)
+        monkeypatch.setattr(expsums, "arc_table", spy)
+        params = ArcParams.explicit(10.0, 1e4)
+        ArcDecomposition.build(params)
+        assert calls == [params]
+        major_mask(params, 1000)
+        assert calls == [params] * 2
+        monkeypatch.setattr(arcs, "MajorArc", no_arc)
+        monkeypatch.setattr(experiment, "_ARC_MEMO", {})
+        ctx = ProblemContext.from_parts(2, 2, 10.0, 4.0)
+        tiny = ArcParams.from_context(ctx)
+        nodes, _, _ = experiment._arc_integrand(ctx, tiny, 1, "major")  # one panel per arc
+        assert calls == [params, params, tiny]
+        assert nodes.mid.size == arc_table(tiny)[0].size
